@@ -15,7 +15,6 @@ from .descent import (
     assemble_diagram,
     diagrams_equivalent,
     gauge,
-    global_twist_autoequivalence,
     is_two_periodic,
     pic_invariants,
 )

@@ -16,14 +16,15 @@ parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 
-from .descent import assemble_diagram, is_two_periodic, pic_invariants
+from .descent import assemble_diagram, pic_invariants
 from .errors import BoundaryWall, SingLocusError
 from .examples import CLI_EXAMPLE_FANS, CLI_EXAMPLE_GRAPHS
-from .graphs import dual_surface, validate_graph
+from .graphs import dual_surface
 from .serialize import (
     ParseError,
     diagram_to_json,
@@ -38,15 +39,7 @@ from .serialize import (
     surface_to_json,
     wall_report_to_json,
 )
-from .toric import (
-    boundary_graph,
-    divisor_classification,
-    quartic_mirror_fan,
-    validate_fan,
-    walls,
-    _wall_report,
-    _wall_table,
-)
+from .toric import boundary_graph, divisor_classification, quartic_mirror_fan, wall_data, walls
 from .topology import dehn_twist_record, h1_graph_manifold, pencil_localization
 
 ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil", "dehn")
@@ -71,7 +64,10 @@ def _read_payload(args) -> tuple[dict, bytes]:
     else:
         with open(path, "rb") as handle:
             raw = handle.read()
-    return json.loads(raw.decode("utf-8")), raw
+    try:
+        return json.loads(raw.decode("utf-8")), raw
+    except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested arrays
+        raise ParseError(str(exc)) from None
 
 
 def _emit(args, text: str) -> None:
@@ -95,16 +91,16 @@ def _report(args, command: str, raw: bytes, result: dict, diagnostics: list[str]
 def _cmd_validate(args) -> int:
     try:
         payload, raw = _read_payload(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
         if isinstance(payload, dict) and "rays" in payload:
             kind = "fan"
-            violations = validate_fan(fan_from_json(payload))
+            violations = fan_from_json(payload).violations
         else:
             kind = "graph"
-            violations = validate_graph(graph_from_json(payload))
+            violations = graph_from_json(payload).violations
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -121,21 +117,20 @@ def _cmd_toric_extract(args) -> int:
     try:
         payload, raw = _read_payload(args)
         fan = fan_from_json(payload)
-    except (OSError, ValueError, ParseError) as exc:
+    except (OSError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    violations = validate_fan(fan)
+    violations = fan.violations
     if violations:
         _report(args, "toric extract", raw, {"violations": violations}, violations)
         return 1
     try:
         graph = boundary_graph(fan)
-        table = _wall_table(fan)
         wall_rows = []
         defect_counts: dict[str, int] = {}
         for wall in walls(fan):
             try:
-                row = wall_report_to_json(_wall_report(fan, wall, table))
+                row = wall_report_to_json(wall_data(fan, wall))
                 key = str(row["defect"])
                 defect_counts[key] = defect_counts.get(key, 0) + 1
             except BoundaryWall as exc:
@@ -164,7 +159,7 @@ def _cmd_toric_extract(args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         payload, raw = _read_payload(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     if isinstance(payload, dict) and "result" in payload and "graph" in payload.get("result", {}):
@@ -181,7 +176,7 @@ def _cmd_analyze(args) -> int:
 
     diagnostics: list[str] = []
     result: dict = {}
-    violations = validate_graph(graph)
+    violations = graph.violations
     if violations:
         _report(args, "analyze", raw, {"violations": violations}, violations)
         return 1
@@ -194,9 +189,13 @@ def _cmd_analyze(args) -> int:
         except SingLocusError as exc:
             diagnostics.append(f"{type(exc).__name__}: {exc}")
 
-    section("descent", "descent", lambda: diagram_to_json(assemble_diagram(graph)))
-    section("pic", "pic", lambda: pic_to_json(pic_invariants(assemble_diagram(graph))))
-    section("two-periodic", "twoPeriodic", lambda: is_two_periodic(assemble_diagram(graph)))
+    # Built on first use and shared by the sections; a failure is not
+    # kept, so each section that needs the value reports it.
+    diagram = functools.cache(lambda: assemble_diagram(graph))
+    pic = functools.cache(lambda: pic_invariants(diagram()))
+    section("descent", "descent", lambda: diagram_to_json(diagram()))
+    section("pic", "pic", lambda: pic_to_json(pic()))
+    section("two-periodic", "twoPeriodic", lambda: pic().is_trivial())
     section("surface", "surface", lambda: surface_to_json(dual_surface(graph)))
     section("h1", "h1", lambda: h1_to_json(h1_graph_manifold(graph)))
     section("pencil", "nodalCurve", lambda: nodal_curve_to_json(pencil_localization(graph)))

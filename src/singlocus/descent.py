@@ -16,16 +16,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GraphMismatch, NonOrientable, TwistMismatch
-from .graphs import (
-    DecoratedGraph,
-    Incidence,
-    compact_edge_pairs,
-    orientability,
-    require_connected,
-    require_valid,
-)
+from .graphs import CompactEdge, DecoratedGraph, orientability, require_connected, require_valid
 from .intlinalg import cycle_basis
-from .localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
+from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
 
 
 @dataclass(frozen=True)
@@ -36,10 +29,7 @@ class VertexChart:
     trivialization: Fraction = Fraction(1)
 
     def __post_init__(self):
-        t = Fraction(self.trivialization)
-        if t == 0:
-            raise ValueError("trivialization must be nonzero")
-        object.__setattr__(self, "trivialization", t)
+        object.__setattr__(self, "trivialization", _nonzero(self.trivialization, "trivialization"))
         object.__setattr__(self, "cyclic_order", tuple(self.cyclic_order))
 
 
@@ -75,12 +65,7 @@ def canonical_directions(g: DecoratedGraph) -> list[tuple[int, int]]:
 
     Ties (self-loops) keep the half-edge storage order of the edge.
     """
-    inc = Incidence.of(g)
-    out = []
-    for ei, e in g.compact_edges():
-        v1, v2 = inc.endpoints[ei]
-        out.append((v1, v2) if v1 <= v2 else (v2, v1))
-    return out
+    return [(v1, v2) if v1 <= v2 else (v2, v1) for v1, v2 in g.compact_pairs]
 
 
 def assemble_diagram(
@@ -124,10 +109,11 @@ def assemble_diagram(
         if len(transitions) != len(compact):
             raise ValueError("need one transition per compact edge")
         built = []
-        inc = Incidence.of(g)
-        for (ei, e), (direction, aut), canon in zip(compact, transitions, directions):
+        for (ei, e), pair, (direction, aut), canon in zip(
+            compact, g.compact_pairs, transitions, directions
+        ):
             direction = (int(direction[0]), int(direction[1]))
-            if set(direction) != set(inc.endpoints[ei]):
+            if set(direction) != set(pair):
                 raise TwistMismatch(
                     f"edge {ei}: direction {direction} does not join its endpoints"
                 )
@@ -195,18 +181,7 @@ def is_two_periodic(d: DescentDiagram) -> bool:
     return pic_invariants(d).is_trivial()
 
 
-def global_twist_autoequivalence(d: DescentDiagram) -> PicInvariants:
-    """The line-bundle class of the global twist autoequivalence.
-
-    The same data as :func:`pic_invariants`; the twist is trivial exactly
-    when the diagram is 2-periodic.
-    """
-    return pic_invariants(d)
-
-
 def _graph_shape(g: DecoratedGraph):
-    from .graphs import CompactEdge
-
     return (
         g.vertices,
         tuple(
@@ -236,7 +211,7 @@ def trivializing_gauge(d: DescentDiagram) -> Optional[list[Fraction]]:
     every self-loop already has lam_u = 1).  Twists are untouched by
     gauging, so this does not by itself decide 2-periodicity.
     """
-    pairs = compact_edge_pairs(d.graph)
+    pairs = d.graph.compact_pairs
     scalars: list[Optional[Fraction]] = [None] * len(d.graph.vertices)
     scalars[0] = Fraction(1)
     changed = True

@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
-from .errors import DisconnectedGraph, InvalidGraph, SingLocusError
-from .intlinalg import _union_find_components, cycle_basis
-
-
-def _nonzero(value, what: str) -> Fraction:
-    f = Fraction(value)
-    if f == 0:
-        raise ValueError(f"{what} must be nonzero")
-    return f
+from .errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
+from .intlinalg import _bfs_parents, _spanning_forest, cycle_basis
+from .localmodels import _nonzero
 
 
 @dataclass(frozen=True)
@@ -63,8 +58,40 @@ Edge = Union[CompactEdge, Leg]
 
 @dataclass(frozen=True)
 class DecoratedGraph:
+    """Vertices (cyclic half-edge triples) and edges.
+
+    The derived data below is computed on first use and kept on the
+    value (treat it as read-only), so each graph is validated, indexed
+    and gauged at most once.
+    """
+
     vertices: tuple[tuple[int, ...], ...]
     edges: tuple[Edge, ...]
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """:func:`validate_graph` of this graph."""
+        return tuple(validate_graph(self))
+
+    @cached_property
+    def incidence(self) -> "Incidence":
+        """Lookup tables; meaningful only for a valid graph."""
+        return Incidence.of(self)
+
+    @cached_property
+    def compact_pairs(self) -> tuple[tuple[int, int], ...]:
+        """:func:`compact_edge_pairs` of this graph."""
+        return tuple(compact_edge_pairs(self))
+
+    @cached_property
+    def cycles(self) -> list[list[tuple[int, int]]]:
+        """:func:`cycle_basis` of the compact edges, in storage direction."""
+        return cycle_basis(len(self.vertices), self.compact_pairs)
+
+    @cached_property
+    def oriented(self) -> "DecoratedGraph":
+        """:func:`oriented_form` of this graph."""
+        return oriented_form(self)
 
     @classmethod
     def build(cls, vertices, edges) -> "DecoratedGraph":
@@ -120,9 +147,8 @@ def validate_graph(g: DecoratedGraph) -> list[str]:
 
 
 def require_valid(g: DecoratedGraph) -> None:
-    report = validate_graph(g)
-    if report:
-        raise InvalidGraph(report)
+    if g.violations:
+        raise InvalidGraph(g.violations)
 
 
 @dataclass(frozen=True)
@@ -156,14 +182,15 @@ class Incidence:
 
 def compact_edge_pairs(g: DecoratedGraph) -> list[tuple[int, int]]:
     """Endpoint vertex pairs of the compact edges, in edge order."""
-    inc = Incidence.of(g)
+    inc = g.incidence
     return [inc.endpoints[ei] for ei, _ in g.compact_edges()]
 
 
 def is_connected(g: DecoratedGraph) -> bool:
     if not g.vertices:
         return False
-    return _union_find_components(len(g.vertices), compact_edge_pairs(g)) == 1
+    _, tree = _spanning_forest(len(g.vertices), g.compact_pairs)
+    return len(tree) == len(g.vertices) - 1
 
 
 def require_connected(g: DecoratedGraph) -> None:
@@ -186,10 +213,9 @@ def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:
     """
     require_valid(g)
     require_connected(g)
-    pairs = compact_edge_pairs(g)
     compact = [e for _, e in g.compact_edges()]
     w1 = []
-    for cycle in cycle_basis(len(g.vertices), pairs):
+    for cycle in g.cycles:
         total = 0
         for edge_idx, _sign in cycle:
             if compact[edge_idx].reversing:
@@ -205,27 +231,17 @@ def orientation_gauge(g: DecoratedGraph) -> list[int]:
     the deterministic one rooted at vertex 0 over the lowest-index
     spanning tree.
     """
-    from .errors import NonOrientable
-
     require_valid(g)
     require_connected(g)
-    pairs = compact_edge_pairs(g)
+    pairs = g.compact_pairs
     compact = [e for _, e in g.compact_edges()]
     flips = [0] * len(g.vertices)
-    assigned = [False] * len(g.vertices)
-    assigned[0] = True
     adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(g.vertices))}
     for idx, (u, v) in enumerate(pairs):
         adjacency[u].append((v, idx))
         adjacency[v].append((u, idx))
-    queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for (v, idx) in adjacency[u]:
-            if not assigned[v]:
-                assigned[v] = True
-                flips[v] = flips[u] ^ (1 if compact[idx].reversing else 0)
-                queue.append(v)
+    for v, (u, idx) in _bfs_parents(adjacency, 0).items():
+        flips[v] = flips[u] ^ (1 if compact[idx].reversing else 0)
     for idx, (u, v) in enumerate(pairs):
         rev = 1 if compact[idx].reversing else 0
         if u == v:
@@ -293,7 +309,7 @@ def _face_walks(g: DecoratedGraph) -> list[list[int]]:
     # cyclic successor at the far vertex (predecessor when direction is
     # flipped), reversal toggled by the traversed edge's flag.  Legs bounce:
     # the walk slides around the tip and continues at the same vertex.
-    inc = Incidence.of(g)
+    inc = g.incidence
 
     def step(h: int, d: int) -> tuple[int, int]:
         ei = inc.edge_of[h]
@@ -419,7 +435,7 @@ class FiniteCategory:
 def build_j(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
     """The category with objects = vertices and edges, one arrow per flag."""
     require_valid(g)
-    inc = Incidence.of(g)
+    inc = g.incidence
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"e{ei}" for ei in range(len(g.edges))]
     arrows: dict[str, tuple[str, str]] = {}
@@ -445,26 +461,30 @@ def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
 
     Objects are the vertices and the flags (one per half-edge); there is
     an arrow per flag and a two-sided isomorphism pair per compact edge.
-    The composition closure is computed by saturation with a safety cap of
-    ``10 * (objects + arrows)`` passes, which guards malformed input.
+    Arrows are reduced words in these generators, where the two isos of
+    an edge cancel; the only nonidentity words are the flags, the isos
+    and flag-then-iso, so V + 2H + 4C arrows in all.
     """
     require_valid(g)
-    inc = Incidence.of(g)
+    inc = g.incidence
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"f{h}" for h in sorted(inc.vertex_of)]
 
-    # Arrows are reduced words in the generators; the only relation is that
-    # the two iso generators of an edge cancel.
-    generators: dict[str, tuple[str, str]] = {}
+    # word -> (source, target); identity words are () tagged by object.
+    words: dict[tuple, tuple[str, str]] = {("id", obj): (obj, obj) for obj in objects}
     inverse_of: dict[str, str] = {}
     for h in sorted(inc.vertex_of):
-        generators[f"flag:h{h}"] = (f"v{inc.vertex_of[h]}", f"f{h}")
+        words[("w", (f"flag:h{h}",))] = (f"v{inc.vertex_of[h]}", f"f{h}")
+    isos = []
     for ei, e in g.compact_edges():
         h1, h2 = e.ends
-        generators[f"iso:e{ei}:fwd"] = (f"f{h1}", f"f{h2}")
-        generators[f"iso:e{ei}:rev"] = (f"f{h2}", f"f{h1}")
-        inverse_of[f"iso:e{ei}:fwd"] = f"iso:e{ei}:rev"
-        inverse_of[f"iso:e{ei}:rev"] = f"iso:e{ei}:fwd"
+        fwd, rev = f"iso:e{ei}:fwd", f"iso:e{ei}:rev"
+        words[("w", (fwd,))] = (f"f{h1}", f"f{h2}")
+        words[("w", (rev,))] = (f"f{h2}", f"f{h1}")
+        inverse_of[fwd], inverse_of[rev] = rev, fwd
+        isos += [(h1, fwd, h2), (h2, rev, h1)]
+    for h, iso, h_out in isos:
+        words[("w", (f"flag:h{h}", iso))] = (f"v{inc.vertex_of[h]}", f"f{h_out}")
 
     def reduce_word(word: tuple[str, ...]) -> tuple[str, ...]:
         out: list[str] = []
@@ -475,35 +495,6 @@ def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
                 out.append(gname)
         return tuple(out)
 
-    # word -> (source, target); identity words are () tagged by object.
-    words: dict[tuple, tuple[str, str]] = {}
-    for obj in objects:
-        words[("id", obj)] = (obj, obj)
-    for gname, (src, tgt) in generators.items():
-        words[("w", (gname,))] = (src, tgt)
-
-    cap = 10 * (len(objects) + len(words))
-    for _ in range(cap):
-        new: dict[tuple, tuple[str, str]] = {}
-        items = list(words.items())
-        for f_key, (fs, ft) in items:
-            for g_key, (gs, gt) in items:
-                if gs != ft:
-                    continue
-                if f_key[0] == "id":
-                    continue
-                if g_key[0] == "id":
-                    continue
-                word = reduce_word(f_key[1] + g_key[1])
-                key = ("id", fs) if not word else ("w", word)
-                if key not in words and key not in new:
-                    new[key] = (fs, gt)
-        if not new:
-            break
-        words.update(new)
-    else:
-        raise SingLocusError("composition closure did not stabilize within the cap")
-
     def name(key) -> str:
         if key[0] == "id":
             return f"id:{key[1]}"
@@ -511,14 +502,12 @@ def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
 
     arrows = {name(k): st for k, st in words.items()}
     identities = {obj: f"id:{obj}" for obj in objects}
+    out_of: dict[str, list[tuple]] = {obj: [] for obj in objects}
+    for key, (src, _) in words.items():
+        out_of[src].append(key)
     compose: dict[tuple[str, str], str] = {}
-    keys = list(words)
-    for f_key in keys:
-        fs, ft = words[f_key]
-        for g_key in keys:
-            gs, gt = words[g_key]
-            if gs != ft:
-                continue
+    for f_key, (fs, ft) in words.items():
+        for g_key in out_of[ft]:
             if f_key[0] == "id":
                 result = g_key
             elif g_key[0] == "id":
@@ -536,7 +525,7 @@ def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
 def collapse_functor(g: DecoratedGraph) -> dict[str, str]:
     """Object map of the equivalence from :func:`build_i` to :func:`build_j`,
     sending each flag object to its edge object."""
-    inc = Incidence.of(g)
+    inc = g.incidence
     mapping = {f"v{vi}": f"v{vi}" for vi in range(len(g.vertices))}
     for h, ei in inc.edge_of.items():
         mapping[f"f{h}"] = f"e{ei}"

@@ -7,8 +7,9 @@ are pure, so the module is safe to use from multiple threads.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DisconnectedGraph
 
@@ -221,7 +222,13 @@ def cokernel_abelian_group(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
     return m.rows - rank, torsion
 
 
-def _union_find_components(n: int, pairs: Iterable[tuple[int, int]]) -> int:
+def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Union-find over ``pairs`` taken in order.
+
+    Returns the component label of each vertex (labels numbered by their
+    smallest vertex) and the indices of the pairs that joined two
+    components, i.e. the lowest-index-first spanning forest.
+    """
     parent = list(range(n))
 
     def find(x):
@@ -230,13 +237,33 @@ def _union_find_components(n: int, pairs: Iterable[tuple[int, int]]) -> int:
             x = parent[x]
         return x
 
-    comps = n
-    for u, v in pairs:
+    tree = []
+    for idx, (u, v) in enumerate(pairs):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            comps -= 1
-    return comps
+            tree.append(idx)
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(v), len(labels)) for v in range(n)], tree
+
+
+def _bfs_parents(adjacency: dict[int, list[tuple]], root: int) -> dict[int, tuple]:
+    """Breadth-first search from ``root`` over ``adjacency[x] = [(y, *link)]``.
+
+    Returns ``{y: (x, *link)}`` for every vertex reached other than the
+    root, in visiting order (so each parent comes before its children).
+    """
+    prev: dict[int, tuple] = {}
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y, *link in adjacency[x]:
+            if y not in seen:
+                seen.add(y)
+                prev[y] = (x, *link)
+                queue.append(y)
+    return prev
 
 
 def cycle_basis(
@@ -252,57 +279,30 @@ def cycle_basis(
     """
     if num_vertices == 0:
         raise DisconnectedGraph("empty vertex set")
-    if _union_find_components(num_vertices, edges) != 1:
+    _, tree = _spanning_forest(num_vertices, edges)
+    if len(tree) != num_vertices - 1:
         raise DisconnectedGraph(
             f"graph with {num_vertices} vertices and {len(edges)} edges is not connected"
         )
 
-    parent = list(range(num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree: list[int] = []
-    non_tree: list[int] = []
     adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(num_vertices)}
-    for idx, (u, v) in enumerate(edges):
-        ru, rv = find(u), find(v)
-        if ru != rv and u != v:
-            parent[ru] = rv
-            tree.append(idx)
-            adjacency[u].append((v, idx, +1))
-            adjacency[v].append((u, idx, -1))
-        else:
-            non_tree.append(idx)
+    for idx in tree:
+        u, v = edges[idx]
+        adjacency[u].append((v, idx, +1))
+        adjacency[v].append((u, idx, -1))
 
     def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        # BFS in the tree; the tree is small so this is fine.
-        prev: dict[int, tuple[int, int, int]] = {}
-        queue = [src]
-        seen = {src}
-        while queue:
-            x = queue.pop(0)
-            if x == dst:
-                break
-            for (y, idx, sign) in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    prev[y] = (x, idx, sign)
-                    queue.append(y)
+        prev = _bfs_parents(adjacency, src)
         path: list[tuple[int, int]] = []
-        x = dst
-        while x != src:
-            px, idx, sign = prev[x]
+        while dst != src:
+            dst, idx, sign = prev[dst]
             path.append((idx, sign))
-            x = px
         path.reverse()
         return path
 
+    in_tree = set(tree)
     cycles = []
-    for idx in non_tree:
-        u, v = edges[idx]
-        cycles.append(tree_path(u, v) + [(idx, -1)])
+    for idx, (u, v) in enumerate(edges):
+        if idx not in in_tree:
+            cycles.append(tree_path(u, v) + [(idx, -1)])
     return cycles

@@ -32,11 +32,24 @@ def parse_rational(text: Any) -> Fraction:
     try:
         if isinstance(text, str):
             return Fraction(text.strip())
-        if isinstance(text, int):
+        if type(text) is int:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
     raise ParseError(f"bad rational {text!r}")
+
+
+def _int(value: Any) -> int:
+    # JSON integers only: bool is an int subclass, and a float would be truncated.
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
 
 
 def dumps_canonical(payload: Any) -> str:
@@ -73,23 +86,23 @@ def graph_to_json(g: DecoratedGraph) -> dict:
 
 def graph_from_json(payload: dict) -> DecoratedGraph:
     try:
-        vertices = [tuple(int(h) for h in v["halfEdges"]) for v in payload["vertices"]]
+        vertices = [tuple(_int(h) for h in v["halfEdges"]) for v in payload["vertices"]]
         edges = []
         for e in payload["edges"]:
             if e["kind"] == "compact":
                 si = e.get("selfIntersections")
                 edges.append(
                     CompactEdge(
-                        (int(e["ends"][0]), int(e["ends"][1])),
-                        twist=int(e.get("twist", 0)),
+                        (_int(e["ends"][0]), _int(e["ends"][1])),
+                        twist=_int(e.get("twist", 0)),
                         holonomy=parse_rational(e.get("holonomy", 1)),
                         base_scalar=parse_rational(e.get("baseScalar", 1)),
-                        reversing=bool(e.get("reversing", False)),
-                        self_intersections=None if si is None else (int(si[0]), int(si[1])),
+                        reversing=_bool(e.get("reversing", False)),
+                        self_intersections=None if si is None else (_int(si[0]), _int(si[1])),
                     )
                 )
             elif e["kind"] == "leg":
-                edges.append(Leg(int(e["end"])))
+                edges.append(Leg(_int(e["end"])))
             else:
                 raise ParseError(f"unknown edge kind {e['kind']!r}")
     except (KeyError, TypeError, IndexError, ValueError) as exc:
@@ -108,9 +121,11 @@ def fan_to_json(f: Fan) -> dict:
 
 def fan_from_json(payload: dict) -> Fan:
     try:
-        return Fan.build(payload["rays"], payload["cones"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        rays = tuple(tuple(_int(x) for x in r) for r in payload["rays"])
+        cones = tuple(tuple(_int(i) for i in c) for c in payload["cones"])
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed fan JSON: {exc}") from None
+    return Fan(rays, cones)
 
 
 # ---------------------------------------------------------------------------

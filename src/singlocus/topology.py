@@ -13,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NegativeDefect
-from .graphs import (
-    DecoratedGraph,
-    Incidence,
-    compact_edge_pairs,
-    oriented_form,
-    require_connected,
-    require_valid,
-)
-from .intlinalg import IntMatrix, cokernel_abelian_group
+from .graphs import DecoratedGraph, require_connected, require_valid
+from .intlinalg import IntMatrix, _spanning_forest, cokernel_abelian_group
 
 
 @dataclass(frozen=True)
@@ -102,8 +95,8 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
     """
     require_valid(g)
     require_connected(g)
-    g = oriented_form(g)
-    inc = Incidence.of(g)
+    g = g.oriented
+    inc = g.incidence
     num_v = len(g.vertices)
 
     def gens(v: int) -> tuple[int, int, int]:
@@ -144,8 +137,7 @@ def h1_graph_manifold(g: DecoratedGraph) -> H1Result:
     """H1 of the glued manifold: cokernel of the relations plus Z^{b1(G)}."""
     pres = plumbing_presentation(g)
     free, torsion = cokernel_abelian_group(pres.relation_matrix)
-    pairs = compact_edge_pairs(g)
-    cycle_rank = len(pairs) - len(g.vertices) + 1
+    cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
     return H1Result(free + cycle_rank, torsion)
 
 
@@ -172,40 +164,19 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
     """
     require_valid(g)
     require_connected(g)
-    oriented_form(g)  # raises NonOrientable when w1 != 0
+    g.oriented  # raises NonOrientable when w1 != 0
     negative = [ei for ei, e in g.compact_edges() if e.twist < 0]
     if negative:
         raise NegativeDefect(
             f"edges {negative} have negative defect; no section with simple zeros exists"
         )
-    inc = Incidence.of(g)
+    inc = g.incidence
     num_v = len(g.vertices)
     kept_pairs = [
         inc.endpoints[ei] for ei, e in g.compact_edges() if e.twist == 0
     ]
-
-    parent = list(range(num_v))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in kept_pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    component_of: dict[int, int] = {}
-    order: list[int] = []
-    for v in range(num_v):
-        root = find(v)
-        if root not in component_of:
-            component_of[root] = len(order)
-            order.append(root)
-    comp = [component_of[find(v)] for v in range(num_v)]
-    num_main = len(order)
+    comp, tree = _spanning_forest(num_v, kept_pairs)
+    num_main = num_v - len(tree)
 
     # genus = cycle rank of the kept subgraph; boundary = legs + cut ends.
     comp_vertices = [0] * num_main

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Optional, Sequence
 
 from .errors import BoundaryWall, InvalidFan, NotAWall
 from .graphs import CompactEdge, DecoratedGraph, Leg
+from .intlinalg import _egcd
 
 Vec = tuple[int, int, int]
 
@@ -47,15 +49,8 @@ def _basis_completion(v: Vec) -> tuple[Vec, Vec]:
     Built from two extended-gcd steps; det(v, w1, w2) = 1 exactly.
     """
     a, b, c = v
-
-    def egcd(p: int, q: int) -> tuple[int, int, int]:
-        if q == 0:
-            return (abs(p), 1 if p >= 0 else -1, 0)
-        g, x, y = egcd(q, p % q)
-        return (g, y, x - (p // q) * y)
-
-    g_ab, s, t = egcd(a, b)  # s*a + t*b = g_ab
-    g, u, w = egcd(g_ab, c)  # u*g_ab + w*c = 1
+    g_ab, s, t = _egcd(a, b)  # s*a + t*b = g_ab
+    g, u, w = _egcd(g_ab, c)  # u*g_ab + w*c = 1
     if g != 1:
         raise ValueError(f"{v} is not primitive")
     if g_ab == 0:
@@ -78,7 +73,11 @@ def _project_mod(v: Vec, w1: Vec, w2: Vec, u: Vec) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Fan:
-    """Rays (primitive integer vectors) and maximal cones (ray-index triples)."""
+    """Rays (primitive integer vectors) and maximal cones (ray-index triples).
+
+    The derived data below is computed on first use and kept on the
+    value (treat it as read-only), so each fan is validated at most once.
+    """
 
     rays: tuple[Vec, ...]
     cones: tuple[tuple[int, int, int], ...]
@@ -90,15 +89,42 @@ class Fan:
             tuple(tuple(int(i) for i in c) for c in cones),
         )
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """:func:`validate_fan` of this fan."""
+        return tuple(validate_fan(self))
+
+    @cached_property
+    def wall_table(self) -> dict[tuple[int, int], list[int]]:
+        """wall (sorted ray pair) -> indices of maximal cones containing it."""
+        out: dict[tuple[int, int], list[int]] = {}
+        for ci, cone in enumerate(self.cones):
+            s = sorted(cone)
+            for pair in ((s[0], s[1]), (s[0], s[2]), (s[1], s[2])):
+                out.setdefault(pair, []).append(ci)
+        return out
+
+    @cached_property
+    def wall_reports(self) -> dict[tuple[int, int], "WallReport"]:
+        """Report of every interior wall; raises :class:`InvalidFan`."""
+        require_valid_fan(self)
+        return {
+            wall: _wall_report(self, wall, cones)
+            for wall, cones in self.wall_table.items()
+            if len(cones) == 2
+        }
+
 
 def validate_fan(f: Fan) -> list[str]:
     """Violations: non-primitive/duplicate rays, non-unimodular cones,
     improperly intersecting cones.  Empty iff the fan is a smooth fan."""
     report = []
     seen: dict[Vec, int] = {}
+    not_3d = set()
     for i, r in enumerate(f.rays):
         if len(r) != 3:
             report.append(f"ray {i} is not a 3-vector")
+            not_3d.add(i)
             continue
         if r == (0, 0, 0) or not _is_primitive(r):
             report.append(f"ray {i} = {r} not primitive")
@@ -114,6 +140,8 @@ def validate_fan(f: Fan) -> list[str]:
         if any(i < 0 or i >= len(f.rays) for i in cone):
             report.append(f"cone {ci} has an out-of-range ray index")
             continue
+        if not_3d.intersection(cone):
+            continue  # the ray is already reported; it has no determinant
         d = _det3(*(f.rays[i] for i in cone))
         if abs(d) != 1:
             report.append(f"non-unimodular cone {ci} (det = {d})")
@@ -126,8 +154,7 @@ def validate_fan(f: Fan) -> list[str]:
     # Face-intersection checks on the wall structure: a wall may belong to
     # at most two cones, and when it belongs to two, the opposite rays must
     # lie strictly on opposite sides of the wall's plane.
-    wall_cones = _wall_table(f)
-    for wall, cones in sorted(wall_cones.items()):
+    for wall, cones in sorted(f.wall_table.items()):
         if len(cones) > 2:
             report.append(f"wall {wall} belongs to {len(cones)} cones")
             continue
@@ -152,9 +179,8 @@ def validate_fan(f: Fan) -> list[str]:
 
 
 def require_valid_fan(f: Fan) -> None:
-    report = validate_fan(f)
-    if report:
-        raise InvalidFan(report)
+    if f.violations:
+        raise InvalidFan(f.violations)
 
 
 def _cone_coordinates(f: Fan, cone_index: int, v: Vec) -> Optional[tuple]:
@@ -170,18 +196,8 @@ def _cone_coordinates(f: Fan, cone_index: int, v: Vec) -> Optional[tuple]:
     return (x, y, z)
 
 
-def _wall_table(f: Fan) -> dict[tuple[int, int], list[int]]:
-    """wall (sorted ray pair) -> indices of maximal cones containing it."""
-    out: dict[tuple[int, int], list[int]] = {}
-    for ci, cone in enumerate(f.cones):
-        s = sorted(cone)
-        for pair in ((s[0], s[1]), (s[0], s[2]), (s[1], s[2])):
-            out.setdefault(pair, []).append(ci)
-    return out
-
-
 def walls(f: Fan) -> list[tuple[int, int]]:
-    return sorted(_wall_table(f))
+    return sorted(f.wall_table)
 
 
 @dataclass(frozen=True)
@@ -230,16 +246,17 @@ def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
     lies in only one maximal cone, where no defect is defined.
     """
     require_valid_fan(f)
-    return _wall_report(f, wall, _wall_table(f))
-
-
-def _wall_report(f: Fan, wall: tuple[int, int], table) -> WallReport:
     key = (min(wall), max(wall))
-    if key not in table:
+    if key not in f.wall_table:
         raise NotAWall(f"{wall} is not a wall of the fan")
-    cones = table[key]
+    cones = f.wall_table[key]
     if len(cones) == 1:
         raise BoundaryWall(key, cones[0])
+    return f.wall_reports[key]
+
+
+def _wall_report(f: Fan, key: tuple[int, int], cones: list[int]) -> WallReport:
+    """Report of the interior wall ``key`` (sorted) of a valid fan."""
     i, j = key
     opposite = []
     for ci in cones:
@@ -275,7 +292,7 @@ def boundary_graph(f: Fan) -> DecoratedGraph:
     walls become legs.  Scalar decorations default to 1.
     """
     require_valid_fan(f)
-    table = _wall_table(f)
+    table = f.wall_table
 
     # Orient each cone positively, then list its walls opposite each ray.
     cone_walls: list[list[tuple[int, int]]] = []
@@ -301,7 +318,7 @@ def boundary_graph(f: Fan) -> DecoratedGraph:
     for wall in sorted(table):
         cones = table[wall]
         if len(cones) == 2:
-            report = _wall_report(f, wall, table)
+            report = f.wall_reports[wall]
             ends = (half_edge_of[(wall, cones[0])], half_edge_of[(wall, cones[1])])
             edges.append(
                 CompactEdge(
@@ -326,7 +343,6 @@ def divisor_classification(f: Fan) -> list[dict]:
     only).
     """
     require_valid_fan(f)
-    table = _wall_table(f)
     out = []
     for ri in range(len(f.rays)):
         # Neighbor rays and the cones of the star, in walk order.
@@ -358,13 +374,9 @@ def divisor_classification(f: Fan) -> list[dict]:
                 raise InvalidFan([f"star of ray {ri} is not a cycle or chain"])
         values = []
         for w in order:
-            if len(table[tuple(sorted((ri, w)))]) == 2:
-                cones = table[tuple(sorted((ri, w)))]
-                opposite = []
-                for ci in cones:
-                    (opp,) = set(f.cones[ci]) - {ri, w}
-                    opposite.append(opp)
-                values.append(_star_self_intersection(f, ri, w, tuple(opposite)))
+            report = f.wall_reports.get((min(ri, w), max(ri, w)))
+            if report is not None:
+                values.append(report.self_intersections[0 if ri < w else 1])
         if complete:
             canon = _canonical_cycle(values)
             kind = "cycle"

@@ -1,10 +1,15 @@
+import functools
 import json
 import subprocess
 import sys
+from collections import Counter
+
+import pytest
 
 from singlocus.cli import main
-from singlocus.examples import theta_graph
-from singlocus.serialize import dumps_canonical, graph_to_json
+from singlocus.examples import circular_ladder_graph, p3_fan, theta_graph
+from singlocus.graphs import flip_vertex
+from singlocus.serialize import dumps_canonical, fan_to_json, graph_to_json
 
 
 def run_cli(args, stdin_text=None):
@@ -73,6 +78,76 @@ def test_toric_extract_invalid_fan():
     bad = dumps_canonical({"rays": [[1, 0, 0], [0, 1, 0], [1, 1, 2]], "cones": [[0, 1, 2]]})
     proc = run_cli(["toric", "extract"], stdin_text=bad)
     assert proc.returncode == 1
+
+
+def test_toric_extract_ray_not_a_3_vector():
+    bad = dumps_canonical({"rays": [[1, 0], [0, 1, 0], [0, 0, 1]], "cones": [[0, 1, 2]]})
+    proc = run_cli(["toric", "extract"], stdin_text=bad)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["diagnostics"] == ["ray 0 is not a 3-vector"]
+
+
+def test_deeply_nested_input_is_a_parse_error():
+    proc = run_cli(["validate"], stdin_text="[" * 100_000)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("reversing", "false"), ("twist", 1.9), ("holonomy", True)],
+)
+def test_graph_scalars_are_not_coerced(field, value):
+    payload = graph_to_json(theta_graph())
+    payload["edges"][0][field] = value
+    proc = run_cli(["analyze", "--all"], stdin_text=dumps_canonical(payload))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", [1.0, True])
+def test_fan_entries_are_not_coerced(value):
+    payload = fan_to_json(p3_fan())
+    payload["rays"][0][0] = value
+    proc = run_cli(["toric", "extract"], stdin_text=dumps_canonical(payload))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function at every binding in the package with a counter."""
+    counts = Counter()
+    modules = [m for n, m in sys.modules.items() if n == "singlocus" or n.startswith("singlocus.")]
+    for module in modules:
+        for name in names:
+            fn = vars(module).get(name)
+            if callable(fn):
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, functools.wraps(fn)(counted))
+    return counts
+
+
+def test_each_value_is_validated_and_derived_once(tmp_path, monkeypatch):
+    # Flipping two vertices puts reversing flags on the ladder, so the
+    # orientation gauge has real work to do.
+    graph = flip_vertex(flip_vertex(circular_ladder_graph(4), 0), 5)
+    path = tmp_path / "ladder.json"
+    path.write_text(dumps_canonical(graph_to_json(graph)))
+    counts = count_calls(monkeypatch, ("validate_graph", "assemble_diagram", "oriented_form"))
+    assert main(["analyze", str(path), "--all"]) == 0
+    assert counts == {"validate_graph": 1, "assemble_diagram": 1, "oriented_form": 1}
+
+    path = tmp_path / "fan.json"
+    path.write_text(dumps_canonical(fan_to_json(p3_fan())))
+    counts = count_calls(monkeypatch, ("validate_fan",))
+    assert main(["toric", "extract", str(path)]) == 0
+    assert counts == {"validate_fan": 1}
 
 
 def test_analyze_all_theta():

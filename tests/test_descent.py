@@ -9,7 +9,6 @@ from singlocus.descent import (
     compose_cycle,
     diagrams_equivalent,
     gauge,
-    global_twist_autoequivalence,
     is_two_periodic,
     pic_invariants,
     trivializing_gauge,
@@ -118,12 +117,11 @@ def test_two_periodicity():
     assert not is_two_periodic(assemble_diagram(quartic_mirror_graph()))
 
 
-def test_global_twist_matches_pic_and_triviality():
-    for g in (theta_graph(), theta_graph(holonomies=(2, 3, 5)), k4_graph()):
-        d = assemble_diagram(g)
-        cls = global_twist_autoequivalence(d)
-        assert cls == pic_invariants(d)
-        assert cls.is_trivial() == is_two_periodic(d)
+def test_pic_triviality_matches_two_periodicity():
+    graphs = (theta_graph(), theta_graph(holonomies=(2, 3, 5)), k4_graph())
+    trivial = [pic_invariants(assemble_diagram(g)).is_trivial() for g in graphs]
+    assert trivial == [is_two_periodic(assemble_diagram(g)) for g in graphs]
+    assert trivial == [True, False, False]
 
 
 def test_diagrams_equivalent():

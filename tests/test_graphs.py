@@ -4,7 +4,13 @@ from dataclasses import replace
 import pytest
 
 from singlocus.errors import DisconnectedGraph
-from singlocus.examples import circular_ladder_graph, quartic_mirror_graph, theta_graph
+from singlocus.examples import (
+    circular_ladder_graph,
+    conifold_graph,
+    k4_graph,
+    quartic_mirror_graph,
+    theta_graph,
+)
 from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
@@ -92,14 +98,22 @@ def enumeration_counts(g):
     flags = sum(2 if isinstance(e, CompactEdge) else 1 for e in g.edges)
     compact = sum(1 for e in g.edges if isinstance(e, CompactEdge))
     j = (n_v + n_e, n_v + n_e + flags)
+    # identities, flags, isos and flag-then-iso: V + 2H + 4C arrows
     i = (n_v + flags, n_v + flags + flags + 2 * compact + 2 * compact)
     return j, i
 
 
 @pytest.mark.parametrize(
     "graph",
-    [theta_graph(), pants_graph(), circular_ladder_graph(2), circular_ladder_graph(3)],
-    ids=["theta", "pants", "ladder2", "ladder3"],
+    [
+        theta_graph(),
+        pants_graph(),
+        circular_ladder_graph(2),
+        circular_ladder_graph(3),
+        k4_graph(),
+        conifold_graph(),
+    ],
+    ids=["theta", "pants", "ladder2", "ladder3", "p3", "conifold"],
 )
 def test_category_counts_match_enumeration(graph):
     (j_obj, j_arr), (i_obj, i_arr) = enumeration_counts(graph)
