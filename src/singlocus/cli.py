@@ -162,8 +162,9 @@ def _cmd_analyze(args) -> int:
     except (OSError, ParseError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if isinstance(payload, dict) and "result" in payload and "graph" in payload.get("result", {}):
-        payload = payload["result"]["graph"]
+    wrapped = payload.get("result") if isinstance(payload, dict) else None
+    if isinstance(wrapped, dict) and "graph" in wrapped:
+        payload = wrapped["graph"]
     try:
         graph = graph_from_json(payload)
     except ParseError as exc:

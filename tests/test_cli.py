@@ -1,13 +1,18 @@
+import contextlib
+import copy
 import functools
+import io
 import json
 import subprocess
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from singlocus.cli import main
-from singlocus.examples import circular_ladder_graph, p3_fan, theta_graph
+from singlocus.examples import circular_ladder_graph, conifold_fan, p3_fan, theta_graph
 from singlocus.graphs import flip_vertex
 from singlocus.serialize import dumps_canonical, fan_to_json, graph_to_json
 
@@ -116,6 +121,99 @@ def test_fan_entries_are_not_coerced(value):
     assert proc.stdout == "" and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("result", ["5", "null", '"graph"', "true", "[]"])
+def test_analyze_result_that_is_not_an_object_is_a_parse_error(result):
+    proc = run_cli(["analyze", "--all"], stdin_text=f'{{"result": {result}}}')
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def run_main(args, raw: bytes):
+    """Run ``main`` in this process with ``raw`` on stdin; (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(raw))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+FUZZ_BASES = (
+    graph_to_json(theta_graph(twists=(2, 0, 1))),
+    graph_to_json(circular_ladder_graph(2)),
+    fan_to_json(p3_fan()),
+    fan_to_json(conifold_fan()),
+)
+# Small scalars only: a twist's size sets the pencil's cost (one annulus
+# per vanishing circle), which is not what this test is after.
+FUZZ_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(-4, 4, allow_nan=False),
+    st.sampled_from(["", "1/0", "x", "2/3", "compact", "leg"]),
+    st.lists(st.integers(-2, 6), max_size=4),
+    st.just({}),
+)
+
+
+def _json_paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A graph or fan payload with 1-3 mutations: a key or item dropped, a
+    value of the wrong type, a list of the wrong arity, or the whole value
+    wrapped the way ``toric extract`` reports wrap their graph."""
+    obj = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(obj))))
+        op = draw(st.sampled_from(["drop", "retype", "arity", "wrap"]))
+        if op == "wrap" or not path:
+            wrappers = [{"result": obj}, {"result": {"graph": obj}}, {"result": draw(FUZZ_JUNK)}]
+            obj = draw(st.sampled_from(wrappers))
+            continue
+        *head, key = path
+        parent = obj
+        for step in head:
+            parent = parent[step]
+        if op == "drop":
+            del parent[key]
+        elif op == "retype":
+            parent[key] = draw(FUZZ_JUNK)
+        elif isinstance(parent[key], list):  # one item fewer or one more
+            items = parent[key]
+            if items and draw(st.booleans()):
+                items.pop()
+            else:
+                items.append(copy.deepcopy(items[-1]) if items else 0)
+        else:  # a list where a scalar belongs
+            parent[key] = [parent[key]] * draw(st.integers(0, 4))
+    return obj
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from([["validate"], ["toric", "extract"], ["analyze", "--all"]]),
+    mutated_payloads(),
+)
+def test_cli_fuzz_keeps_exit_code_contract(args, payload):
+    code, _, err = run_main(args, json.dumps(payload).encode("utf-8"))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 def count_calls(monkeypatch, names):
     """Wrap each named function at every binding in the package with a counter."""
     counts = Counter()
@@ -182,10 +280,10 @@ def test_determinism(tmp_path):
     path = write_theta(tmp_path, holonomies=(2, 3, 5))
     first = run_cli(["analyze", str(path), "--all"]).stdout
     second = run_cli(["analyze", str(path), "--all"]).stdout
-    assert first == second
+    assert first and first == second
     pipe1 = run_cli(["toric", "extract", "--example", "p3"]).stdout
     pipe2 = run_cli(["toric", "extract", "--example", "p3"]).stdout
-    assert pipe1 == pipe2
+    assert pipe1 and pipe1 == pipe2
 
 
 def test_output_flag(tmp_path):

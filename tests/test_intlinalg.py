@@ -1,11 +1,13 @@
+import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.errors import DisconnectedGraph
-from singlocus.intlinalg import IntMatrix, cokernel_abelian_group, cycle_basis, snf
+from singlocus.intlinalg import IntMatrix, _egcd, cokernel_abelian_group, cycle_basis, snf
 
 from oracles import det_bareiss, enumerate_cokernel, smith_diagonal_oracle
 
@@ -117,6 +119,86 @@ def test_snf_stress_larger_matrices():
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randint(-50, 50) for _ in range(nc)] for _ in range(nr)]
         check_form(IntMatrix.from_rows(rows))
+
+
+def dense_cokernel(m: IntMatrix):
+    """Free rank and torsion read off the diagonal of the dense ``snf``."""
+    diag = snf(m).diagonal
+    return m.rows - sum(1 for d in diag if d != 0), tuple(d for d in diag if d > 1)
+
+
+def matrices(max_side, values):
+    return st.integers(0, max_side).flatmap(
+        lambda nr: st.integers(0, max_side).flatmap(
+            lambda nc: st.lists(values, min_size=nr * nc, max_size=nr * nc).map(
+                lambda entries: IntMatrix(nr, nc, tuple(entries))
+            )
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(6, st.integers(-9, 9)))
+def test_cokernel_matches_dense_snf_on_dense_matrices(m):
+    assert cokernel_abelian_group(m) == dense_cokernel(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(10, st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])))
+def test_cokernel_matches_dense_snf_on_sparse_unit_heavy_matrices(m):
+    assert cokernel_abelian_group(m) == dense_cokernel(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(6, st.integers(-5, 5)), st.data())
+def test_cokernel_matches_dense_snf_with_zero_rows_and_columns(m, data):
+    zero_rows = data.draw(st.sets(st.integers(0, max(m.rows - 1, 0))))
+    zero_cols = data.draw(st.sets(st.integers(0, max(m.cols - 1, 0))))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else m.entry(i, j) for j in range(m.cols)]
+        for i in range(m.rows)
+    ]
+    zeroed = IntMatrix(m.rows, m.cols, tuple(x for r in rows for x in r))
+    assert cokernel_abelian_group(zeroed) == dense_cokernel(zeroed)
+
+
+def test_cokernel_of_empty_and_zero_matrices():
+    for nr, nc in ((0, 0), (0, 4), (4, 0), (3, 5), (5, 3)):
+        assert cokernel_abelian_group(IntMatrix.zero(nr, nc)) == (nr, ())
+    assert cokernel_abelian_group(IntMatrix.from_rows([[0, 1], [0, 0]])) == (1, ())
+    assert cokernel_abelian_group(IntMatrix.from_rows([[0, 0], [0, -1], [0, 0]])) == (2, ())
+
+
+def _egcd_recursive(p, q):
+    """The recursion that ``_egcd`` runs as a loop; the reference."""
+    if q == 0:
+        return (abs(p), 1 if p >= 0 else -1, 0)
+    g, x, y = _egcd_recursive(q, p % q)
+    return (g, y, x - (p // q) * y)
+
+
+def test_egcd_matches_the_recursion_on_large_arguments():
+    rng = random.Random(1800)
+    pairs = [(p, q) for p in (0, 5, -5, 12, -12) for q in (0, 18, -18, 7, -7)]
+    for _ in range(60):
+        bits_p, bits_q = rng.randint(1, 4000), rng.randint(1, 4000)
+        pairs.append((rng.randint(-(2**bits_p), 2**bits_p), rng.randint(-(2**bits_q), 2**bits_q)))
+    fib = [0, 1]
+    while len(fib) < 5760:  # F_5759 has 3997 bits
+        fib.append(fib[-1] + fib[-2])
+    for n in (1200, 2600, 5758):
+        a, b = fib[n + 1], fib[n]
+        pairs += [(a, b), (b, a), (-a, b), (a, -b)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)  # the reference recurses once per Euclid step
+    try:
+        expected = [_egcd_recursive(p, q) for p, q in pairs]
+    finally:
+        sys.setrecursionlimit(limit)
+    for (p, q), want in zip(pairs, expected):
+        g, x, y = _egcd(p, q)
+        assert (g, x, y) == want
+        assert g == math.gcd(p, q) and x * p + y * q == g
 
 
 def test_cycle_basis_triangle():

@@ -16,6 +16,7 @@ from singlocus.graphs import (
     dual_surface,
     flip_vertex,
 )
+from singlocus.intlinalg import snf
 from singlocus.topology import (
     ShearMatrix,
     dehn_twist_record,
@@ -23,6 +24,7 @@ from singlocus.topology import (
     pencil_localization,
     plumbing_presentation,
 )
+from singlocus.toric import Fan, boundary_graph
 
 
 def pants_graph():
@@ -216,6 +218,57 @@ def test_h1_single_twist_family():
         g = gcd(2, n)
         torsion = tuple(d for d in (g, 2 * n // g) if d > 1)
         assert (h1.free_rank, h1.torsion) == (3, torsion)
+
+
+def blowup_fan(rng, steps):
+    """P^3 after ``steps`` random star subdivisions: a point blowup adds
+    v1+v2+v3 and splits a cone into 3, a curve blowup adds vi+vj and splits
+    the wall's 2 cones into 4 (Cox-Little-Schenck, section 3.3)."""
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    cones = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    for _ in range(steps):
+        n = len(rays)
+        ci = rng.randrange(len(cones))
+        if rng.random() < 0.5:
+            i, j, k = cones[ci]
+            rays.append([a + b + c for a, b, c in zip(rays[i], rays[j], rays[k])])
+            cones[ci] = [i, j, n]
+            cones += [[i, k, n], [j, k, n]]
+            continue
+        i, j, a = rng.sample(cones[ci], 3)
+        (other,) = [c for c in range(len(cones)) if c != ci and i in cones[c] and j in cones[c]]
+        (b,) = [r for r in cones[other] if r not in (i, j)]
+        rays.append([x + y for x, y in zip(rays[i], rays[j])])
+        cones[ci], cones[other] = [i, n, a], [i, n, b]
+        cones += [[j, n, a], [j, n, b]]
+    return Fan.build(rays, cones)
+
+
+def dense_h1(g):
+    """H1 with the cokernel read off the dense ``snf`` diagonal."""
+    diag = snf(plumbing_presentation(g).relation_matrix).diagonal
+    cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
+    free = 3 * len(g.vertices) - sum(1 for d in diag if d != 0) + cycle_rank
+    return free, tuple(d for d in diag if d > 1)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        pytest.param(lambda: circular_ladder_graph(16), id="ladder16"),
+        pytest.param(lambda: boundary_graph(blowup_fan(random.Random(20), 20)), id="blowup20"),
+    ],
+)
+def test_h1_matches_dense_snf(graph):
+    g = graph()
+    h1 = h1_graph_manifold(g)
+    assert (h1.free_rank, h1.torsion) == dense_h1(g)
+
+
+def test_h1_ladder_128_closed_form():
+    # g = 129: Z^258 + Z/256, from a 768 x 768 relation matrix
+    h1 = h1_graph_manifold(circular_ladder_graph(128))
+    assert (h1.free_rank, h1.torsion) == gysin_h1(129)
 
 
 def test_h1_quartic_regression():
