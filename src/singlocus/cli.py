@@ -70,22 +70,31 @@ def _read_payload(args) -> tuple[dict, bytes]:
         raise ParseError(str(exc)) from None
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(args, text: str, code: int) -> int:
+    """Write ``text`` and a newline to ``--output`` or stdout and return
+    ``code``; an output that cannot be written is an I/O error (exit 2)."""
+    try:
+        if getattr(args, "output", None):
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.write("\n")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.write("\n")
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    return code
 
 
-def _report(args, command: str, raw: bytes, result: dict, diagnostics: list[str]) -> None:
+def _report(args, command: str, raw: bytes, result: dict, diagnostics: list[str], code: int) -> int:
     report = {
         "command": command,
         "inputDigest": hashlib.sha256(raw).hexdigest(),
         "result": result,
         "diagnostics": diagnostics,
     }
-    _emit(args, dumps_canonical(report))
+    return _emit(args, dumps_canonical(report), code)
 
 
 def _cmd_validate(args) -> int:
@@ -104,13 +113,12 @@ def _cmd_validate(args) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _report(args, "validate", raw, {"kind": kind, "violations": violations}, violations)
-    return 1 if violations else 0
+    result = {"kind": kind, "violations": violations}
+    return _report(args, "validate", raw, result, violations, 1 if violations else 0)
 
 
 def _cmd_toric_quartic(args) -> int:
-    _emit(args, dumps_canonical(fan_to_json(quartic_mirror_fan())))
-    return 0
+    return _emit(args, dumps_canonical(fan_to_json(quartic_mirror_fan())), 0)
 
 
 def _cmd_toric_extract(args) -> int:
@@ -122,8 +130,7 @@ def _cmd_toric_extract(args) -> int:
         return 2
     violations = fan.violations
     if violations:
-        _report(args, "toric extract", raw, {"violations": violations}, violations)
-        return 1
+        return _report(args, "toric extract", raw, {"violations": violations}, violations, 1)
     try:
         graph = boundary_graph(fan)
         wall_rows = []
@@ -139,8 +146,7 @@ def _cmd_toric_extract(args) -> int:
         divisors = divisor_classification(fan)
     except SingLocusError as exc:
         diagnostics = [f"{type(exc).__name__}: {exc}"]
-        _report(args, "toric extract", raw, {}, diagnostics)
-        return 1
+        return _report(args, "toric extract", raw, {}, diagnostics, 1)
     result = {
         "graph": graph_to_json(graph),
         "walls": wall_rows,
@@ -152,8 +158,7 @@ def _cmd_toric_extract(args) -> int:
             "defects": dict(sorted(defect_counts.items())),
         },
     }
-    _report(args, "toric extract", raw, result, [])
-    return 0
+    return _report(args, "toric extract", raw, result, [], 0)
 
 
 def _cmd_analyze(args) -> int:
@@ -179,8 +184,7 @@ def _cmd_analyze(args) -> int:
     result: dict = {}
     violations = graph.violations
     if violations:
-        _report(args, "analyze", raw, {"violations": violations}, violations)
-        return 1
+        return _report(args, "analyze", raw, {"violations": violations}, violations, 1)
 
     def section(flag, key, fn):
         if flag not in requested:
@@ -205,8 +209,7 @@ def _cmd_analyze(args) -> int:
         "dehnTwists",
         lambda: [{"edge": e, "multiplicity": m} for e, m in dehn_twist_record(graph)],
     )
-    _report(args, "analyze", raw, result, diagnostics)
-    return 1 if diagnostics else 0
+    return _report(args, "analyze", raw, result, diagnostics, 1 if diagnostics else 0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -52,8 +52,42 @@ def _bool(value: Any) -> bool:
     return value
 
 
+class CanonicalText:
+    """A value given as its canonical JSON text, which ``dumps_canonical``
+    splices in unchanged.  It may stand as a dict value below dicts only;
+    lists are encoded in one piece, and there it is a ``TypeError``."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
+_SPLICED = frozenset((dict, CanonicalText))
+
+
 def dumps_canonical(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    """``json.dumps`` with sorted keys, no spaces and no ASCII escapes,
+    writing each ``CanonicalText`` as its text."""
+    parts: list[str] = []
+    _write(payload, parts)
+    return "".join(parts)
+
+
+def _write(value: Any, parts: list[str]) -> None:
+    if type(value) is CanonicalText:
+        parts.append(value.text)
+    elif type(value) is not dict or _SPLICED.isdisjoint(map(type, value.values())):
+        parts.append(_encode(value))
+    else:
+        # json sorts the keys first and then turns each into a string (1 -> "1").
+        separator = "{"
+        for key in sorted(value):
+            parts.append(f"{separator}{_encode({key: 0})[1:-3]}:")
+            _write(value[key], parts)
+            separator = ","
+        parts.append("}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +205,13 @@ def diagram_from_json(payload: dict) -> DescentDiagram:
         try:
             for t in payload["transitions"]:
                 aut = EdgeAut(
-                    int(t["eps"]),
-                    int(t["n"]),
+                    _int(t["eps"]),
+                    _int(t["n"]),
                     parse_rational(t["lamX"]),
                     parse_rational(t["lamU"]),
-                    int(t["shift"]),
+                    _int(t["shift"]),
                 )
-                by_edge[int(t["edge"])] = ((int(t["direction"][0]), int(t["direction"][1])), aut)
+                by_edge[_int(t["edge"])] = ((_int(t["direction"][0]), _int(t["direction"][1])), aut)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ParseError(f"malformed transitions: {exc}") from None
         try:
@@ -214,12 +248,18 @@ def h1_to_json(h: H1Result) -> dict:
 
 
 def nodal_curve_to_json(r: NodalCurveReport) -> dict:
+    """The nodal curve with its incidence list as ``CanonicalText``.
+
+    The list is sorted by pair without sorting it: the pairs touching a
+    main piece come first, then one (s, s + 1) per annulus link in
+    increasing s.  Its text is written directly, one item per node.
+    """
+    items = [f'{{"nodes":{n},"pair":[{a},{b}]}}' for (a, b), n in r.main_pairs.items()]
+    items += [f'{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in r.annulus_links()]
     return {
         "components": [{"genus": g, "boundary": b} for g, b in r.components],
         "nodes": r.nodes,
-        "incidence": [
-            {"pair": [a, b], "nodes": n} for (a, b), n in sorted(r.incidence.items())
-        ],
+        "incidence": CanonicalText(f"[{','.join(items)}]"),
         "sphereComponents": r.sphere_components,
     }
 

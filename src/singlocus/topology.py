@@ -10,6 +10,9 @@ cycle rank contributes free summands through the connecting map.
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NegativeDefect
@@ -58,15 +61,51 @@ class NodalCurveReport:
     """Combinatorics of the nodal curve cut out by a transverse section.
 
     ``components`` lists (genus, boundary circle count) of the main pieces
-    in order of their smallest vertex; annulus pieces between parallel
+    in order of their smallest vertex.  The annulus pieces between parallel
     vanishing circles are counted in ``sphere_components`` and indexed
-    after the main pieces in ``incidence``.
+    after the main pieces.  ``chains`` holds one run per cut edge,
+    (main piece u, first annulus index, annulus count n_e - 1, main piece
+    v): the edge's n_e nodes link u, the annuli in index order, and v, so
+    the report's size follows the graph, not the twists.
     """
 
     components: tuple[tuple[int, int], ...]
     nodes: int
-    incidence: dict[tuple[int, int], int]
+    chains: tuple[tuple[int, int, int, int], ...]
     sphere_components: int
+
+    @functools.cached_property
+    def main_pairs(self) -> dict[tuple[int, int], int]:
+        """Node count per pair (a, b), a <= b, that touches a main piece,
+        in sorted order: at most two pairs per cut edge."""
+        counts: dict[tuple[int, int], int] = {}
+        for u, first, count, v in self.chains:
+            if count:
+                ends = ((u, first), (v, first + count - 1))
+            else:
+                ends = ((min(u, v), max(u, v)),)
+            for key in ends:
+                counts[key] = counts.get(key, 0) + 1
+        return dict(sorted(counts.items()))
+
+    def annulus_links(self) -> Iterator[int]:
+        """Each s, in increasing order, with one node between annuli s and s + 1."""
+        return itertools.chain.from_iterable(
+            range(first, first + count - 1) for _, first, count, _ in self.chains
+        )
+
+    @functools.cached_property
+    def incidence(self) -> dict[tuple[int, int], int]:
+        """Node count per component pair (a, b), a <= b, in sorted order.
+
+        Pairs touching a main piece have a < len(components) and come
+        first; every other pair is (s, s + 1) with one node.  This holds
+        one entry per node, so build it only for small curves.
+        """
+        incidence = dict(self.main_pairs)
+        for s in self.annulus_links():
+            incidence[(s, s + 1)] = 1
+        return incidence
 
 
 def _boundary_class(position: int, b1: int, b2: int, f: int, row: dict[int, int], sign: int):
@@ -189,31 +228,20 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
     for _, leg in g.legs():
         comp_boundary[comp[inc.vertex_of[leg.end]]] += 1
 
-    cut_edges = [(ei, e) for ei, e in g.compact_edges() if e.twist > 0]
-    for ei, e in cut_edges:
-        u, v = inc.endpoints[ei]
-        comp_boundary[comp[u]] += 1
-        comp_boundary[comp[v]] += 1
+    # One run of n_e - 1 annuli per cut edge, numbered after the main pieces.
+    chains = []
+    sphere_index = num_main
+    for ei, e in g.compact_edges():
+        if e.twist > 0:
+            u, v = (comp[x] for x in inc.endpoints[ei])
+            comp_boundary[u] += 1
+            comp_boundary[v] += 1
+            chains.append((u, sphere_index, e.twist - 1, v))
+            sphere_index += e.twist - 1
 
     components = tuple(
         (comp_edges[c] - comp_vertices[c] + 1, comp_boundary[c])
         for c in range(num_main)
     )
-
-    incidence: dict[tuple[int, int], int] = {}
-    sphere_index = num_main
-    spheres = 0
-    nodes = 0
-    for ei, e in cut_edges:
-        u, v = inc.endpoints[ei]
-        chain = [comp[u]]
-        for k in range(e.twist - 1):
-            chain.append(sphere_index)
-            sphere_index += 1
-            spheres += 1
-        chain.append(comp[v])
-        for a, b in zip(chain, chain[1:]):
-            key = (min(a, b), max(a, b))
-            incidence[key] = incidence.get(key, 0) + 1
-            nodes += 1
-    return NodalCurveReport(components, nodes, incidence, spheres)
+    nodes = sum(count + 1 for _, _, count, _ in chains)
+    return NodalCurveReport(components, nodes, tuple(chains), sphere_index - num_main)

@@ -3,7 +3,8 @@
 Nothing here shares code with the implementation paths it checks: the
 Smith-form oracle uses gcds of minors via fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
-Hermite-style membership test.
+Hermite-style membership test, and the pencil oracle builds the nodal
+curve one annulus at a time.
 """
 
 from __future__ import annotations
@@ -161,3 +162,49 @@ def enumerate_cokernel(rows: list[list[int]], cap: int = 201):
             1 for r in reps if lattice.contains([m * x for x in r])
         )
     return order, kill_counts
+
+
+def pencil_incidence_oracle(g) -> dict[tuple[int, int], int]:
+    """The nodal curve's incidence built one annulus at a time.
+
+    Main pieces are the components of the twist-0 subgraph, numbered by
+    their smallest vertex; each cut edge of twist n contributes the chain
+    u, s, s + 1, ..., s + n - 2, v of n nodes, with its annuli numbered
+    after the main pieces and after the annuli of earlier edges.
+    """
+    vertex_of = {h: v for v, halves in enumerate(g.vertices) for h in halves}
+    compact = [
+        (vertex_of[e.ends[0]], vertex_of[e.ends[1]], e.twist)
+        for e in g.edges
+        if hasattr(e, "ends")
+    ]
+    neighbours: dict[int, list[int]] = {v: [] for v in range(len(g.vertices))}
+    for u, v, twist in compact:
+        if twist == 0:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+    label: dict[int, int] = {}
+    for start in range(len(g.vertices)):
+        if start in label:
+            continue
+        piece = len(set(label.values()))
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            if x not in label:
+                label[x] = piece
+                stack.extend(neighbours[x])
+    sphere = len(set(label.values()))
+    incidence: dict[tuple[int, int], int] = {}
+    for u, v, twist in compact:
+        if twist <= 0:
+            continue
+        chain = [label[u]]
+        for _ in range(twist - 1):
+            chain.append(sphere)
+            sphere += 1
+        chain.append(label[v])
+        for a, b in zip(chain, chain[1:]):
+            key = (min(a, b), max(a, b))
+            incidence[key] = incidence.get(key, 0) + 1
+    return incidence

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import subprocess
@@ -300,3 +301,42 @@ def test_input_digest_ties_to_bytes(tmp_path):
     rep2 = json.loads(run_cli(["analyze", str(path), "--surface"]).stdout)
     assert rep1["result"] == rep2["result"]
     assert rep1["inputDigest"] != rep2["inputDigest"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["validate", "--example", "theta"],
+        ["toric", "quartic-mirror"],
+        ["toric", "extract", "--example", "p3"],
+        ["analyze", "--example", "theta", "--all"],
+    ],
+)
+def test_unwritable_output_is_an_io_error(tmp_path, args):
+    proc = run_cli([*args, "--output", str(tmp_path / "missing" / "report.json")])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# Taken from the per-annulus pencil and json.dumps of the whole report,
+# before the nodal curve became run-length.
+TWISTED_THETA_ALL_SHA256 = "88bc38009dab5b6c0488947b5259c6e0fdae025b8defd2caa233b0cb49724e18"
+
+
+def test_analyze_all_twisted_theta_golden():
+    graph = theta_graph(twists=(7, 1, 0), holonomies=(2, 3, 5))
+    raw = dumps_canonical(graph_to_json(graph)).encode("utf-8")
+    code, out, err = run_main(["analyze", "--all"], raw)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TWISTED_THETA_ALL_SHA256
+
+
+def test_one_canonical_dump_per_report(monkeypatch):
+    # The report is encoded by one call; fragments are spliced below it.
+    raw = dumps_canonical(graph_to_json(theta_graph(twists=(40, 3, 1)))).encode("utf-8")
+    counts = count_calls(monkeypatch, ("dumps_canonical",))
+    code, out, _ = run_main(["analyze", "--all"], raw)
+    assert code == 0
+    assert json.loads(out)["result"]["nodalCurve"]["nodes"] == 44
+    assert counts == {"dumps_canonical": 1}

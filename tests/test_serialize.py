@@ -2,10 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlocus.descent import assemble_diagram, gauge, pic_invariants
 from singlocus.examples import conifold_fan, quartic_mirror_graph, theta_graph
 from singlocus.serialize import (
+    CanonicalText,
     ParseError,
     diagram_from_json,
     diagram_to_json,
@@ -89,3 +92,73 @@ def test_diagram_json_transition_order_irrelevant():
 def test_canonical_output_is_sorted_and_stable():
     payload = graph_to_json(theta_graph())
     assert dumps_canonical(payload) == dumps_canonical(json.loads(dumps_canonical(payload)))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("shift", True),
+        ("n", 0.9),
+        ("eps", "-1"),
+        ("direction", ["0", 1]),
+        ("direction", [0, 1.0]),
+        ("edge", "0"),
+        ("edge", False),
+    ],
+)
+def test_diagram_transitions_are_not_coerced(field, value):
+    payload = diagram_to_json(assemble_diagram(theta_graph(holonomies=(2, 3, 5))))
+    payload["transitions"][0][field] = value
+    with pytest.raises(ParseError):
+        diagram_from_json(payload)
+
+
+# --- canonical emission ----------------------------------------------------
+
+
+def plain_dumps(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),  # json turns the keys into strings
+    max_leaves=25,
+)
+
+
+def with_fragments(draw, value):
+    """``value`` with some dict values, at any depth below dicts only,
+    replaced by their canonical text."""
+    if type(value) is not dict:
+        return value
+    out = {}
+    for key, item in value.items():
+        how = draw(st.sampled_from(("keep", "splice", "descend")))
+        if how == "splice":
+            out[key] = CanonicalText(plain_dumps(item))
+        else:
+            out[key] = with_fragments(draw, item) if how == "descend" else item
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5)
+    | st.dictionaries(st.integers(), JSON_VALUES, max_size=5),
+    st.data(),
+)
+def test_dumps_canonical_splices_fragments(payload, data):
+    spliced = with_fragments(data.draw, payload)
+    assert dumps_canonical(spliced) == plain_dumps(payload)
+    assert dumps_canonical(CanonicalText(plain_dumps(payload))) == plain_dumps(payload)
+
+
+def test_dumps_canonical_rejects_misplaced_fragments():
+    fragment = CanonicalText("[1,2]")
+    with pytest.raises(TypeError):
+        dumps_canonical({"a": [fragment]})  # inside a list
+    with pytest.raises(TypeError):
+        dumps_canonical({1: fragment, "b": 2})  # json cannot sort mixed keys either

@@ -1,11 +1,18 @@
+import json
 import random
+import resource
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlocus.errors import NegativeDefect, NonOrientable
 from singlocus.examples import (
     circular_ladder_graph,
+    k4_graph,
     quartic_mirror_graph,
     theta_graph,
 )
@@ -17,6 +24,7 @@ from singlocus.graphs import (
     flip_vertex,
 )
 from singlocus.intlinalg import snf
+from singlocus.serialize import dumps_canonical, nodal_curve_to_json
 from singlocus.topology import (
     ShearMatrix,
     dehn_twist_record,
@@ -25,6 +33,8 @@ from singlocus.topology import (
     plumbing_presentation,
 )
 from singlocus.toric import Fan, boundary_graph
+
+from oracles import pencil_incidence_oracle
 
 
 def pants_graph():
@@ -311,3 +321,116 @@ def test_pencil_multi_component_cuts():
         assert report.sphere_components == 0
         assert report.incidence == {(0, 1): m}
         assert euler_conservation(cut, report)
+
+
+# --- run-length nodal curve ----------------------------------------------
+
+
+def bigon_with_legs():
+    """Two vertices joined by two parallel edges, one leg on each vertex."""
+    return DecoratedGraph(
+        ((0, 1, 2), (3, 4, 5)),
+        (CompactEdge((0, 3)), CompactEdge((1, 4)), Leg(2), Leg(5)),
+    )
+
+
+PENCIL_SHAPES = {
+    "theta": theta_graph(),
+    "k4": k4_graph(),
+    "ladder2": circular_ladder_graph(2),
+    "ladder3": circular_ladder_graph(3),
+    "ladder4": circular_ladder_graph(4),
+    "bigon-with-legs": bigon_with_legs(),
+}
+
+
+def with_twists(g, twists):
+    twists = iter(twists)
+    edges = tuple(
+        replace(e, twist=next(twists), self_intersections=None) if isinstance(e, CompactEdge) else e
+        for e in g.edges
+    )
+    return DecoratedGraph(g.vertices, edges)
+
+
+@st.composite
+def twisted_shapes(draw):
+    g = PENCIL_SHAPES[draw(st.sampled_from(sorted(PENCIL_SHAPES)))]
+    count = len(g.compact_edges())
+    return with_twists(g, draw(st.lists(st.integers(0, 6), min_size=count, max_size=count)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_shapes())
+def test_pencil_incidence_matches_per_annulus_oracle(g):
+    report = pencil_localization(g)
+    expected = pencil_incidence_oracle(g)
+    assert report.incidence == expected
+    assert list(report.incidence) == sorted(expected)
+    assert report.nodes == sum(expected.values())
+    assert len(report.chains) == sum(1 for _, e in g.compact_edges() if e.twist > 0)
+    # The schema before the run-length model: one dict per pair, sorted.
+    old = {
+        "components": [{"genus": a, "boundary": b} for a, b in report.components],
+        "nodes": report.nodes,
+        "incidence": [{"pair": [a, b], "nodes": n} for (a, b), n in sorted(expected.items())],
+        "sphereComponents": report.sphere_components,
+    }
+    canonical = json.dumps(old, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert dumps_canonical(nodal_curve_to_json(report)) == canonical
+
+
+def test_pencil_merges_pairs_of_one_piece():
+    # Cutting one of the two parallel edges keeps both its ends in piece 0.
+    report = pencil_localization(with_twists(bigon_with_legs(), (2, 0)))
+    assert report.chains == ((0, 1, 1, 0),)
+    assert report.incidence == {(0, 1): 2}
+    report = pencil_localization(with_twists(bigon_with_legs(), (1, 0)))
+    assert report.incidence == {(0, 0): 1}
+
+
+PENCIL_OF_HUGE_TWISTS = """
+import json, time
+from singlocus.examples import theta_graph
+from singlocus.topology import pencil_localization
+
+start = time.perf_counter()
+report = pencil_localization(theta_graph(twists=(10**9, 10**9, 1)))
+print(json.dumps({
+    "seconds": time.perf_counter() - start,
+    "chains": report.chains,
+    "main_pairs": sorted(report.main_pairs.items()),
+    "nodes": report.nodes,
+    "spheres": report.sphere_components,
+}))
+"""
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def test_pencil_cost_is_independent_of_twist_values():
+    # In a child limited to 1 GiB of address space: a pencil that built
+    # one object per annulus would need memory for 2 * 10**9 of them.
+    proc = subprocess.run(
+        [sys.executable, "-c", PENCIL_OF_HUGE_TWISTS],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["seconds"] < 1.0
+    # Cutting all three edges leaves the two vertices as pieces 0 and 1.
+    assert out["chains"] == [[0, 2, 10**9 - 1, 1], [0, 10**9 + 1, 10**9 - 1, 1], [0, 2 * 10**9, 0, 1]]
+    assert out["main_pairs"] == [
+        [[0, 1], 1],
+        [[0, 2], 1],
+        [[0, 10**9 + 1], 1],
+        [[1, 10**9], 1],
+        [[1, 2 * 10**9 - 1], 1],
+    ]
+    assert out["nodes"] == 2 * 10**9 + 1
+    assert out["spheres"] == 2 * (10**9 - 1)
