@@ -19,10 +19,9 @@ These conventions are pinned by the P^3 regression tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import BoundaryWall, InvalidFan, NotAWall
 from .graphs import CompactEdge, DecoratedGraph, Leg
@@ -37,6 +36,10 @@ def _det3(a: Vec, b: Vec, c: Vec) -> int:
         - a[1] * (b[0] * c[2] - b[2] * c[0])
         + a[2] * (b[0] * c[1] - b[1] * c[0])
     )
+
+
+def _cross(a: Vec, b: Vec) -> Vec:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _is_primitive(v: Vec) -> bool:
@@ -132,7 +135,7 @@ def validate_fan(f: Fan) -> list[str]:
             report.append(f"ray {i} duplicates ray {seen[r]}")
         else:
             seen[r] = i
-    cone_sets = []
+    cone_sets: set[frozenset[int]] = set()
     for ci, cone in enumerate(f.cones):
         if len(cone) != 3 or len(set(cone)) != 3:
             report.append(f"cone {ci} does not have three distinct rays")
@@ -145,9 +148,9 @@ def validate_fan(f: Fan) -> list[str]:
         d = _det3(*(f.rays[i] for i in cone))
         if abs(d) != 1:
             report.append(f"non-unimodular cone {ci} (det = {d})")
-        if set(cone) in cone_sets:
+        if frozenset(cone) in cone_sets:
             report.append(f"cone {ci} duplicates another cone")
-        cone_sets.append(set(cone))
+        cone_sets.add(frozenset(cone))
     if report:
         return report
 
@@ -167,33 +170,33 @@ def validate_fan(f: Fan) -> list[str]:
             if sides[0] * sides[1] >= 0:
                 report.append(f"cones {cones[0]} and {cones[1]} overlap across wall {wall}")
     # No ray may meet the relative interior of a foreign cone or of one of
-    # its walls (two or more strictly positive cone coordinates).
-    for ri, r in enumerate(f.rays):
+    # its walls (two or more strictly positive cone coordinates).  Every cone
+    # is unimodular here, so its inverse is d * adj with d = +-1, and the
+    # coordinates of v are v . d(r2 x r3), v . d(r3 x r1), v . d(r1 x r2).
+    inverses = []
+    for cone in f.cones:
+        r1, r2, r3 = (f.rays[i] for i in cone)
+        d = _det3(r1, r2, r3)
+        inverses.append([tuple(d * x for x in _cross(a, b)) for a, b in ((r2, r3), (r3, r1), (r1, r2))])
+    for ri, (x, y, z) in enumerate(f.rays):
         for ci, cone in enumerate(f.cones):
             if ri in cone:
                 continue
-            coords = _cone_coordinates(f, ci, r)
-            if coords is not None and sum(1 for x in coords if x > 0) >= 2:
-                report.append(f"ray {ri} lies inside cone {ci}")
+            positive = 0
+            for a, b, c in inverses[ci]:
+                t = a * x + b * y + c * z
+                if t < 0:
+                    break
+                positive += t > 0
+            else:
+                if positive >= 2:
+                    report.append(f"ray {ri} lies inside cone {ci}")
     return report
 
 
 def require_valid_fan(f: Fan) -> None:
     if f.violations:
         raise InvalidFan(f.violations)
-
-
-def _cone_coordinates(f: Fan, cone_index: int, v: Vec) -> Optional[tuple]:
-    """Rational coordinates of v in the cone's ray basis, or None if v is
-    outside the cone."""
-    r1, r2, r3 = (f.rays[i] for i in f.cones[cone_index])
-    d = _det3(r1, r2, r3)
-    x = Fraction(_det3(v, r2, r3), d)
-    y = Fraction(_det3(r1, v, r3), d)
-    z = Fraction(_det3(r1, r2, v), d)
-    if x < 0 or y < 0 or z < 0:
-        return None
-    return (x, y, z)
 
 
 def walls(f: Fan) -> list[tuple[int, int]]:
@@ -272,14 +275,11 @@ def _wall_report(f: Fan, key: tuple[int, int], cones: list[int]) -> WallReport:
     u1, u2 = (f.rays[k] for k in opposite)
     vi, vj = f.rays[i], f.rays[j]
     total = tuple(u1[k] + u2[k] for k in range(3))
-    d = _det3(vi, vj, u1)
-    # Solve total = x vi + y vj (+ 0 * u1) exactly.
-    x = Fraction(_det3(total, vj, u1), d)
-    y = Fraction(_det3(vi, total, u1), d)
-    z = Fraction(_det3(vi, vj, total), d)
-    if z != 0 or x.denominator != 1 or y.denominator != 1:
+    # Solve total = x vi + y vj (+ 0 * u1); (vi, vj, u1) is a cone, so d = +-1.
+    if _det3(vi, vj, total) != 0:
         raise InvalidFan([f"wall {key} has no integral wall relation"])
-    anticanonical = 2 - int(x) - int(y)
+    d = _det3(vi, vj, u1)
+    anticanonical = 2 - d * _det3(total, vj, u1) - d * _det3(vi, total, u1)
     return WallReport(key, tuple(cones), (a, b), defect, anticanonical)
 
 
@@ -343,10 +343,13 @@ def divisor_classification(f: Fan) -> list[dict]:
     only).
     """
     require_valid_fan(f)
+    stars: list[list[int]] = [[] for _ in f.rays]
+    for ci, cone in enumerate(f.cones):
+        for k in cone:
+            stars[k].append(ci)
     out = []
-    for ri in range(len(f.rays)):
+    for ri, star_cones in enumerate(stars):
         # Neighbor rays and the cones of the star, in walk order.
-        star_cones = [ci for ci, cone in enumerate(f.cones) if ri in cone]
         if not star_cones:
             out.append({"ray": ri, "kind": "chain", "selfIntersections": ()})
             continue

@@ -3,14 +3,18 @@
 Nothing here shares code with the implementation paths it checks: the
 Smith-form oracle uses gcds of minors via fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
-Hermite-style membership test, and the pencil oracle builds the nodal
-curve one annulus at a time.
+Hermite-style membership test, the pencil oracle builds the nodal
+curve one annulus at a time, and the fan oracle finds cone coordinates
+with rational Cramer's rule.  ``blowup_fan`` generates test fans.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from singlocus.toric import Fan
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -208,3 +212,105 @@ def pencil_incidence_oracle(g) -> dict[tuple[int, int], int]:
             key = (min(a, b), max(a, b))
             incidence[key] = incidence.get(key, 0) + 1
     return incidence
+
+
+def blowup_fan(rng, steps):
+    """P^3 after ``steps`` random star subdivisions: a point blowup adds
+    v1+v2+v3 and splits a cone into 3, a curve blowup adds vi+vj and splits
+    the wall's 2 cones into 4 (Cox-Little-Schenck, section 3.3)."""
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+    cones = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    for _ in range(steps):
+        n = len(rays)
+        ci = rng.randrange(len(cones))
+        if rng.random() < 0.5:
+            i, j, k = cones[ci]
+            rays.append([a + b + c for a, b, c in zip(rays[i], rays[j], rays[k])])
+            cones[ci] = [i, j, n]
+            cones += [[i, k, n], [j, k, n]]
+            continue
+        i, j, a = rng.sample(cones[ci], 3)
+        (other,) = [c for c in range(len(cones)) if c != ci and i in cones[c] and j in cones[c]]
+        (b,) = [r for r in cones[other] if r not in (i, j)]
+        rays.append([x + y for x, y in zip(rays[i], rays[j])])
+        cones[ci], cones[other] = [i, n, a], [i, n, b]
+        cones += [[j, n, a], [j, n, b]]
+    return Fan.build(rays, cones)
+
+
+def _det3(a, b, c) -> int:
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+
+
+def fan_violations_oracle(f) -> list[str]:
+    """The violations of ``validate_fan``, in its order, with each
+    foreign-ray test solved for rational cone coordinates by Cramer's rule
+    over every (ray, cone) pair."""
+    report = []
+    seen = {}
+    not_3d = set()
+    for i, r in enumerate(f.rays):
+        if len(r) != 3:
+            report.append(f"ray {i} is not a 3-vector")
+            not_3d.add(i)
+            continue
+        if r == (0, 0, 0) or gcd(gcd(r[0], r[1]), r[2]) != 1:
+            report.append(f"ray {i} = {r} not primitive")
+        if r in seen:
+            report.append(f"ray {i} duplicates ray {seen[r]}")
+        else:
+            seen[r] = i
+    cone_sets = []
+    for ci, cone in enumerate(f.cones):
+        if len(cone) != 3 or len(set(cone)) != 3:
+            report.append(f"cone {ci} does not have three distinct rays")
+            continue
+        if any(i < 0 or i >= len(f.rays) for i in cone):
+            report.append(f"cone {ci} has an out-of-range ray index")
+            continue
+        if not_3d.intersection(cone):
+            continue
+        d = _det3(*(f.rays[i] for i in cone))
+        if abs(d) != 1:
+            report.append(f"non-unimodular cone {ci} (det = {d})")
+        if set(cone) in cone_sets:
+            report.append(f"cone {ci} duplicates another cone")
+        cone_sets.append(set(cone))
+    if report:
+        return report
+
+    wall_table = {}
+    for ci, cone in enumerate(f.cones):
+        s = sorted(cone)
+        for pair in ((s[0], s[1]), (s[0], s[2]), (s[1], s[2])):
+            wall_table.setdefault(pair, []).append(ci)
+    for wall, cones in sorted(wall_table.items()):
+        if len(cones) > 2:
+            report.append(f"wall {wall} belongs to {len(cones)} cones")
+            continue
+        if len(cones) == 2:
+            vi, vj = (f.rays[k] for k in wall)
+            sides = []
+            for ci in cones:
+                (opp,) = set(f.cones[ci]) - set(wall)
+                sides.append(_det3(vi, vj, f.rays[opp]))
+            if sides[0] * sides[1] >= 0:
+                report.append(f"cones {cones[0]} and {cones[1]} overlap across wall {wall}")
+    for ri, v in enumerate(f.rays):
+        for ci, cone in enumerate(f.cones):
+            if ri in cone:
+                continue
+            r1, r2, r3 = (f.rays[i] for i in cone)
+            d = _det3(r1, r2, r3)
+            coords = (
+                Fraction(_det3(v, r2, r3), d),
+                Fraction(_det3(r1, v, r3), d),
+                Fraction(_det3(r1, r2, v), d),
+            )
+            if min(coords) >= 0 and sum(1 for x in coords if x > 0) >= 2:
+                report.append(f"ray {ri} lies inside cone {ci}")
+    return report

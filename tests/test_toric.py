@@ -1,6 +1,10 @@
+import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlocus.errors import BoundaryWall, NotAWall
 from singlocus.examples import conifold_fan, p1p1p1_fan, p3_fan
@@ -14,6 +18,8 @@ from singlocus.toric import (
     wall_data,
     walls,
 )
+
+from oracles import blowup_fan, fan_violations_oracle
 
 ALL_FIXTURE_FANS = {
     "p3": p3_fan,
@@ -50,6 +56,83 @@ def test_overlapping_cones_detected():
         [[0, 1, 2], [0, 1, 3]],
     )
     assert any("overlap" in v for v in validate_fan(f))
+
+
+E123 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "rays, cones, expected",
+    [
+        pytest.param(E123 + [[1, 1, 1]], [[0, 1, 2]], ["ray 3 lies inside cone 0"], id="inside"),
+        # a ray in the relative interior of a shared wall meets both cones
+        pytest.param(
+            E123 + [[0, 0, -1], [1, 1, 0]],
+            [[0, 1, 2], [0, 1, 3]],
+            ["ray 4 lies inside cone 0", "ray 4 lies inside cone 1"],
+            id="on-shared-wall",
+        ),
+        pytest.param(E123, [[0, 1, 2], [0, 2, 1]], ["cone 1 duplicates another cone"], id="duplicate"),
+        pytest.param(
+            E123 + [[0, 0, -1], [1, 1, 1]],
+            [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+            ["wall (0, 1) belongs to 3 cones", "ray 4 lies inside cone 0"],
+            id="wall-of-three",
+        ),
+        pytest.param(
+            E123,
+            [[0, 0, 1], [0, 1]],
+            ["cone 0 does not have three distinct rays", "cone 1 does not have three distinct rays"],
+            id="not-three",
+        ),
+        pytest.param(E123, [[0, 1, 3]], ["cone 0 has an out-of-range ray index"], id="out-of-range"),
+    ],
+)
+def test_fan_diagnostics(rays, cones, expected):
+    f = Fan.build(rays, cones)
+    assert validate_fan(f) == expected
+    assert fan_violations_oracle(f) == expected
+
+
+@st.composite
+def mutated_blowups(draw):
+    """Blowups of 0-25 steps, valid or with one mutation."""
+    fan = blowup_fan(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(0, 25)))
+    rays = [list(r) for r in fan.rays]
+    cones = [list(c) for c in fan.cones]
+    cone = cones[draw(st.integers(0, len(cones) - 1))]
+    kind = draw(st.sampled_from(["none", "ray", "index", "extra", "drop", "duplicate", "permute"]))
+    if kind == "ray":
+        ray = rays[draw(st.integers(0, len(rays) - 1))]
+        ray[draw(st.integers(0, 2))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif kind == "index":
+        cone[draw(st.integers(0, 2))] = draw(st.integers(-1, len(rays)))
+    elif kind == "extra":
+        # a small combination of one cone's rays: inside it, on a face or outside
+        weights = draw(st.lists(st.integers(-1, 2), min_size=3, max_size=3))
+        rays.append([sum(w * rays[i][k] for w, i in zip(weights, cone)) for k in range(3)])
+    elif kind == "drop":
+        cones.remove(cone)
+    elif kind == "duplicate":
+        cones.append(draw(st.permutations(cone)))
+    elif kind == "permute":
+        cone[:] = draw(st.permutations(cone))
+    return Fan.build(rays, cones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_blowups())
+def test_validate_fan_matches_rational_oracle(f):
+    assert validate_fan(f) == fan_violations_oracle(f)
+
+
+def test_validate_fan_400_step_blowup_is_fast():
+    f = blowup_fan(random.Random(400), 400)
+    start = time.perf_counter()
+    report = validate_fan(f)
+    seconds = time.perf_counter() - start
+    assert report == []
+    assert seconds < 1.0
 
 
 # --- wall data ---------------------------------------------------------
