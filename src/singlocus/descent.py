@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GraphMismatch, NonOrientable, TwistMismatch
-from .graphs import CompactEdge, DecoratedGraph, orientability, require_connected, require_valid
-from .intlinalg import cycle_basis
+from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientability, require_connected
 from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
 
 
@@ -46,8 +45,9 @@ class PicInvariants:
     """Gauge-invariant line-bundle data on the singular locus.
 
     ``degree_vector`` lists the per-compact-edge twists; the holonomies
-    are signed cycle products of the transition scalars over the cycles of
-    :func:`cycle_basis`.
+    are the signed products of the transition scalars around the cycle
+    that each compact edge outside :attr:`DecoratedGraph.tree` closes, in
+    edge order.
     """
 
     degree_vector: tuple[int, ...]
@@ -82,8 +82,6 @@ def assemble_diagram(
     against the reversed direction is replaced by its inverse.  The
     discrete constraints (eps = -1, shift = 1, n = twist) are enforced.
     """
-    require_valid(g)
-    require_connected(g)
     orientable, w1 = orientability(g)
     if not orientable:
         raise NonOrientable(f"w1 cocycle on cycles is {w1}; diagrams need w1 = 0")
@@ -154,22 +152,33 @@ def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagr
     return DescentDiagram(d.graph, charts, tuple(transitions), d.directions)
 
 
+def _holonomies(d: DescentDiagram) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
+    """Potentials P_u of lam_u along ``d.graph.tree`` from P_u(0) = 1, and
+    the beta and alpha holonomies of the cycles, in edge order.
+
+    P(child) is P(parent) * lam when ``d.directions`` stores the edge
+    parent -> child and P(parent) / lam otherwise, so the cycle that edge
+    (s, t) closes has value P(t) / P(s) / lam.
+    """
+    pot_u, pot_x = [Fraction(1)] * len(d.graph.vertices), [Fraction(1)] * len(d.graph.vertices)
+    for v, (u, idx, _) in d.graph.tree.items():
+        aut = d.transitions[idx]
+        if d.directions[idx][0] == u:
+            pot_u[v], pot_x[v] = pot_u[u] * aut.lam_u, pot_x[u] * aut.lam_x
+        else:
+            pot_u[v], pot_x[v] = pot_u[u] / aut.lam_u, pot_x[u] / aut.lam_x
+    betas, alphas = [], []
+    for idx, _ in _non_tree_edges(d.graph):
+        (s, t), aut = d.directions[idx], d.transitions[idx]
+        betas.append(pot_u[t] / pot_u[s] / aut.lam_u)
+        alphas.append(pot_x[t] / pot_x[s] / aut.lam_x)
+    return pot_u, betas, alphas
+
+
 def pic_invariants(d: DescentDiagram) -> PicInvariants:
     require_connected(d.graph)
-    # Cycles must be signed against the canonical directions the
-    # transitions are stored in, not the raw half-edge storage order.
-    degree = tuple(aut.n for aut in d.transitions)
-    betas, alphas = [], []
-    for cycle in cycle_basis(len(d.graph.vertices), d.directions):
-        beta = Fraction(1)
-        alpha = Fraction(1)
-        for edge_idx, sign in cycle:
-            aut = d.transitions[edge_idx]
-            beta *= aut.lam_u**sign
-            alpha *= aut.lam_x**sign
-        betas.append(beta)
-        alphas.append(alpha)
-    return PicInvariants(degree, tuple(betas), tuple(alphas))
+    _, betas, alphas = _holonomies(d)
+    return PicInvariants(tuple(aut.n for aut in d.transitions), tuple(betas), tuple(alphas))
 
 
 def is_two_periodic(d: DescentDiagram) -> bool:
@@ -206,34 +215,14 @@ def diagrams_equivalent(d1: DescentDiagram, d2: DescentDiagram) -> bool:
 def trivializing_gauge(d: DescentDiagram) -> Optional[list[Fraction]]:
     """A gauge sending every lam_u to 1, or None when no such gauge exists.
 
-    Solves g_src * lam_u = g_tgt along a spanning tree and then checks the
-    remaining edges; a solution exists iff every beta holonomy is 1 (and
-    every self-loop already has lam_u = 1).  Twists are untouched by
-    gauging, so this does not by itself decide 2-periodicity.
+    The gauge is the lam_u potential along the spanning tree, the unique
+    solution of g_src * lam_u = g_tgt on the tree edges with g[0] = 1; it
+    trivializes every edge iff every beta holonomy is 1 (a self-loop's is
+    1 / lam_u).  Twists are untouched by gauging, so this does not by
+    itself decide 2-periodicity.
     """
-    pairs = d.graph.compact_pairs
-    scalars: list[Optional[Fraction]] = [None] * len(d.graph.vertices)
-    scalars[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for idx, (u, v) in enumerate(pairs):
-            if u == v:
-                continue
-            aut = d.transitions[idx]
-            src, tgt = d.directions[idx]
-            if scalars[src] is not None and scalars[tgt] is None:
-                scalars[tgt] = scalars[src] * aut.lam_u
-                changed = True
-            elif scalars[tgt] is not None and scalars[src] is None:
-                scalars[src] = scalars[tgt] / aut.lam_u
-                changed = True
-    if any(s is None for s in scalars):
-        return None
-    candidate = gauge(d, scalars)
-    if all(aut.lam_u == 1 for aut in candidate.transitions):
-        return scalars
-    return None
+    pot_u, betas, _ = _holonomies(d)
+    return pot_u if all(b == 1 for b in betas) else None
 
 
 def compose_cycle(d: DescentDiagram, cycle: Sequence[tuple[int, int]]) -> EdgeAut:

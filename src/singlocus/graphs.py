@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
-from .intlinalg import _bfs_parents, _spanning_forest, cycle_basis
+from .intlinalg import _bfs_parents, _spanning_forest, _spanning_tree
 from .localmodels import _nonzero
 
 
@@ -84,9 +84,11 @@ class DecoratedGraph:
         return tuple(compact_edge_pairs(self))
 
     @cached_property
-    def cycles(self) -> list[list[tuple[int, int]]]:
-        """:func:`cycle_basis` of the compact edges, in storage direction."""
-        return cycle_basis(len(self.vertices), self.compact_pairs)
+    def tree(self) -> dict[int, tuple[int, int, int]]:
+        """The lowest-edge-index spanning tree of the compact edges, as
+        ``{vertex: (parent, compact edge index, sign)}`` breadth-first from
+        vertex 0; sign +1 means the edge is stored parent -> child."""
+        return _bfs_parents(_spanning_tree(len(self.vertices), self.compact_pairs), 0)
 
     @cached_property
     def oriented(self) -> "DecoratedGraph":
@@ -203,52 +205,50 @@ def require_connected(g: DecoratedGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _non_tree_edges(g: DecoratedGraph) -> list[tuple[int, tuple[int, int]]]:
+    """``(index, endpoints)`` of each compact edge outside ``g.tree``: one per cycle."""
+    in_tree = {idx for _, idx, _ in g.tree.values()}
+    return [(i, pair) for i, pair in enumerate(g.compact_pairs) if i not in in_tree]
+
+
+def _flag_parity(g: DecoratedGraph) -> tuple[list[int], list[tuple[int, int]]]:
+    """Reversing-flag parity of each vertex along ``g.tree``, and
+    ``(edge, w1)`` for each edge of :func:`_non_tree_edges`."""
+    rev = [int(e.reversing) for _, e in g.compact_edges()]
+    parity = [0] * len(g.vertices)
+    for v, (u, idx, _) in g.tree.items():
+        parity[v] = parity[u] ^ rev[idx]
+    return parity, [(i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in _non_tree_edges(g)]
+
+
 def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:
     """Decide whether the reversing flags can be gauged away.
 
     Returns ``(orientable, w1)`` where ``w1`` lists the Z/2 holonomy of the
-    reversing flags on each cycle of :func:`cycle_basis` (compact edges
-    only).  Flipping a vertex toggles the flag of every non-loop edge end
-    at it, so the cycle holonomies are the complete obstruction.
+    reversing flags on the cycle that each compact edge outside
+    :attr:`DecoratedGraph.tree` closes, in edge order.  Flipping a vertex
+    toggles the flag of every non-loop edge end at it, so the cycle
+    holonomies are the complete obstruction.
     """
     require_valid(g)
     require_connected(g)
-    compact = [e for _, e in g.compact_edges()]
-    w1 = []
-    for cycle in g.cycles:
-        total = 0
-        for edge_idx, _sign in cycle:
-            if compact[edge_idx].reversing:
-                total ^= 1
-        w1.append(total)
+    w1 = [x for _, x in _flag_parity(g)[1]]
     return all(x == 0 for x in w1), w1
 
 
 def orientation_gauge(g: DecoratedGraph) -> list[int]:
     """Vertex flips (0/1 per vertex) that gauge all reversing flags to False.
 
-    Raises :class:`NonOrientable` if no such gauge exists.  The gauge is
-    the deterministic one rooted at vertex 0 over the lowest-index
-    spanning tree.
+    The gauge is the deterministic one rooted at vertex 0 over the
+    lowest-index spanning tree :attr:`DecoratedGraph.tree`.  Raises
+    :class:`NonOrientable`, naming the first edge whose cycle has w1 = 1,
+    if no such gauge exists.
     """
     require_valid(g)
     require_connected(g)
-    pairs = g.compact_pairs
-    compact = [e for _, e in g.compact_edges()]
-    flips = [0] * len(g.vertices)
-    adjacency: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(g.vertices))}
-    for idx, (u, v) in enumerate(pairs):
-        adjacency[u].append((v, idx))
-        adjacency[v].append((u, idx))
-    for v, (u, idx) in _bfs_parents(adjacency, 0).items():
-        flips[v] = flips[u] ^ (1 if compact[idx].reversing else 0)
-    for idx, (u, v) in enumerate(pairs):
-        rev = 1 if compact[idx].reversing else 0
-        if u == v:
-            effective = rev
-        else:
-            effective = flips[u] ^ flips[v] ^ rev
-        if effective:
+    flips, w1 = _flag_parity(g)
+    for idx, x in w1:
+        if x:
             raise NonOrientable(f"reversing flags have nontrivial holonomy (edge {idx})")
     return flips
 
@@ -272,12 +272,19 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
 
 
 def oriented_form(g: DecoratedGraph) -> DecoratedGraph:
-    """Apply :func:`orientation_gauge`, producing all-False reversing flags."""
+    """Apply :func:`orientation_gauge`, producing all-False reversing flags.
+
+    Equals :func:`flip_vertex` at each flipped vertex in turn, in one pass.
+    """
     flips = orientation_gauge(g)
-    out = g
-    for v, flip in enumerate(flips):
-        if flip:
-            out = flip_vertex(out, v)
+    vertices = tuple(t[::-1] if f else t for t, f in zip(g.vertices, flips))
+    endpoints = g.incidence.endpoints
+    edges = list(g.edges)
+    for ei, e in g.compact_edges():
+        u, v = endpoints[ei]
+        if flips[u] ^ flips[v]:
+            edges[ei] = replace(e, reversing=not e.reversing)
+    out = DecoratedGraph(vertices, tuple(edges))
     assert all(not e.reversing for _, e in out.compact_edges())
     return out
 
@@ -367,8 +374,6 @@ def _face_walks(g: DecoratedGraph) -> list[list[int]]:
 
 
 def dual_surface(g: DecoratedGraph) -> DualSurface:
-    require_valid(g)
-    require_connected(g)
     num_v = len(g.vertices)
     num_legs = len(g.legs())
     orientable, _ = orientability(g)

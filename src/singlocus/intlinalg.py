@@ -332,6 +332,30 @@ def _bfs_parents(adjacency: dict[int, list[tuple]], root: int) -> dict[int, tupl
     return prev
 
 
+def _spanning_tree(
+    num_vertices: int, edges: Sequence[tuple[int, int]]
+) -> dict[int, list[tuple[int, int, int]]]:
+    """Signed adjacency of the lowest-edge-index spanning tree.
+
+    ``adjacency[x]`` lists ``(y, edge index, sign)`` for each tree edge at
+    ``x``, with sign +1 when the edge is stored ``(x, y)``.  Raises
+    :class:`DisconnectedGraph` unless the multigraph is connected.
+    """
+    if num_vertices == 0:
+        raise DisconnectedGraph("empty vertex set")
+    _, tree = _spanning_forest(num_vertices, edges)
+    if len(tree) != num_vertices - 1:
+        raise DisconnectedGraph(
+            f"graph with {num_vertices} vertices and {len(edges)} edges is not connected"
+        )
+    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(num_vertices)}
+    for idx in tree:
+        u, v = edges[idx]
+        adjacency[u].append((v, idx, +1))
+        adjacency[v].append((u, idx, -1))
+    return adjacency
+
+
 def cycle_basis(
     num_vertices: int, edges: Sequence[tuple[int, int]]
 ) -> list[list[tuple[int, int]]]:
@@ -341,21 +365,10 @@ def cycle_basis(
     edge ``e = (u, v)`` the cycle is the tree path ``u -> v`` followed by
     ``e`` traversed backwards, recorded as ``(edge index, sign)`` pairs
     where sign +1 means traversal along the stored ``(u, v)`` direction.
-    Self-loops and parallel edges are allowed.
+    Self-loops and parallel edges are allowed.  The library reads cycle
+    values off potentials along the same tree; this is the tests' oracle.
     """
-    if num_vertices == 0:
-        raise DisconnectedGraph("empty vertex set")
-    _, tree = _spanning_forest(num_vertices, edges)
-    if len(tree) != num_vertices - 1:
-        raise DisconnectedGraph(
-            f"graph with {num_vertices} vertices and {len(edges)} edges is not connected"
-        )
-
-    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(num_vertices)}
-    for idx in tree:
-        u, v = edges[idx]
-        adjacency[u].append((v, idx, +1))
-        adjacency[v].append((u, idx, -1))
+    adjacency = _spanning_tree(num_vertices, edges)
 
     def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
         prev = _bfs_parents(adjacency, src)
@@ -366,7 +379,7 @@ def cycle_basis(
         path.reverse()
         return path
 
-    in_tree = set(tree)
+    in_tree = {idx for links in adjacency.values() for _, idx, _ in links}
     cycles = []
     for idx, (u, v) in enumerate(edges):
         if idx not in in_tree:

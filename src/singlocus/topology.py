@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import NegativeDefect
-from .graphs import DecoratedGraph, require_connected, require_valid
+from .graphs import DecoratedGraph, require_valid
 from .intlinalg import IntMatrix, _spanning_forest, cokernel_abelian_group
 
 
@@ -26,28 +26,23 @@ class ShearMatrix:
 
     n: int
 
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((-1, self.n), (0, 1))
-
     def apply(self, base_coeff: int, fiber_coeff: int) -> tuple[int, int]:
         return (-base_coeff + self.n * fiber_coeff, fiber_coeff)
 
 
 @dataclass(frozen=True)
 class PlumbingPresentation:
-    """Generators (b1, b2, f per vertex) and Mayer-Vietoris relations.
+    """Mayer-Vietoris relations on the generators b1, b2, f of each vertex.
 
     The relation matrix has the 3V generators as rows and two columns per
-    compact edge.  The boundary class of the edge at cyclic position p of
-    a vertex is b1, b2, or -b1 - b2 - f; the fiber term in the third
-    position carries the framing correction that a trivialized pants piece
-    forces on its cuff lifts (the three corrections sum to the piece's
-    Euler characteristic).
+    compact edge, in edge order.  The boundary class of the edge at cyclic
+    position p of a vertex is b1, b2, or -b1 - b2 - f; the fiber term in
+    the third position carries the framing correction that a trivialized
+    pants piece forces on its cuff lifts (the three corrections sum to the
+    piece's Euler characteristic).
     """
 
-    num_vertices: int
     relation_matrix: IntMatrix
-    edge_columns: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -132,8 +127,6 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
 
     taken in the stored direction v -> w.  Legs contribute nothing.
     """
-    require_valid(g)
-    require_connected(g)
     g = g.oriented
     inc = g.incidence
     num_v = len(g.vertices)
@@ -142,7 +135,6 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
         return (3 * v, 3 * v + 1, 3 * v + 2)  # b1, b2, f
 
     columns: list[dict[int, int]] = []
-    edge_columns = []
     for ei, e in g.compact_edges():
         h_v, h_w = e.ends
         v, w = inc.vertex_of[h_v], inc.vertex_of[h_w]
@@ -159,7 +151,6 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
         fiber[fv] = fiber.get(fv, 0) - 1
         _boundary_class(pos_v, b1v, b2v, fv, fiber, -e.twist)
 
-        edge_columns.append((len(columns), len(columns) + 1))
         columns.append(base)
         columns.append(fiber)
 
@@ -169,7 +160,7 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
         for col in columns:
             entries.append(col.get(r, 0))
     matrix = IntMatrix(rows, len(columns), tuple(entries))
-    return PlumbingPresentation(num_v, matrix, tuple(edge_columns))
+    return PlumbingPresentation(matrix)
 
 
 def h1_graph_manifold(g: DecoratedGraph) -> H1Result:
@@ -201,9 +192,7 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
     to a node yields the nodal curve: nodes total Sum(n_e), annuli become
     genus-0 components with two nodes.
     """
-    require_valid(g)
-    require_connected(g)
-    g.oriented  # raises NonOrientable when w1 != 0
+    g.oriented  # checks the graph; raises NonOrientable when w1 != 0
     negative = [ei for ei, e in g.compact_edges() if e.twist < 0]
     if negative:
         raise NegativeDefect(

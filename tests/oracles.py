@@ -4,8 +4,11 @@ Nothing here shares code with the implementation paths it checks: the
 Smith-form oracle uses gcds of minors via fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
 Hermite-style membership test, the pencil oracle builds the nodal
-curve one annulus at a time, and the fan oracle finds cone coordinates
-with rational Cramer's rule.  ``blowup_fan`` generates test fans.
+curve one annulus at a time, the fan oracle finds cone coordinates
+with rational Cramer's rule, and the w1 and Pic oracles multiply along
+the explicit cycles of ``cycle_basis``, one search per cycle (only the
+spanning tree is shared with the potentials they check).
+``blowup_fan`` and ``random_multigraph`` generate test inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from singlocus.descent import PicInvariants
+from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex
+from singlocus.intlinalg import cycle_basis
 from singlocus.toric import Fan
 
 
@@ -212,6 +218,87 @@ def pencil_incidence_oracle(g) -> dict[tuple[int, int], int]:
             key = (min(a, b), max(a, b))
             incidence[key] = incidence.get(key, 0) + 1
     return incidence
+
+
+def w1_oracle(g) -> list[int]:
+    """Z/2 sum of the reversing flags around each cycle of ``cycle_basis``."""
+    compact = [e for _, e in g.compact_edges()]
+    w1 = []
+    for cycle in cycle_basis(len(g.vertices), g.compact_pairs):
+        total = 0
+        for edge_idx, _sign in cycle:
+            if compact[edge_idx].reversing:
+                total ^= 1
+        w1.append(total)
+    return w1
+
+
+def pic_invariants_oracle(d) -> PicInvariants:
+    """Signed products of lam_u and lam_x around each cycle of
+    ``cycle_basis``, taken in the diagram's stored directions."""
+    degree = tuple(aut.n for aut in d.transitions)
+    betas, alphas = [], []
+    for cycle in cycle_basis(len(d.graph.vertices), d.directions):
+        beta = Fraction(1)
+        alpha = Fraction(1)
+        for edge_idx, sign in cycle:
+            aut = d.transitions[edge_idx]
+            beta *= aut.lam_u**sign
+            alpha *= aut.lam_x**sign
+        betas.append(beta)
+        alphas.append(alpha)
+    return PicInvariants(degree, tuple(betas), tuple(alphas))
+
+
+def flip_each(g, flips):
+    """``flip_vertex`` applied at each vertex with a nonzero flip, in turn."""
+    for v, flip in enumerate(flips):
+        if flip:
+            g = flip_vertex(g, v)
+    return g
+
+
+def _rational(rng) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def random_multigraph(rng, vertices, orientable=False, unit_holonomy=False):
+    """A connected trivalent graph on ``vertices`` vertices.
+
+    A random tree joins the vertices; the free half-edges left over are
+    paired at random into compact edges (self-loops and parallel edges
+    included) or left as legs.  Edge order, each edge's storage direction
+    and the half-edge labels are shuffled; twists and scalars are random.
+    Reversing flags are random, or come from a 2-colouring of the vertices
+    when ``orientable``; holonomies are all 1 when ``unit_holonomy``.
+    """
+    free = [[3 * v, 3 * v + 1, 3 * v + 2] for v in range(vertices)]
+    pairs = []
+    for v in range(1, vertices):
+        u = rng.choice([u for u in range(v) if free[u]])
+        pairs.append((free[u].pop(rng.randrange(len(free[u]))), free[v].pop()))
+    rest = [h for hs in free for h in hs]
+    rng.shuffle(rest)
+    while len(rest) >= 2 and rng.random() < 0.7:
+        pairs.append((rest.pop(), rest.pop()))
+    label = list(range(3 * vertices))
+    rng.shuffle(label)
+    colour = [rng.randint(0, 1) for _ in range(vertices)]
+    edges = [Leg(label[h]) for h in rest]
+    for h1, h2 in pairs:
+        if rng.random() < 0.5:
+            h1, h2 = h2, h1
+        u, v = h1 // 3, h2 // 3
+        edges.append(CompactEdge(
+            (label[h1], label[h2]),
+            twist=rng.randint(-3, 3),
+            holonomy=1 if unit_holonomy else _rational(rng),
+            base_scalar=_rational(rng),
+            reversing=colour[u] != colour[v] if orientable else rng.random() < 0.5,
+        ))
+    rng.shuffle(edges)
+    triples = [tuple(label[h] for h in range(3 * v, 3 * v + 3)) for v in range(vertices)]
+    return DecoratedGraph(tuple(triples), tuple(edges))
 
 
 def blowup_fan(rng, steps):

@@ -1,7 +1,11 @@
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlocus.descent import (
     assemble_diagram,
@@ -14,10 +18,11 @@ from singlocus.descent import (
     trivializing_gauge,
 )
 from singlocus.errors import GraphMismatch, NonOrientable, TwistMismatch
-from singlocus.examples import k4_graph, quartic_mirror_graph, theta_graph
-from singlocus.graphs import CompactEdge, DecoratedGraph, Leg
+from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
+from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, oriented_form
 from singlocus.intlinalg import cycle_basis
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
+from oracles import pic_invariants_oracle, random_multigraph
 
 
 def rand_scalar(rng):
@@ -217,3 +222,39 @@ def test_odd_cycle_composite_parity():
         comp = compose_cycle(d, cyc)
         assert comp.eps == (-1) ** len(cyc)
         assert comp.shift == len(cyc) % 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 9), st.booleans(), st.booleans())
+def test_pic_and_trivializing_gauge_match_cycle_oracle(seed, vertices, unit, gauged):
+    rng = random.Random(seed)
+    d = assemble_diagram(random_multigraph(rng, vertices, orientable=True, unit_holonomy=unit))
+    if gauged:
+        d = gauge(d, [rand_scalar(rng) for _ in range(vertices)])
+    expected = pic_invariants_oracle(d)
+    assert pic_invariants(d) == expected
+    found = trivializing_gauge(d)
+    assert (found is None) == any(b != 1 for b in expected.beta_holonomies)
+    if found is not None:
+        assert found[0] == 1
+        assert all(aut.lam_u == 1 for aut in gauge(d, found).transitions)
+
+
+def test_ladder_512_oriented_form_and_pic_are_fast():
+    # reversing flags from a 2-colouring, so the graph is orientable but
+    # half the vertices need flipping
+    rng = random.Random(512)
+    g = circular_ladder_graph(512)
+    colour = [rng.randint(0, 1) for _ in g.vertices]
+    edges = tuple(
+        replace(e, reversing=colour[e.ends[0] // 3] != colour[e.ends[1] // 3], holonomy=rand_scalar(rng))
+        for e in g.edges
+    )
+    g = DecoratedGraph(g.vertices, edges)
+    start = time.perf_counter()
+    flipped = oriented_form(g)
+    pic = pic_invariants(assemble_diagram(g))
+    seconds = time.perf_counter() - start
+    assert flipped.vertices != g.vertices
+    assert len(pic.beta_holonomies) == 513
+    assert seconds < 1.5

@@ -2,8 +2,10 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from singlocus.errors import DisconnectedGraph
+from singlocus.errors import DisconnectedGraph, NonOrientable
 from singlocus.examples import (
     circular_ladder_graph,
     conifold_graph,
@@ -21,8 +23,12 @@ from singlocus.graphs import (
     dual_surface,
     flip_vertex,
     orientability,
+    orientation_gauge,
+    oriented_form,
     validate_graph,
 )
+from singlocus.intlinalg import cycle_basis
+from oracles import flip_each, random_multigraph, w1_oracle
 
 
 def pants_graph():
@@ -300,3 +306,30 @@ def test_orientability_requires_connected():
     )
     with pytest.raises(DisconnectedGraph):
         orientability(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 9))
+def test_w1_and_gauge_diagnostic_match_cycle_oracle(seed, vertices):
+    # random flags: w1 equals the explicit cycle sums, and a non-orientable
+    # graph's diagnostic names the closing edge of the first cycle with w1 = 1
+    g = random_multigraph(random.Random(seed), vertices)
+    w1 = w1_oracle(g)
+    assert orientability(g) == (not any(w1), w1)
+    if any(w1):
+        cycle = cycle_basis(len(g.vertices), g.compact_pairs)[w1.index(1)]
+        with pytest.raises(NonOrientable) as info:
+            orientation_gauge(g)
+        assert str(info.value) == f"reversing flags have nontrivial holonomy (edge {cycle[-1][0]})"
+    else:
+        assert oriented_form(g) == flip_each(g, orientation_gauge(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 9))
+def test_oriented_form_matches_flipping_each_vertex(seed, vertices):
+    g = random_multigraph(random.Random(seed), vertices, orientable=True)
+    flips = orientation_gauge(g)
+    out = oriented_form(g)
+    assert out == flip_each(g, flips)
+    assert not any(e.reversing for _, e in out.compact_edges())
