@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .errors import DisconnectedGraph
@@ -101,168 +102,165 @@ def snf(m: IntMatrix) -> SmithForm:
     submatrix, ties broken in row-major order.  Rows and columns are
     cleared with extended-gcd combinations (determinant-one 2x2 blocks),
     which keeps the transform entries from blowing up; the whole
-    procedure is deterministic.
+    procedure is deterministic.  This is :func:`_diagonalize` over Z.
     """
-    nr, nc = m.rows, m.cols
-    a = m.to_rows()
-    left = IntMatrix.identity(nr).to_rows()
-    right = IntMatrix.identity(nc).to_rows()
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-            for r in right:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        ad, as_ = a[dst], a[src]
-        for k in range(nc):
-            ad[k] += q * as_[k]
-        ld, ls = left[dst], left[src]
-        for k in range(nr):
-            ld[k] += q * ls[k]
-
-    def gcd_rows(t, i):
-        # Replace rows (t, i) by a unimodular combination putting
-        # gcd(a[t][t], a[i][t]) at (t, t) and 0 at (i, t).
-        p, b = a[t][t], a[i][t]
-        if b % p == 0:
-            add_row(i, t, -(b // p))
-            return
-        g, x, y = _egcd(p, b)
-        u, v = -(b // g), p // g  # det [[x, y], [u, v]] = 1
-        for mat in (a, left):
-            rt, ri = mat[t], mat[i]
-            for k in range(len(rt)):
-                rt[k], ri[k] = x * rt[k] + y * ri[k], u * rt[k] + v * ri[k]
-
-    def gcd_cols(t, j):
-        p, b = a[t][t], a[t][j]
-        if b % p == 0:
-            q = -(b // p)
-            for r in a:
-                r[j] += q * r[t]
-            for r in right:
-                r[j] += q * r[t]
-            return
-        g, x, y = _egcd(p, b)
-        u, v = -(b // g), p // g
-        for mat in (a, right):
-            for r in mat:
-                r[t], r[j] = x * r[t] + y * r[j], u * r[t] + v * r[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, nr):
-            row = a[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v != 0 and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if best[0] == 1:
-                        return best[1], best[2]
-        return None if best is None else (best[1], best[2])
-
-    t = 0
-    while t < min(nr, nc):
-        pos = find_pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        while True:
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    gcd_rows(t, i)
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    gcd_cols(t, j)
-            # Column clearing can repopulate the pivot column; |pivot|
-            # shrinks to a proper divisor whenever that happens, so the
-            # alternation terminates.
-            if all(a[i][t] == 0 for i in range(t + 1, nr)):
-                break
-        # Divisibility sweep: the pivot must divide every remaining entry.
-        stray = None
-        for i in range(t + 1, nr):
-            row = a[i]
-            for j in range(t + 1, nc):
-                if row[j] % a[t][t] != 0:
-                    stray = i
-                    break
-            if stray is not None:
-                break
-        if stray is not None:
-            add_row(t, stray, 1)
-            continue
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diag = []
-    for k in range(min(nr, nc)):
-        diag.append(a[k][k] if k < t else 0)
+    left = IntMatrix.identity(m.rows).to_rows()
+    right_t = IntMatrix.identity(m.cols).to_rows()  # transposed as it is built
+    diag = _diagonalize(m.to_rows(), 0, min(m.rows, m.cols), left, right_t)
     return SmithForm(
-        tuple(diag),
-        IntMatrix.from_rows(left) if nr else IntMatrix(0, 0, ()),
-        IntMatrix.from_rows(right) if nc else IntMatrix(0, 0, ()),
+        tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag)),
+        IntMatrix.from_rows(left) if m.rows else IntMatrix(0, 0, ()),
+        IntMatrix.from_rows([list(c) for c in zip(*right_t)]) if m.cols else IntMatrix(0, 0, ()),
     )
 
 
-def cokernel_abelian_group(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
+def _least_entry(a: list[list[int]], t: int, key) -> tuple[int, int] | None:
+    """Position of the nonzero ``a[i][j]``, i, j >= t, of least ``key``
+    (a positive integer), first in row-major order; None if all are 0."""
+    best = None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            if row[j]:
+                k = key(row[j])
+                if best is None or k < best[0]:
+                    best = (k, i, j)
+                    if k == 1:
+                        return i, j
+    return None if best is None else best[1:]
+
+
+def _clear_below(a: list[list[int]], t: int, n: int, companion: list[list[int]]) -> bool:
+    """Zero ``a[i][t]`` for i > t by row operations, reducing ``a`` mod
+    ``n`` unless it is 0; the rows of ``companion`` (a transform, or
+    empty) undergo the same operations.
+
+    Returns True when an ``_egcd`` 2x2 block was needed: then the pivot
+    ``a[t][t]`` shrank to a proper divisor of itself and row t changed.
+    """
+    shrank = False
+    for i in range(t + 1, len(a)):
+        p, b = a[t][t], a[i][t]
+        if not b:
+            continue
+        if b % p == 0:
+            x, y, u, v = 1, 0, -(b // p), 1
+        else:
+            g, x, y = _egcd(p, b)
+            u, v = -(b // g), p // g  # det [[x, y], [u, v]] = 1
+            shrank = True
+        for mat in (a, companion) if companion else (a,):
+            top, row = mat[t], mat[i]
+            if y:
+                mat[t] = [x * e + y * f for e, f in zip(top, row)]
+            mat[i] = [u * e + v * f for e, f in zip(top, row)]
+        if n:
+            a[t], a[i] = [e % n for e in a[t]], [e % n for e in a[i]]
+    return shrank
+
+
+def _diagonalize(a, n: int, steps: int, left, right_t) -> list[int]:
+    """Up to ``steps`` Smith pivots of ``a`` as gcd(pivot, n): over Z when
+    ``n`` is 0, else over Z/nZ with ``a`` reduced mod n.
+
+    ``a`` is overwritten.  ``left`` and the transpose ``right_t`` of the
+    right transform (identities, or empty) take the row and column
+    operations.  Step t moves an entry of least gcd with n (least |entry|
+    over Z) to (t, t) and clears row and column t with
+    :func:`_clear_below` on ``a`` and on its transpose.  While gcd(pivot,
+    n) misses an entry left, that entry's row is added to row t and the
+    clearing repeats; each repeat shrinks the pivot to a proper divisor,
+    so the step ends.  Stops early once the rest is 0 (mod n).
+    """
+    diag = []
+    for t in range(steps):
+        pivot = _least_entry(a, t, lambda x: gcd(x, n))  # gcd(x, 0) = |x|
+        if pivot is None:
+            break
+        i, j = pivot
+        for mat in (a, left) if left else (a,):
+            mat[t], mat[i] = mat[i], mat[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        if right_t:
+            right_t[t], right_t[j] = right_t[j], right_t[t]
+        while True:
+            _clear_below(a, t, n, left)
+            a_t = [list(c) for c in zip(*a)]
+            shrank = _clear_below(a_t, t, n, right_t)
+            a = [list(r) for r in zip(*a_t)]
+            if shrank:  # the column blocks refilled column t
+                continue
+            g = gcd(a[t][t], n)
+            stray = next((r for r in range(t + 1, len(a)) if any(x % g for x in a[r])), None)
+            if stray is None:
+                break
+            for mat in (a, left) if left else (a,):
+                mat[t] = [x + y for x, y in zip(mat[t], mat[stray])]
+            if n:
+                a[t] = [x % n for x in a[t]]
+        if a[t][t] < 0:
+            for mat in (a, left) if left else (a,):
+                mat[t] = [-x for x in mat[t]]
+        diag.append(gcd(a[t][t], n))
+    return diag
+
+
+@dataclass(frozen=True)
+class SparseColumns:
+    """Integer matrix kept as columns ``{row: nonzero entry}``.
+
+    Row indices double as the order in which :func:`cokernel_abelian_group`
+    tries the rows as pivots, so a caller that knows a good elimination
+    order numbers its rows by it.
+    """
+
+    rows: int
+    columns: tuple[dict[int, int], ...]
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+
+def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int, ...]]:
     """Cokernel of the column lattice acting on ``Z^rows``.
 
     Rows index generators and columns index relations, so the result is
     ``Z^rows / span(columns)``: a free rank plus invariant factors > 1.
+    An :class:`IntMatrix` is read as its sparse columns.
 
     Sparse unit-pivot elimination first (Dumas-Saunders-Villard, J. Symb.
-    Comp. 32, 2001): while some entry is +-1, take the one of least
-    Markowitz cost (entries in its column - 1) * (entries in its row - 1),
-    ties to the lowest (column, row).  Adding multiples of its column to
-    the others clears its row; then its row is a generator killed by its
-    column alone, so both are dropped and the rank grows by one.  Only
-    the residue goes to :func:`snf`, of which only the diagonal is read.
+    Comp. 32, 2001), in one pass over the rows in index order, so the
+    row numbering is the elimination order: a row holding a +-1 pivots
+    in the lowest column where it has one.  Adding multiples of that
+    column to the others clears the row; then the row is a generator
+    killed by its column alone, so both are dropped and the rank grows
+    by one.  A row without a unit when its turn comes stays in the
+    residue, whose invariant factors :func:`_smith_diagonal` reads
+    modulo a nonzero minor.
     """
-    cols: dict[int, dict[int, int]] = {j: {} for j in range(m.cols)}
-    row_cols: dict[int, set[int]] = {}
-    for idx, v in enumerate(m.entries):
-        if v:
-            i, j = divmod(idx, m.cols)
-            cols[j][i] = v
-            row_cols.setdefault(i, set()).add(j)
+    if isinstance(m, IntMatrix):
+        c = m.cols
+        m = SparseColumns(m.rows, tuple(
+            {i: v for i in range(m.rows) if (v := m.entries[i * c + j])} for j in range(c)
+        ))
+    cols = [dict(col) for col in m.columns]
+    row_cols: list[set[int]] = [set() for _ in range(m.rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            row_cols[i].add(j)
 
     rank = 0
-    while True:
-        # Columns are scanned in index order, so the first column that
-        # holds a cost-0 pivot wins and the scan stops there.
-        best = None
-        for j, col in cols.items():
-            col_cost = len(col) - 1
-            for i, v in col.items():
-                if v == 1 or v == -1:
-                    cost = col_cost * (len(row_cols[i]) - 1)
-                    if best is None or cost < best[0] or (cost == best[0] and (j, i) < best[1:]):
-                        best = (cost, j, i)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, j, i = best
-        pivot_col = cols.pop(j)
+    for i in range(m.rows):
+        j = min((j for j in row_cols[i] if cols[j][i] in (1, -1)), default=None)
+        if j is None:
+            continue
+        pivot_col, cols[j] = cols[j], {}
         unit = pivot_col.pop(i)
         for r in pivot_col:
             row_cols[r].discard(j)
-        for k in row_cols.pop(i) - {j}:
+        for k in row_cols[i] - {j}:
             col = cols[k]
             f = col.pop(i) * unit
             for r, v in pivot_col.items():
@@ -274,18 +272,63 @@ def cokernel_abelian_group(m: IntMatrix) -> tuple[int, tuple[int, ...]]:
                 elif r in col:
                     del col[r]
                     row_cols[r].discard(k)
+        row_cols[i] = set()
         rank += 1
 
-    rest_rows = sorted(i for i, js in row_cols.items() if js)
-    rest_cols = [col for col in cols.values() if col]
+    rest_rows = [i for i in range(m.rows) if row_cols[i]]
+    rest_cols = [col for col in cols if col]
     residue = IntMatrix(
         len(rest_rows),
         len(rest_cols),
         tuple(col.get(i, 0) for i in rest_rows for col in rest_cols),
     )
-    diagonal = snf(residue).diagonal
+    diagonal = _smith_diagonal(residue)
     rank += sum(1 for d in diagonal if d != 0)
     return m.rows - rank, tuple(d for d in diagonal if d > 1)
+
+
+def _bareiss(a: list[list[int]]) -> tuple[int, int]:
+    """Rank r of ``a`` and a nonzero r x r minor (1 when r = 0).
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with the
+    least nonzero |entry| as pivot: each pivot is a leading minor of the
+    permuted matrix, so the last one is the minor.  ``a`` is overwritten.
+    """
+    nr, nc = len(a), len(a[0]) if a else 0
+    prev = 1
+    for k in range(min(nr, nc)):
+        pivot = _least_entry(a, k, abs)
+        if pivot is None:
+            return k, prev
+        i, j = pivot
+        a[k], a[i] = a[i], a[k]
+        for row in a[k:]:
+            row[k], row[j] = row[j], row[k]
+        top = a[k]
+        p = top[k]
+        for row in a[k + 1:]:
+            q = row[k]
+            for j in range(k + 1, nc):
+                row[j] = (row[j] * p - q * top[j]) // prev
+            row[k] = 0
+        prev = p
+    return min(nr, nc), prev
+
+
+def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """``snf(m).diagonal`` without transforms, computed modulo a minor.
+
+    :func:`_bareiss` gives the rank r and a nonzero r x r minor D.  The
+    first r invariant factors multiply to the gcd of the r x r minors,
+    so each divides D and equals its gcd with D: they are the pivots of
+    :func:`_diagonalize` over Z/DZ (Domich-Kannan-Trotter, Math. Oper.
+    Res. 12, 1987), whose entries stay in [0, D); the ones it stops
+    short of, on an all-zero rest, equal D.
+    """
+    rank, minor = _bareiss(m.to_rows())
+    n = abs(minor)
+    diag = _diagonalize([[x % n for x in row] for row in m.to_rows()], n, rank, [], [])
+    return tuple(diag) + (n,) * (rank - len(diag)) + (0,) * (min(m.rows, m.cols) - rank)
 
 
 def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -52,9 +52,6 @@ class TwoPerE:
         object.__setattr__(self, "coeff", _nonzero(self.coeff, "coefficient"))
         object.__setattr__(self, "x_exp", int(self.x_exp))
 
-    def monomial(self) -> Monomial:
-        return Monomial(self.coeff, self.x_exp, 1)
-
 
 @dataclass(frozen=True)
 class EdgeAut:

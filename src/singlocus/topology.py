@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import NegativeDefect
 from .graphs import DecoratedGraph, require_valid
-from .intlinalg import IntMatrix, _spanning_forest, cokernel_abelian_group
+from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,15 @@ class PlumbingPresentation:
     """Mayer-Vietoris relations on the generators b1, b2, f of each vertex.
 
     The relation matrix has the 3V generators as rows and two columns per
-    compact edge, in edge order.  The boundary class of the edge at cyclic
-    position p of a vertex is b1, b2, or -b1 - b2 - f; the fiber term in
-    the third position carries the framing correction that a trivialized
-    pants piece forces on its cuff lifts (the three corrections sum to the
-    piece's Euler characteristic).
+    compact edge.  The boundary class of the edge at cyclic position p of
+    a vertex is b1, b2, or -b1 - b2 - f; the fiber term in the third
+    position carries the framing correction that a trivialized pants
+    piece forces on its cuff lifts (the three corrections sum to the
+    piece's Euler characteristic).  Rows are numbered in the elimination
+    order of :func:`plumbing_presentation`.
     """
 
-    relation_matrix: IntMatrix
+    relation_matrix: SparseColumns
 
 
 @dataclass(frozen=True)
@@ -103,64 +104,78 @@ class NodalCurveReport:
         return incidence
 
 
-def _boundary_class(position: int, b1: int, b2: int, f: int, row: dict[int, int], sign: int):
-    """Accumulate the cuff class at a cyclic position into a relation row."""
-    if position == 0:
-        row[b1] = row.get(b1, 0) + sign
-    elif position == 1:
-        row[b2] = row.get(b2, 0) + sign
-    else:
-        row[b1] = row.get(b1, 0) - sign
-        row[b2] = row.get(b2, 0) - sign
-        row[f] = row.get(f, 0) - sign
+def _torus_class(position: int, gens: tuple[int, int, int], base: int, fiber: int):
+    """base * B(position) + fiber * f at a vertex with generators
+    (b1, b2, f), as (row, coefficient) terms."""
+    b1, b2, f = gens
+    if position == 2:
+        return ((b1, -base), (b2, -base), (f, fiber - base))
+    return ((gens[position], base), (f, fiber))
+
+
+def _column(terms) -> dict[int, int]:
+    """The sum of (row, coefficient) terms as a sparse column."""
+    column: dict[int, int] = {}
+    for r, c in terms:
+        column[r] = column.get(r, 0) + c
+    return {r: c for r, c in column.items() if c}
 
 
 def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
     """Mayer-Vietoris presentation of H1 of the glued 3-manifold.
 
     Requires a valid, connected, orientable graph; the reversing flags are
-    first gauged away.  Per compact edge between (v, position i) and
-    (w, position j) the two relations are
+    first gauged away.  A compact edge glues its torus at (a, position i)
+    to the one at (b, position j) by the shear S of twist n_e; the torus
+    class (base, fiber) maps to base * B(a, i) + fiber * f_a on the a
+    side.  Its two relations are image_b(S x) - image_a(x) for the basis
+    vectors x:
 
-        B(w, j) + B(v, i) = 0
-        f_w - f_v - n_e * B(v, i) = 0
+        -B(b, j) - B(a, i) = 0
+        n_e * B(b, j) + f_b - f_a = 0
 
-    taken in the stored direction v -> w.  Legs contribute nothing.
+    which span the same lattice whichever end is a, as S is
+    self-inverse.  Legs contribute nothing.
+
+    Rows are numbered in the order that suits the unit elimination of
+    :func:`cokernel_abelian_group`: first the fiber f of each vertex but
+    the root, root-outward along :attr:`DecoratedGraph.tree`, taking the
+    child as a on its tree edge, so that the fiber relation of that edge
+    (its column comes first, in the same order) holds -f and otherwise
+    only classes of the parent; then b1 and b2 of each vertex in reverse
+    breadth-first order, leaves first; last the root's f, which carries
+    the shared fiber class.
     """
-    g = g.oriented
+    oriented = g.oriented
+    tree = g.tree  # built by the orientation check; the same on ``oriented``
+    g = oriented
     inc = g.incidence
     num_v = len(g.vertices)
+    fiber_row = {v: k for k, v in enumerate(tree)} | {0: 3 * num_v - 1}
+    gens = {
+        v: (num_v - 1 + 2 * k, num_v + 2 * k, fiber_row[v])
+        for k, v in enumerate(reversed([0, *tree]))
+    }
+    child_of = {idx: v for v, (_, idx, _) in tree.items()}
 
-    def gens(v: int) -> tuple[int, int, int]:
-        return (3 * v, 3 * v + 1, 3 * v + 2)  # b1, b2, f
-
-    columns: list[dict[int, int]] = []
-    for ei, e in g.compact_edges():
-        h_v, h_w = e.ends
-        v, w = inc.vertex_of[h_v], inc.vertex_of[h_w]
-        pos_v, pos_w = inc.position_of[h_v], inc.position_of[h_w]
-        b1v, b2v, fv = gens(v)
-        b1w, b2w, fw = gens(w)
-
-        base: dict[int, int] = {}
-        _boundary_class(pos_w, b1w, b2w, fw, base, +1)
-        _boundary_class(pos_v, b1v, b2v, fv, base, +1)
-
-        fiber: dict[int, int] = {}
-        fiber[fw] = fiber.get(fw, 0) + 1
-        fiber[fv] = fiber.get(fv, 0) - 1
-        _boundary_class(pos_v, b1v, b2v, fv, fiber, -e.twist)
-
-        columns.append(base)
-        columns.append(fiber)
-
-    rows = 3 * num_v
-    entries = []
-    for r in range(rows):
-        for col in columns:
-            entries.append(col.get(r, 0))
-    matrix = IntMatrix(rows, len(columns), tuple(entries))
-    return PlumbingPresentation(matrix)
+    tree_fibers: list[dict[int, int]] = [{}] * len(tree)
+    rest: list[dict[int, int]] = []
+    for ci, (_, e) in enumerate(g.compact_edges()):
+        h_a, h_b = e.ends
+        if child_of.get(ci) == inc.vertex_of[h_b]:
+            h_a, h_b = h_b, h_a
+        a, b = ((inc.position_of[h], gens[inc.vertex_of[h]]) for h in (h_a, h_b))
+        shear = ShearMatrix(e.twist)
+        base, fiber = (
+            _column((*_torus_class(*b, *shear.apply(*x)), *_torus_class(*a, -x[0], -x[1])))
+            for x in ((1, 0), (0, 1))
+        )
+        rest.append(base)
+        if ci in child_of:
+            tree_fibers[a[1][2]] = fiber
+        else:
+            rest.append(fiber)
+    return PlumbingPresentation(SparseColumns(3 * num_v, tuple(tree_fibers + rest)))
 
 
 def h1_graph_manifold(g: DecoratedGraph) -> H1Result:

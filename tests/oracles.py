@@ -8,7 +8,10 @@ curve one annulus at a time, the fan oracle finds cone coordinates
 with rational Cramer's rule, and the w1 and Pic oracles multiply along
 the explicit cycles of ``cycle_basis``, one search per cycle (only the
 spanning tree is shared with the potentials they check).
-``blowup_fan`` and ``random_multigraph`` generate test inputs.
+The presentation oracle builds the H1 relations from each edge's stored
+direction with generators numbered per vertex, and the F_p-rank oracle
+eliminates rows modulo p.  ``blowup_fan`` and ``random_multigraph``
+generate test inputs.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from math import gcd
 
 from singlocus.descent import PicInvariants
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex
-from singlocus.intlinalg import cycle_basis
+from singlocus.intlinalg import IntMatrix, cycle_basis
 from singlocus.toric import Fan
 
 
@@ -71,6 +74,73 @@ def smith_diagonal_oracle(rows: list[list[int]]) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def dense_relations(presentation) -> IntMatrix:
+    """The relation matrix of a ``PlumbingPresentation``, dense, with
+    the rows in the presentation's numbering."""
+    m = presentation.relation_matrix
+    return IntMatrix(m.rows, m.cols, tuple(c.get(i, 0) for i in range(m.rows) for c in m.columns))
+
+
+def stored_direction_relations(g) -> IntMatrix:
+    """H1 relations of an orientable graph with generators b1, b2, f of
+    vertex v as rows 3v, 3v + 1, 3v + 2 and, per compact edge stored
+    from (v, position i) to (w, position j), the columns
+
+        B(w, j) + B(v, i)   and   f_w - f_v - n_e * B(v, i),
+
+    where B is b1, b2 or -b1 - b2 - f at position 0, 1 or 2."""
+    g = g.oriented
+    vertex_of = {h: v for v, halves in enumerate(g.vertices) for h in halves}
+    position_of = {h: p for halves in g.vertices for p, h in enumerate(halves)}
+
+    def add_cuff(column, h, sign):
+        v, p = vertex_of[h], position_of[h]
+        for r in ((3 * v,), (3 * v + 1,), (3 * v, 3 * v + 1, 3 * v + 2))[p]:
+            column[r] = column.get(r, 0) + (sign if p < 2 else -sign)
+
+    columns = []
+    for _, e in g.compact_edges():
+        h_v, h_w = e.ends
+        base: dict[int, int] = {}
+        add_cuff(base, h_w, 1)
+        add_cuff(base, h_v, 1)
+        fiber = {3 * vertex_of[h_w] + 2: 1}
+        fiber[3 * vertex_of[h_v] + 2] = fiber.get(3 * vertex_of[h_v] + 2, 0) - 1
+        add_cuff(fiber, h_v, -e.twist)
+        columns += [base, fiber]
+    rows = 3 * len(g.vertices)
+    return IntMatrix(rows, len(columns), tuple(c.get(i, 0) for i in range(rows) for c in columns))
+
+
+def rank_mod_p(m: IntMatrix, p: int) -> int:
+    """Rank over F_p: each row is reduced against the echelon rows kept
+    so far, keyed by leading column, and kept if anything is left."""
+    echelon: dict[int, dict[int, int]] = {}
+    for i in range(m.rows):
+        row = {j: x % p for j in range(m.cols) if (x := m.entry(i, j)) % p}
+        while row:
+            lead = min(row)
+            if lead not in echelon:
+                echelon[lead] = row
+                break
+            pivot_row = echelon[lead]
+            q = row[lead] * pow(pivot_row[lead], -1, p) % p
+            for j, x in pivot_row.items():
+                y = (row.get(j, 0) - q * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+    return len(echelon)
+
+
+def check_fp_ranks(m: IntMatrix, free: int, torsion, primes=(2, 3, 5, 7, 11, 13)) -> None:
+    """Assert dim_Fp of ``Z^rows / span(columns)`` tensored with F_p, which
+    is rows - rank_p(m), equals free + #{d in torsion : p | d} for each p."""
+    for p in primes:
+        assert m.rows - rank_mod_p(m, p) == free + sum(1 for d in torsion if d % p == 0), p
 
 
 class LatticeMembership:

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.errors import DisconnectedGraph
-from singlocus.intlinalg import IntMatrix, _egcd, cokernel_abelian_group, cycle_basis, snf
+from singlocus.intlinalg import (
+    IntMatrix,
+    SparseColumns,
+    _egcd,
+    _smith_diagonal,
+    cokernel_abelian_group,
+    cycle_basis,
+    snf,
+)
 
 from oracles import det_bareiss, enumerate_cokernel, smith_diagonal_oracle
 
@@ -160,6 +168,58 @@ def test_cokernel_matches_dense_snf_with_zero_rows_and_columns(m, data):
     ]
     zeroed = IntMatrix(m.rows, m.cols, tuple(x for r in rows for x in r))
     assert cokernel_abelian_group(zeroed) == dense_cokernel(zeroed)
+
+
+def rank_deficient(max_side):
+    """A product of nr x k and k x nc matrices, k < min(nr, nc) when both
+    sides are positive, so the rank is below full."""
+
+    def build(nr, nc, data):
+        k = data.draw(st.integers(0, max(min(nr, nc) - 1, 0)))
+        left = [data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) for _ in range(nr)]
+        right = [data.draw(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc)) for _ in range(k)]
+        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * nc for row in left]
+        return IntMatrix(nr, nc, tuple(x for r in rows for x in r))
+
+    return st.tuples(st.integers(0, max_side), st.integers(0, max_side), st.data()).map(
+        lambda args: build(*args)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(6, st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))))
+def test_smith_diagonal_matches_snf_on_dense_matrices(m):
+    assert _smith_diagonal(m) == snf(m).diagonal
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(10, st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])))
+def test_smith_diagonal_matches_snf_on_sparse_unit_heavy_matrices(m):
+    assert _smith_diagonal(m) == snf(m).diagonal
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_deficient(7))
+def test_smith_diagonal_matches_snf_on_rank_deficient_matrices(m):
+    assert _smith_diagonal(m) == snf(m).diagonal
+
+
+def test_smith_diagonal_examples():
+    # D = 6 for diag(2, 3): the least-gcd pivot 2 leaves 3, not a
+    # multiple of gcd(2, 6), so that row is folded into the pivot row.
+    assert _smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    # The only entry is the minor D itself, 0 mod D.
+    assert _smith_diagonal(IntMatrix.from_rows([[6]])) == (6,)
+    assert _smith_diagonal(IntMatrix.from_rows([[4, 6], [6, 9]])) == (1, 0)
+    for nr, nc in ((0, 0), (0, 3), (3, 0)):
+        assert _smith_diagonal(IntMatrix.zero(nr, nc)) == ()
+
+
+def test_cokernel_reads_sparse_columns_in_row_order():
+    # Z^3 / <e0 - e1, 2 e1 + e2, 3 e2>: row order only picks the pivots.
+    columns = ({0: 1, 1: -1}, {1: 2, 2: 1}, {2: 3})
+    dense = IntMatrix.from_rows([[1, 0, 0], [-1, 2, 0], [0, 1, 3]])
+    assert cokernel_abelian_group(SparseColumns(3, columns)) == cokernel_abelian_group(dense) == (0, (6,))
 
 
 def test_cokernel_of_empty_and_zero_matrices():

@@ -3,13 +3,14 @@ import random
 import resource
 import subprocess
 import sys
-from dataclasses import replace
+import time
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.errors import NegativeDefect, NonOrientable
+from singlocus.errors import NegativeDefect, NonOrientable, SingLocusError
 from singlocus.examples import (
     circular_ladder_graph,
     k4_graph,
@@ -23,7 +24,7 @@ from singlocus.graphs import (
     dual_surface,
     flip_vertex,
 )
-from singlocus.intlinalg import snf
+from singlocus.intlinalg import cokernel_abelian_group, snf
 from singlocus.serialize import dumps_canonical, nodal_curve_to_json
 from singlocus.topology import (
     ShearMatrix,
@@ -34,7 +35,14 @@ from singlocus.topology import (
 )
 from singlocus.toric import boundary_graph
 
-from oracles import blowup_fan, pencil_incidence_oracle
+from oracles import (
+    blowup_fan,
+    check_fp_ranks,
+    dense_relations,
+    pencil_incidence_oracle,
+    random_multigraph,
+    stored_direction_relations,
+)
 
 
 def pants_graph():
@@ -70,16 +78,16 @@ def test_shear_self_inverse():
 def test_pants_presentation_trivial():
     from singlocus.topology import H1Result
 
-    pres = plumbing_presentation(pants_graph())
-    assert pres.relation_matrix.rows == 3
-    assert pres.relation_matrix.cols == 0
+    relations = dense_relations(plumbing_presentation(pants_graph()))
+    assert relations.rows == 3
+    assert relations.cols == 0
     assert h1_graph_manifold(pants_graph()) == H1Result(3, ())
 
 
 def test_theta_presentation_shape():
-    pres = plumbing_presentation(theta_graph())
-    assert pres.relation_matrix.rows == 6
-    assert pres.relation_matrix.cols == 6
+    relations = dense_relations(plumbing_presentation(theta_graph()))
+    assert relations.rows == 6
+    assert relations.cols == 6
 
 
 def test_unit_circle_bundle_values():
@@ -232,7 +240,7 @@ def test_h1_single_twist_family():
 
 def dense_h1(g):
     """H1 with the cokernel read off the dense ``snf`` diagonal."""
-    diag = snf(plumbing_presentation(g).relation_matrix).diagonal
+    diag = snf(dense_relations(plumbing_presentation(g))).diagonal
     cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
     free = 3 * len(g.vertices) - sum(1 for d in diag if d != 0) + cycle_rank
     return free, tuple(d for d in diag if d > 1)
@@ -249,6 +257,51 @@ def test_h1_matches_dense_snf(graph):
     g = graph()
     h1 = h1_graph_manifold(g)
     assert (h1.free_rank, h1.torsion) == dense_h1(g)
+
+
+def _outcome(f, g):
+    try:
+        return f(g)
+    except SingLocusError as exc:
+        return type(exc)
+
+
+def stored_direction_h1(g):
+    """H1 from the cokernel of the stored-direction relations."""
+    free, torsion = cokernel_abelian_group(stored_direction_relations(g))
+    return free + len(g.compact_pairs) - len(g.vertices) + 1, torsion
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12), st.data())
+def test_h1_matches_dense_snf_on_random_multigraphs(seed, vertices, data):
+    g = random_multigraph(random.Random(seed), vertices, orientable=True)
+    twists = iter(data.draw(st.lists(st.integers(-3, 6), min_size=len(g.edges), max_size=len(g.edges))))
+    g = DecoratedGraph(g.vertices, tuple(
+        replace(e, twist=next(twists)) if isinstance(e, CompactEdge) else e for e in g.edges
+    ))
+    h1 = _outcome(lambda g: astuple(h1_graph_manifold(g)), g)
+    assert h1 == _outcome(dense_h1, g)
+    assert h1 == _outcome(stored_direction_h1, g)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_h1_of_50_step_blowups_matches_fp_ranks(seed):
+    # Dense snf cannot finish on these presentations (312 x 312).
+    g = boundary_graph(blowup_fan(random.Random(seed), 50))
+    start = time.perf_counter()
+    h1 = h1_graph_manifold(g)
+    assert time.perf_counter() - start < 2.0
+    cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
+    check_fp_ranks(dense_relations(plumbing_presentation(g)), h1.free_rank - cycle_rank, h1.torsion)
+
+
+def test_h1_ladder_1024_is_fast():
+    g = circular_ladder_graph(1024)
+    start = time.perf_counter()
+    h1 = h1_graph_manifold(g)
+    assert time.perf_counter() - start < 1.0
+    assert (h1.free_rank, h1.torsion) == gysin_h1(1025)
 
 
 def test_h1_ladder_128_closed_form():
