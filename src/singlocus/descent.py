@@ -11,17 +11,16 @@ degree vector together with the cycle holonomies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GraphMismatch, NonOrientable, TwistMismatch
 from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientability, require_connected
 from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
+from .record import Record
 
 
-@dataclass(frozen=True)
-class VertexChart:
+class VertexChart(Record):
     """Cyclic order (from the ribbon data) plus a trivialization scalar."""
 
     cyclic_order: tuple[int, int, int]
@@ -32,16 +31,14 @@ class VertexChart:
         object.__setattr__(self, "cyclic_order", tuple(self.cyclic_order))
 
 
-@dataclass(frozen=True)
-class DescentDiagram:
+class DescentDiagram(Record):
     graph: DecoratedGraph
     charts: tuple[VertexChart, ...]
     transitions: tuple[EdgeAut, ...]  # one per compact edge, canonical direction
     directions: tuple[tuple[int, int], ...]  # canonical (source, target) per compact edge
 
 
-@dataclass(frozen=True)
-class PicInvariants:
+class PicInvariants(Record):
     """Gauge-invariant line-bundle data on the singular locus.
 
     ``degree_vector`` lists the per-compact-edge twists; the holonomies

@@ -9,7 +9,6 @@ affine components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
@@ -17,10 +16,10 @@ from typing import Optional, Union
 from .errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
 from .intlinalg import _bfs_parents, _spanning_forest, _spanning_tree
 from .localmodels import _nonzero
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CompactEdge:
+class CompactEdge(Record):
     """A closed curve component joining two half-edges.
 
     ``twist`` is the defect n_e, ``holonomy`` the clutching scalar beta_e,
@@ -46,8 +45,7 @@ class CompactEdge:
             object.__setattr__(self, "self_intersections", (int(a), int(b)))
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(Record):
     """An affine component: a single half-edge with no decoration."""
 
     end: int
@@ -56,8 +54,7 @@ class Leg:
 Edge = Union[CompactEdge, Leg]
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(Record):
     """Vertices (cyclic half-edge triples) and edges.
 
     The derived data below is computed on first use and kept on the
@@ -153,8 +150,7 @@ def require_valid(g: DecoratedGraph) -> None:
         raise InvalidGraph(g.violations)
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(Record):
     """Precomputed lookup tables for a valid graph."""
 
     vertex_of: dict[int, int]
@@ -266,7 +262,7 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
         if isinstance(e, CompactEdge):
             touches = sum(1 for h in e.ends if h in at_vertex)
             if touches == 1:
-                e = replace(e, reversing=not e.reversing)
+                e = e.replace(reversing=not e.reversing)
         edges.append(e)
     return DecoratedGraph(tuple(vertices), tuple(edges))
 
@@ -283,7 +279,7 @@ def oriented_form(g: DecoratedGraph) -> DecoratedGraph:
     for ei, e in g.compact_edges():
         u, v = endpoints[ei]
         if flips[u] ^ flips[v]:
-            edges[ei] = replace(e, reversing=not e.reversing)
+            edges[ei] = e.replace(reversing=not e.reversing)
     out = DecoratedGraph(vertices, tuple(edges))
     assert all(not e.reversing for _, e in out.compact_edges())
     return out
@@ -294,8 +290,7 @@ def oriented_form(g: DecoratedGraph) -> DecoratedGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSurface:
+class DualSurface(Record):
     """The pants-decomposition surface carried by the graph.
 
     One orientable pair of pants per vertex, glued along the compact
@@ -393,8 +388,7 @@ def dual_surface(g: DecoratedGraph) -> DualSurface:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FiniteCategory(Record, uncompared=("arrows", "identities", "compose")):
     """A finite category given by an explicit composition table.
 
     ``arrows`` maps a name to ``(source, target)``; ``compose`` maps the
@@ -402,9 +396,9 @@ class FiniteCategory:
     """
 
     objects: tuple[str, ...]
-    arrows: dict[str, tuple[str, str]] = field(compare=False)
-    identities: dict[str, str] = field(compare=False)
-    compose: dict[tuple[str, str], str] = field(compare=False)
+    arrows: dict[str, tuple[str, str]]
+    identities: dict[str, str]
+    compose: dict[tuple[str, str], str]
 
     def check(self) -> None:
         for obj, ident in self.identities.items():

@@ -8,15 +8,14 @@ are pure, so the module is safe to use from multiple threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
 from .errors import DisconnectedGraph
+from .record import Record
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense integer matrix stored row-major as a flat tuple."""
 
     rows: int
@@ -65,8 +64,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(x for r in out for x in r))
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Diagonalization ``left * a * right == diag`` by unimodular transforms.
 
     ``diagonal`` has length ``min(rows, cols)``; each entry is non-negative,
@@ -206,8 +204,7 @@ def _diagonalize(a, n: int, steps: int, left, right_t) -> list[int]:
     return diag
 
 
-@dataclass(frozen=True)
-class SparseColumns:
+class SparseColumns(Record):
     """Integer matrix kept as columns ``{row: nonzero entry}``.
 
     Row indices double as the order in which :func:`cokernel_abelian_group`

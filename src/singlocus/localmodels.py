@@ -10,10 +10,10 @@ so every scalar is an exact Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TriangleConstraintViolated
+from .record import Record
 
 
 def _nonzero(value, what: str) -> Fraction:
@@ -23,8 +23,7 @@ def _nonzero(value, what: str) -> Fraction:
     return f
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """c * x^a * u^b with c nonzero; the degree is 2b."""
 
     coeff: Fraction
@@ -41,8 +40,7 @@ class Monomial:
         return 2 * self.u_exp
 
 
-@dataclass(frozen=True)
-class TwoPerE:
+class TwoPerE(Record):
     """A 2-periodic structure on the edge model: c * x^n * u."""
 
     coeff: Fraction
@@ -53,8 +51,7 @@ class TwoPerE:
         object.__setattr__(self, "x_exp", int(self.x_exp))
 
 
-@dataclass(frozen=True)
-class EdgeAut:
+class EdgeAut(Record):
     """A graded automorphism (x, u) -> (lam_x x^eps, lam_u x^n u), plus a shift bit.
 
     The pair (eps, n) is the discrete part, an element of the group H of
@@ -125,16 +122,14 @@ def transporter_unit(t1: TwoPerE, t2: TwoPerE) -> Monomial:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoPerV:
+class TwoPerV(Record):
     value: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "value", _nonzero(self.value, "2-periodic structure"))
 
 
-@dataclass(frozen=True)
-class VertexAut:
+class VertexAut(Record):
     """(lams, perm, shift) in ((Q^x)^3 x| S3) x Z/2.
 
     ``perm`` is a permutation of (0, 1, 2) with perm[i] the image of i.
@@ -197,8 +192,7 @@ def stabilizer_check_v(a: VertexAut, t: TwoPerV) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PantsPresentation:
+class PantsPresentation(Record):
     """Six generator scalars grouped into two oppositely oriented triangles.
 
     The first triangle is (c1, c2, c3), the second (c4, c5, c6), and the

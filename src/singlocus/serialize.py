@@ -46,6 +46,13 @@ def _int(value: Any) -> int:
     return value
 
 
+def _pair(value: Any) -> tuple[int, int]:
+    # A list of any other length is malformed; it is never cut to two entries.
+    if type(value) is not list or len(value) != 2:
+        raise TypeError(f"expected a pair of integers, got {value!r}")
+    return _int(value[0]), _int(value[1])
+
+
 def _bool(value: Any) -> bool:
     if not isinstance(value, bool):
         raise TypeError(f"expected true or false, got {value!r}")
@@ -125,14 +132,15 @@ def graph_from_json(payload: dict) -> DecoratedGraph:
         for e in payload["edges"]:
             if e["kind"] == "compact":
                 si = e.get("selfIntersections")
+                # All six fields in order: a record binds positional arguments fastest.
                 edges.append(
                     CompactEdge(
-                        (_int(e["ends"][0]), _int(e["ends"][1])),
-                        twist=_int(e.get("twist", 0)),
-                        holonomy=parse_rational(e.get("holonomy", 1)),
-                        base_scalar=parse_rational(e.get("baseScalar", 1)),
-                        reversing=_bool(e.get("reversing", False)),
-                        self_intersections=None if si is None else (_int(si[0]), _int(si[1])),
+                        _pair(e["ends"]),
+                        _int(e.get("twist", 0)),
+                        parse_rational(e.get("holonomy", 1)),
+                        parse_rational(e.get("baseScalar", 1)),
+                        _bool(e.get("reversing", False)),
+                        None if si is None else _pair(si),
                     )
                 )
             elif e["kind"] == "leg":
@@ -211,7 +219,7 @@ def diagram_from_json(payload: dict) -> DescentDiagram:
                     parse_rational(t["lamU"]),
                     _int(t["shift"]),
                 )
-                by_edge[_int(t["edge"])] = ((_int(t["direction"][0]), _int(t["direction"][1])), aut)
+                by_edge[_int(t["edge"])] = (_pair(t["direction"]), aut)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ParseError(f"malformed transitions: {exc}") from None
         try:

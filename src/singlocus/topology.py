@@ -13,15 +13,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import NegativeDefect
 from .graphs import DecoratedGraph, require_valid
 from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ShearMatrix:
+class ShearMatrix(Record):
     """The framing change [[-1, n], [0, 1]] on (base, fiber); self-inverse."""
 
     n: int
@@ -30,8 +29,7 @@ class ShearMatrix:
         return (-base_coeff + self.n * fiber_coeff, fiber_coeff)
 
 
-@dataclass(frozen=True)
-class PlumbingPresentation:
+class PlumbingPresentation(Record):
     """Mayer-Vietoris relations on the generators b1, b2, f of each vertex.
 
     The relation matrix has the 3V generators as rows and two columns per
@@ -46,14 +44,12 @@ class PlumbingPresentation:
     relation_matrix: SparseColumns
 
 
-@dataclass(frozen=True)
-class H1Result:
+class H1Result(Record):
     free_rank: int
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NodalCurveReport:
+class NodalCurveReport(Record):
     """Combinatorics of the nodal curve cut out by a transverse section.
 
     ``components`` lists (genus, boundary circle count) of the main pieces

@@ -18,7 +18,6 @@ These conventions are pinned by the P^3 regression tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Sequence
@@ -26,6 +25,7 @@ from typing import Sequence
 from .errors import BoundaryWall, InvalidFan, NotAWall
 from .graphs import CompactEdge, DecoratedGraph, Leg
 from .intlinalg import _egcd
+from .record import Record
 
 Vec = tuple[int, int, int]
 
@@ -74,8 +74,7 @@ def _project_mod(v: Vec, w1: Vec, w2: Vec, u: Vec) -> tuple[int, int]:
     return (y, z)
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Rays (primitive integer vectors) and maximal cones (ray-index triples).
 
     The derived data below is computed on first use and kept on the
@@ -203,8 +202,7 @@ def walls(f: Fan) -> list[tuple[int, int]]:
     return sorted(f.wall_table)
 
 
-@dataclass(frozen=True)
-class WallReport:
+class WallReport(Record):
     """Intersection data of the invariant curve of one wall."""
 
     wall: tuple[int, int]

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
 
@@ -261,7 +260,7 @@ def test_criterion_6_graph_manifold_homology():
         assert h1_graph_manifold(DecoratedGraph(vertices, tuple(edges))) == h1
         # stored-direction reversal
         swapped = tuple(
-            replace(e, ends=(e.ends[1], e.ends[0])) if isinstance(e, CompactEdge) else e
+            e.replace(ends=(e.ends[1], e.ends[0])) if isinstance(e, CompactEdge) else e
             for e in g.edges
         )
         assert h1_graph_manifold(DecoratedGraph(g.vertices, swapped)) == h1

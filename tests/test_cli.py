@@ -94,6 +94,22 @@ def test_toric_extract_ray_not_a_3_vector():
     assert json.loads(proc.stdout)["diagnostics"] == ["ray 0 is not a 3-vector"]
 
 
+def _modules_after(code):
+    listing = "import sys; print(chr(10).join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", f"{code}; {listing}"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_start_up_footprint():
+    # What every CLI process pays for before it reads its input.
+    added = _modules_after("import singlocus.cli") - _modules_after("pass")
+    assert not added & {"dataclasses", "inspect"}
+    # The benchmark's tracer finds every traced module loaded by this import.
+    layers = ("cli", "serialize", "graphs", "descent", "intlinalg", "topology", "toric", "examples")
+    assert {f"singlocus.{name}" for name in layers} <= added
+
+
 def test_deeply_nested_input_is_a_parse_error():
     proc = run_cli(["validate"], stdin_text="[" * 100_000)
     assert proc.returncode == 2
@@ -103,7 +119,13 @@ def test_deeply_nested_input_is_a_parse_error():
 
 @pytest.mark.parametrize(
     "field, value",
-    [("reversing", "false"), ("twist", 1.9), ("holonomy", True)],
+    [
+        ("reversing", "false"),
+        ("twist", 1.9),
+        ("holonomy", True),
+        ("ends", [0, 3, 7]),
+        ("selfIntersections", [-1, -1, 99]),
+    ],
 )
 def test_graph_scalars_are_not_coerced(field, value):
     payload = graph_to_json(theta_graph())

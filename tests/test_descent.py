@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -247,7 +246,7 @@ def test_ladder_512_oriented_form_and_pic_are_fast():
     g = circular_ladder_graph(512)
     colour = [rng.randint(0, 1) for _ in g.vertices]
     edges = tuple(
-        replace(e, reversing=colour[e.ends[0] // 3] != colour[e.ends[1] // 3], holonomy=rand_scalar(rng))
+        e.replace(reversing=colour[e.ends[0] // 3] != colour[e.ends[1] // 3], holonomy=rand_scalar(rng))
         for e in g.edges
     )
     g = DecoratedGraph(g.vertices, edges)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +38,7 @@ def with_reversing(g, which):
     edges = []
     for i, e in enumerate(g.edges):
         if isinstance(e, CompactEdge) and i in which:
-            e = replace(e, reversing=True)
+            e = e.replace(reversing=True)
         edges.append(e)
     return DecoratedGraph(g.vertices, tuple(edges))
 

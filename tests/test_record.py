@@ -1,0 +1,247 @@
+"""The ``Record`` contract: every value type behaves like the frozen
+dataclass it replaced, checked against a ``make_dataclass`` twin."""
+
+import copy
+import dataclasses
+import pickle
+import typing
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from singlocus.descent import DescentDiagram, PicInvariants, VertexChart
+from singlocus.errors import TriangleConstraintViolated
+from singlocus.examples import theta_graph
+from singlocus.graphs import (
+    CompactEdge,
+    DecoratedGraph,
+    DualSurface,
+    FiniteCategory,
+    Incidence,
+    Leg,
+)
+from singlocus.intlinalg import IntMatrix, SmithForm, SparseColumns
+from singlocus.localmodels import (
+    EdgeAut,
+    Monomial,
+    PantsPresentation,
+    TwoPerE,
+    TwoPerV,
+    VertexAut,
+)
+from singlocus.record import FrozenInstanceError, Record
+from singlocus.toric import Fan, WallReport
+from singlocus.topology import H1Result, NodalCurveReport, PlumbingPresentation, ShearMatrix
+
+RECORDS = (
+    VertexChart, DescentDiagram, PicInvariants,
+    CompactEdge, Leg, DecoratedGraph, Incidence, DualSurface, FiniteCategory,
+    IntMatrix, SmithForm, SparseColumns,
+    Monomial, TwoPerE, EdgeAut, TwoPerV, VertexAut, PantsPresentation,
+    Fan, WallReport,
+    ShearMatrix, PlumbingPresentation, H1Result, NodalCurveReport,
+)
+UNCOMPARED = {FiniteCategory: {"arrows", "identities", "compose"}}
+
+# Field values of record type are drawn from these instances.
+SAMPLES = {
+    CompactEdge: [CompactEdge((0, 3)), CompactEdge((1, 4), twist=2, holonomy=Fraction(1, 2))],
+    Leg: [Leg(5)],
+    DecoratedGraph: [theta_graph(), theta_graph(twists=(1, 0, 2))],
+    VertexChart: [VertexChart((0, 1, 2)), VertexChart((2, 1, 0), Fraction(3))],
+    EdgeAut: [EdgeAut(-1, 2, Fraction(1, 2), 3, 1)],
+    IntMatrix: [IntMatrix.identity(2), IntMatrix(1, 0, ())],
+    SparseColumns: [SparseColumns(2, ({0: 1},)), SparseColumns(0, ())],
+}
+# Fields whose valid values a type does not describe.
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+OVERRIDES = {
+    (VertexAut, "perm"): st.permutations((0, 1, 2)).map(tuple),
+    (PantsPresentation, "scalars"): st.tuples(NONZERO, NONZERO, NONZERO, NONZERO).map(
+        lambda c: (c[0], c[1], 1 / (c[0] * c[1]), c[2], c[3], 1 / (c[2] * c[3]))
+    ),
+}
+# Values of the wrong shape, so that the ``__post_init__`` checks fail too.
+JUNK = st.sampled_from([0, -1, None, "x", (), (0,), (0, 0, 1), Fraction(0)])
+
+
+def values(tp) -> st.SearchStrategy:
+    """Values of the annotated type ``tp``, small and mostly valid."""
+    if tp in SAMPLES:
+        return st.sampled_from(SAMPLES[tp])
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:
+        return st.one_of(*map(values, args))
+    if origin is tuple and args[-1] is Ellipsis:
+        return st.lists(values(args[0]), max_size=3).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(values, args))
+    if origin is dict:
+        return st.dictionaries(values(args[0]), values(args[1]), max_size=3)
+    return {
+        int: st.integers(-3, 3),
+        bool: st.booleans(),
+        str: st.sampled_from("abc"),
+        Fraction: st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        type(None): st.none(),
+    }[tp]
+
+
+def field_strategies(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {
+        name: OVERRIDES[cls, name] if (cls, name) in OVERRIDES else values(hints[name])
+        for name in cls.__annotations__
+    }
+
+
+def twin(cls):
+    """The frozen dataclass with the same fields, defaults and ``__post_init__``."""
+    fields = []
+    for name in cls.__annotations__:
+        spec = {"compare": name not in UNCOMPARED.get(cls, ())}
+        if name in vars(cls):
+            spec["default"] = vars(cls)[name]
+        fields.append((name, object, dataclasses.field(**spec)))
+    namespace = {"__post_init__": vars(cls)["__post_init__"]} if "__post_init__" in vars(cls) else {}
+    return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
+
+
+TWINS = {cls: twin(cls) for cls in RECORDS}
+
+
+def outcome(f, *args, **kwargs):
+    """``f``'s value, or the type and message of the exception it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_every_record_type_is_covered():
+    assert set(Record.__subclasses__()) == set(RECORDS)
+    assert len(RECORDS) == 24
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_record_matches_frozen_dataclass(cls, data):
+    strategies = field_strategies(cls)
+    names = list(strategies)
+    if data.draw(st.integers(0, 2)) == 0:  # one field of the wrong shape
+        strategies[data.draw(st.sampled_from(names))] = JUNK
+    # Some leading fields positional, the rest by keyword; defaults may be left out.
+    k = data.draw(st.integers(0, len(names)))
+    args = [data.draw(strategies[n]) for n in names[:k]]
+    kwargs = {
+        n: data.draw(strategies[n]) for n in names[k:]
+        if n not in vars(cls) or data.draw(st.booleans())
+    }
+    made = outcome(cls, *args, **kwargs)
+    twin_made = outcome(TWINS[cls], *args, **kwargs)
+    if isinstance(twin_made, tuple):
+        assert made == twin_made
+        return
+    assert repr(made) == repr(twin_made)
+    assert hash_or_error(made) == hash_or_error(twin_made)
+    assert made == made.replace() and made != twin_made
+
+    other = {n: data.draw(strategies[n]) for n in names}
+    record_other = outcome(cls, **other)
+    if not isinstance(record_other, tuple):
+        assert (made == record_other) == (twin_made == TWINS[cls](**other))
+
+    name = data.draw(st.sampled_from(names))
+    change = {name: data.draw(strategies[name])}
+    replaced = outcome(made.replace, **change)
+    twin_replaced = outcome(dataclasses.replace, twin_made, **change)
+    assert (repr(replaced), type(replaced) is tuple) == (repr(twin_replaced), type(twin_replaced) is tuple)
+
+    with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+        setattr(made, name, 0)
+    with pytest.raises(AttributeError):
+        delattr(made, name)
+    for copied in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
+        assert copied == made and repr(copied) == repr(made)
+
+
+def test_post_init_messages_are_unchanged():
+    cases = [
+        (lambda: IntMatrix(-1, 0, ()), ValueError, "matrix dimensions must be non-negative"),
+        (lambda: IntMatrix(1, 2, (1,)), ValueError, "expected 2 entries, got 1"),
+        (lambda: CompactEdge((0, 1), holonomy=0), ValueError, "holonomy must be nonzero"),
+        (lambda: CompactEdge((0, 1), base_scalar=0), ValueError, "base scalar must be nonzero"),
+        (lambda: Monomial(0, 1, 1), ValueError, "coefficient must be nonzero"),
+        (lambda: TwoPerE(0, 1), ValueError, "coefficient must be nonzero"),
+        (lambda: EdgeAut(0, 1, 1, 1), ValueError, "eps must be +1 or -1"),
+        (lambda: EdgeAut(1, 1, 0, 1), ValueError, "lam_x must be nonzero"),
+        (lambda: EdgeAut(1, 1, 1, 0), ValueError, "lam_u must be nonzero"),
+        (lambda: TwoPerV(0), ValueError, "2-periodic structure must be nonzero"),
+        (lambda: VertexAut((1, 0, 1)), ValueError, "lambda must be nonzero"),
+        (lambda: VertexAut((1, 1, 1), (0, 0, 1)), ValueError, "perm must be a permutation of (0, 1, 2)"),
+        (lambda: PantsPresentation((1, 1, 2, 1, 1, 1)), TriangleConstraintViolated,
+         "each triangle's scalars must multiply to 1"),
+        (lambda: PantsPresentation((1, 1, 0, 1, 1, 1)), ValueError, "generator scalar must be nonzero"),
+        (lambda: VertexChart((0, 1, 2), 0), ValueError, "trivialization must be nonzero"),
+        # replace() runs the checks again.
+        (lambda: CompactEdge((0, 1)).replace(holonomy=0), ValueError, "holonomy must be nonzero"),
+    ]
+    for make, error, message in cases:
+        with pytest.raises(error) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_post_init_normalizes_fields():
+    e = CompactEdge([0, 1], twist=True, holonomy=2)
+    assert repr(e) == (
+        "CompactEdge(ends=(0, 1), twist=1, holonomy=Fraction(2, 1), "
+        "base_scalar=Fraction(1, 1), reversing=False, self_intersections=None)"
+    )
+    assert e.replace(reversing=True).reversing and not e.reversing
+
+
+def test_arguments_are_checked():
+    with pytest.raises(TypeError, match="missing arguments: ends"):
+        CompactEdge(twist=1)
+    with pytest.raises(TypeError, match="unknown or repeated"):
+        CompactEdge((0, 1), ends=(0, 1))
+    with pytest.raises(TypeError, match="unknown or repeated"):
+        Leg(end=1, start=0)
+    with pytest.raises(TypeError, match="too many"):
+        Leg(1, 2)
+    with pytest.raises(TypeError, match="unknown or repeated"):
+        Leg(1).replace(start=0)
+
+
+def test_records_of_different_classes_are_unequal():
+    assert Leg(1) != ShearMatrix(1)
+    assert len({Leg(1), ShearMatrix(1)}) == 2
+
+
+def test_finite_category_equality_ignores_its_tables():
+    full = FiniteCategory(("a",), {"ia": ("a", "a")}, {"a": "ia"}, {("ia", "ia"): "ia"})
+    bare = FiniteCategory(("a",), {}, {}, {})
+    assert full == bare and hash(full) == hash(bare) == hash((("a",),))
+    assert full != FiniteCategory(("b",), {}, {}, {})
+    assert repr(full).startswith("FiniteCategory(objects=('a',), arrows={'ia': ('a', 'a')}")
+
+
+def test_cached_properties_are_kept_out_of_the_fields():
+    g = theta_graph()
+    assert g.violations == () and "violations" in vars(g)
+    assert g == theta_graph() and hash(g) == hash(theta_graph())
+    assert repr(g) == repr(theta_graph())
+    assert pickle.loads(pickle.dumps(g)).violations == ()
+    with pytest.raises(FrozenInstanceError):
+        g.violations = ("x",)

@@ -102,6 +102,8 @@ def test_canonical_output_is_sorted_and_stable():
         ("eps", "-1"),
         ("direction", ["0", 1]),
         ("direction", [0, 1.0]),
+        ("direction", [0, 1, 2]),
+        ("direction", [0]),
         ("edge", "0"),
         ("edge", False),
     ],
