@@ -71,19 +71,14 @@ def _read_payload(args) -> tuple[dict, bytes]:
 
 
 def _emit(args, text: str, code: int) -> int:
-    """Write ``text`` and a newline to ``--output`` or stdout and return
-    ``code``; an output that cannot be written is an I/O error (exit 2)."""
-    try:
-        if getattr(args, "output", None):
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-                handle.write("\n")
-        else:
-            sys.stdout.write(text)
-            sys.stdout.write("\n")
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    """Write ``text`` and a newline to ``--output`` or stdout and return ``code``."""
+    if getattr(args, "output", None):
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.write("\n")
+    else:
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
     return code
 
 
@@ -98,21 +93,13 @@ def _report(args, command: str, raw: bytes, result: dict, diagnostics: list[str]
 
 
 def _cmd_validate(args) -> int:
-    try:
-        payload, raw = _read_payload(args)
-    except (OSError, ParseError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
-        if isinstance(payload, dict) and "rays" in payload:
-            kind = "fan"
-            violations = fan_from_json(payload).violations
-        else:
-            kind = "graph"
-            violations = graph_from_json(payload).violations
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    payload, raw = _read_payload(args)
+    if isinstance(payload, dict) and "rays" in payload:
+        kind = "fan"
+        violations = fan_from_json(payload).violations
+    else:
+        kind = "graph"
+        violations = graph_from_json(payload).violations
     result = {"kind": kind, "violations": violations}
     return _report(args, "validate", raw, result, violations, 1 if violations else 0)
 
@@ -122,12 +109,8 @@ def _cmd_toric_quartic(args) -> int:
 
 
 def _cmd_toric_extract(args) -> int:
-    try:
-        payload, raw = _read_payload(args)
-        fan = fan_from_json(payload)
-    except (OSError, ParseError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    payload, raw = _read_payload(args)
+    fan = fan_from_json(payload)
     violations = fan.violations
     if violations:
         return _report(args, "toric extract", raw, {"violations": violations}, violations, 1)
@@ -162,19 +145,11 @@ def _cmd_toric_extract(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        payload, raw = _read_payload(args)
-    except (OSError, ParseError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    payload, raw = _read_payload(args)
     wrapped = payload.get("result") if isinstance(payload, dict) else None
     if isinstance(wrapped, dict) and "graph" in wrapped:
         payload = wrapped["graph"]
-    try:
-        graph = graph_from_json(payload)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    graph = graph_from_json(payload)
 
     requested = [s for s in ANALYZE_SECTIONS if getattr(args, s.replace("-", "_"))]
     if args.all or not requested:
@@ -247,13 +222,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "toric":
-        if args.toric_command == "quartic-mirror":
-            return _cmd_toric_quartic(args)
-        return _cmd_toric_extract(args)
-    return _cmd_analyze(args)
+    try:
+        if args.command == "validate":
+            return _cmd_validate(args)
+        if args.command == "toric":
+            if args.toric_command == "quartic-mirror":
+                return _cmd_toric_quartic(args)
+            return _cmd_toric_extract(args)
+        return _cmd_analyze(args)
+    except (OSError, ParseError) as exc:  # I/O and parse errors: exit 2
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GraphMismatch, NonOrientable, TwistMismatch
-from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientability, require_connected
+from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientability
 from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
 from .record import Record
 
@@ -173,7 +173,6 @@ def _holonomies(d: DescentDiagram) -> tuple[list[Fraction], list[Fraction], list
 
 
 def pic_invariants(d: DescentDiagram) -> PicInvariants:
-    require_connected(d.graph)
     _, betas, alphas = _holonomies(d)
     return PicInvariants(tuple(aut.n for aut in d.transitions), tuple(betas), tuple(alphas))
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
-from .intlinalg import _bfs_parents, _spanning_forest, _spanning_tree
+from .errors import InvalidGraph, NonOrientable, SingLocusError
+from .intlinalg import _bfs_parents, _spanning_tree
 from .localmodels import _nonzero
 from .record import Record
 
@@ -184,18 +184,6 @@ def compact_edge_pairs(g: DecoratedGraph) -> list[tuple[int, int]]:
     return [inc.endpoints[ei] for ei, _ in g.compact_edges()]
 
 
-def is_connected(g: DecoratedGraph) -> bool:
-    if not g.vertices:
-        return False
-    _, tree = _spanning_forest(len(g.vertices), g.compact_pairs)
-    return len(tree) == len(g.vertices) - 1
-
-
-def require_connected(g: DecoratedGraph) -> None:
-    if not is_connected(g):
-        raise DisconnectedGraph("graph is not connected")
-
-
 # ---------------------------------------------------------------------------
 # Orientability
 # ---------------------------------------------------------------------------
@@ -227,7 +215,6 @@ def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:
     holonomies are the complete obstruction.
     """
     require_valid(g)
-    require_connected(g)
     w1 = [x for _, x in _flag_parity(g)[1]]
     return all(x == 0 for x in w1), w1
 
@@ -241,7 +228,6 @@ def orientation_gauge(g: DecoratedGraph) -> list[int]:
     if no such gauge exists.
     """
     require_valid(g)
-    require_connected(g)
     flips, w1 = _flag_parity(g)
     for idx, x in w1:
         if x:

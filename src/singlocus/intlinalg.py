@@ -381,13 +381,9 @@ def _spanning_tree(
     ``x``, with sign +1 when the edge is stored ``(x, y)``.  Raises
     :class:`DisconnectedGraph` unless the multigraph is connected.
     """
-    if num_vertices == 0:
-        raise DisconnectedGraph("empty vertex set")
     _, tree = _spanning_forest(num_vertices, edges)
-    if len(tree) != num_vertices - 1:
-        raise DisconnectedGraph(
-            f"graph with {num_vertices} vertices and {len(edges)} edges is not connected"
-        )
+    if len(tree) != num_vertices - 1:  # also the empty graph: 0 != -1
+        raise DisconnectedGraph("graph is not connected")
     adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(num_vertices)}
     for idx in tree:
         u, v = edges[idx]

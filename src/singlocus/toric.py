@@ -2,13 +2,17 @@
 
 The boundary surface of a smooth toric 3-fold is a normal-crossings
 surface whose singular locus is the union of the invariant curves; its
-graph has one vertex per maximal cone and one edge per wall.  For an
-interior wall the defect of the curve is computed twice:
+graph has one vertex per maximal cone and one edge per wall.  Every
+number of an interior wall is read off its 3D wall relation
 
-* a + b + 2 from the two divisor-level self-intersections, each read off
-  a 2D wall relation in a star fan, and
-* the anticanonical degree 2 + c_i + c_j from the 3D wall relation
-  u1 + u2 + c_i v_i + c_j v_j = 0.
+    u1 + u2 = x v_i + y v_j,
+
+where u1, u2 are the opposite rays of the wall's two cones.  Taken modulo
+v_i it is the 2D relation of the star fan of v_i (and likewise for v_j),
+so the curve's self-intersections in the two divisors are (a, b) =
+(-y, -x), and its defect a + b + 2 (the triple point formula) is the
+anticanonical degree 2 - x - y.  The tests compare these numbers with an
+independent computation in each star fan.
 
 Sign conventions: in a smooth 2D fan, a ray w with cyclic neighbors u1,
 u2 satisfies u1 + u2 + s w = 0 where s is the self-intersection of the
@@ -24,7 +28,6 @@ from typing import Sequence
 
 from .errors import BoundaryWall, InvalidFan, NotAWall
 from .graphs import CompactEdge, DecoratedGraph, Leg
-from .intlinalg import _egcd
 from .record import Record
 
 Vec = tuple[int, int, int]
@@ -44,34 +47,6 @@ def _cross(a: Vec, b: Vec) -> Vec:
 
 def _is_primitive(v: Vec) -> bool:
     return gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2])) == 1
-
-
-def _basis_completion(v: Vec) -> tuple[Vec, Vec]:
-    """Two vectors completing the primitive v to a positive basis of Z^3.
-
-    Built from two extended-gcd steps; det(v, w1, w2) = 1 exactly.
-    """
-    a, b, c = v
-    g_ab, s, t = _egcd(a, b)  # s*a + t*b = g_ab
-    g, u, w = _egcd(g_ab, c)  # u*g_ab + w*c = 1
-    if g != 1:
-        raise ValueError(f"{v} is not primitive")
-    if g_ab == 0:
-        w1: Vec = (1, 0, 0)
-        w2: Vec = (0, 1 if c > 0 else -1, 0)
-    else:
-        w1 = (-t, s, 0)
-        w2 = (-(a // g_ab) * w, -(b // g_ab) * w, u)
-    assert _det3(v, w1, w2) == 1
-    return w1, w2
-
-
-def _project_mod(v: Vec, w1: Vec, w2: Vec, u: Vec) -> tuple[int, int]:
-    """Coordinates of u in Z^3 / Z v, using the completion basis (w1, w2)."""
-    # u = x v + y w1 + z w2; Cramer with determinant 1.
-    y = _det3(v, u, w2)
-    z = _det3(v, w1, u)
-    return (y, z)
 
 
 class Fan(Record):
@@ -212,33 +187,6 @@ class WallReport(Record):
     anticanonical_degree: int
 
 
-def _star_self_intersection(f: Fan, ray: int, wall_ray: int, opposite: tuple[int, int]) -> int:
-    """Self-intersection of the wall curve inside the divisor of ``ray``.
-
-    ``opposite`` holds the third rays of the two cones containing the wall
-    (the cyclic neighbors of ``wall_ray`` in the star fan of ``ray``); the
-    2D relation  u1 + u2 + s * w = 0  in Z^3 / Z ray  yields s.
-    """
-    v = f.rays[ray]
-    w1, w2 = _basis_completion(v)
-    wbar = _project_mod(v, w1, w2, f.rays[wall_ray])
-    u1bar = _project_mod(v, w1, w2, f.rays[opposite[0]])
-    u2bar = _project_mod(v, w1, w2, f.rays[opposite[1]])
-    total = (u1bar[0] + u2bar[0], u1bar[1] + u2bar[1])
-    # total must be -s * wbar for an integer s (smoothness of the star).
-    if wbar[0] != 0:
-        if total[0] % wbar[0]:
-            raise InvalidFan([f"star of ray {ray} is not smooth at wall ray {wall_ray}"])
-        s = -(total[0] // wbar[0])
-    else:
-        if total[0] != 0 or wbar[1] == 0 or total[1] % wbar[1]:
-            raise InvalidFan([f"star of ray {ray} is not smooth at wall ray {wall_ray}"])
-        s = -(total[1] // wbar[1])
-    if (total[0] + s * wbar[0], total[1] + s * wbar[1]) != (0, 0):
-        raise InvalidFan([f"wall relation fails in the star of ray {ray}"])
-    return s
-
-
 def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
     """Defect and intersection data of one wall.
 
@@ -259,26 +207,17 @@ def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
 def _wall_report(f: Fan, key: tuple[int, int], cones: list[int]) -> WallReport:
     """Report of the interior wall ``key`` (sorted) of a valid fan."""
     i, j = key
-    opposite = []
-    for ci in cones:
-        (opp,) = set(f.cones[ci]) - {i, j}
-        opposite.append(opp)
-    opposite = tuple(opposite)
-
-    a = _star_self_intersection(f, i, j, opposite)
-    b = _star_self_intersection(f, j, i, opposite)
-    defect = a + b + 2
-
-    # Independent check from the 3D wall relation u1 + u2 + ci vi + cj vj = 0.
-    u1, u2 = (f.rays[k] for k in opposite)
+    u1, u2 = (f.rays[k] for ci in cones for k in f.cones[ci] if k not in key)
     vi, vj = f.rays[i], f.rays[j]
     total = tuple(u1[k] + u2[k] for k in range(3))
     # Solve total = x vi + y vj (+ 0 * u1); (vi, vj, u1) is a cone, so d = +-1.
     if _det3(vi, vj, total) != 0:
         raise InvalidFan([f"wall {key} has no integral wall relation"])
     d = _det3(vi, vj, u1)
-    anticanonical = 2 - d * _det3(total, vj, u1) - d * _det3(vi, total, u1)
-    return WallReport(key, tuple(cones), (a, b), defect, anticanonical)
+    x, y = d * _det3(total, vj, u1), d * _det3(vi, total, u1)
+    defect = 2 - x - y
+    # Modulo vi the relation is u1 + u2 + (-y) vj = 0, the star relation of vi.
+    return WallReport(key, tuple(cones), (-y, -x), defect, defect)
 
 
 def boundary_graph(f: Fan) -> DecoratedGraph:
@@ -372,7 +311,10 @@ def divisor_classification(f: Fan) -> list[dict]:
                 order.pop()
                 break
             if len(order) > len(neighbor_links):
-                raise InvalidFan([f"star of ray {ri} is not a cycle or chain"])
+                break
+        # Too long: the walk repeats a ray; too short: it missed a component.
+        if len(order) != len(neighbor_links):
+            raise InvalidFan([f"star of ray {ri} is not a cycle or chain"])
         values = []
         for w in order:
             report = f.wall_reports.get((min(ri, w), max(ri, w)))

@@ -5,9 +5,11 @@ Smith-form oracle uses gcds of minors via fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
 Hermite-style membership test, the pencil oracle builds the nodal
 curve one annulus at a time, the fan oracle finds cone coordinates
-with rational Cramer's rule, and the w1 and Pic oracles multiply along
-the explicit cycles of ``cycle_basis``, one search per cycle (only the
-spanning tree is shared with the potentials they check).
+with rational Cramer's rule, the wall oracle reads each self-intersection
+off the 2D relation in a star fan (a basis completion per wall end), and
+the w1 and Pic oracles multiply along the explicit cycles of
+``cycle_basis``, one search per cycle (only the spanning tree is shared
+with the potentials they check).
 The presentation oracle builds the H1 relations from each edge's stored
 direction with generators numbered per vertex, and the F_p-rank oracle
 eliminates rows modulo p.  ``blowup_fan`` and ``random_multigraph``
@@ -22,7 +24,7 @@ from math import gcd
 
 from singlocus.descent import PicInvariants
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex
-from singlocus.intlinalg import IntMatrix, cycle_basis
+from singlocus.intlinalg import IntMatrix, _egcd, cycle_basis
 from singlocus.toric import Fan
 
 
@@ -374,9 +376,14 @@ def random_multigraph(rng, vertices, orientable=False, unit_holonomy=False):
 def blowup_fan(rng, steps):
     """P^3 after ``steps`` random star subdivisions: a point blowup adds
     v1+v2+v3 and splits a cone into 3, a curve blowup adds vi+vj and splits
-    the wall's 2 cones into 4 (Cox-Little-Schenck, section 3.3)."""
+    the wall's 2 cones into 4 (Cox-Little-Schenck, section 3.3).
+
+    Returns the fan and the sorted wall (i, j) that the last step blew up,
+    or None when the last step blew up a point or there was no step; the
+    new ray of the last step is the fan's last ray."""
     rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
     cones = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    wall = None
     for _ in range(steps):
         n = len(rays)
         ci = rng.randrange(len(cones))
@@ -385,6 +392,7 @@ def blowup_fan(rng, steps):
             rays.append([a + b + c for a, b, c in zip(rays[i], rays[j], rays[k])])
             cones[ci] = [i, j, n]
             cones += [[i, k, n], [j, k, n]]
+            wall = None
             continue
         i, j, a = rng.sample(cones[ci], 3)
         (other,) = [c for c in range(len(cones)) if c != ci and i in cones[c] and j in cones[c]]
@@ -392,7 +400,8 @@ def blowup_fan(rng, steps):
         rays.append([x + y for x, y in zip(rays[i], rays[j])])
         cones[ci], cones[other] = [i, n, a], [i, n, b]
         cones += [[j, n, a], [j, n, b]]
-    return Fan.build(rays, cones)
+        wall = (min(i, j), max(i, j))
+    return Fan.build(rays, cones), wall
 
 
 def _det3(a, b, c) -> int:
@@ -471,3 +480,48 @@ def fan_violations_oracle(f) -> list[str]:
             if min(coords) >= 0 and sum(1 for x in coords if x > 0) >= 2:
                 report.append(f"ray {ri} lies inside cone {ci}")
     return report
+
+
+def _basis_completion(v) -> tuple:
+    """Two vectors completing the primitive v to a basis of Z^3 with
+    det(v, w1, w2) = 1, from two extended-gcd steps."""
+    a, b, c = v
+    g_ab, s, t = _egcd(a, b)  # s*a + t*b = g_ab
+    g, u, w = _egcd(g_ab, c)  # u*g_ab + w*c = 1
+    assert g == 1, f"{v} is not primitive"
+    if g_ab == 0:
+        w1, w2 = (1, 0, 0), (0, 1 if c > 0 else -1, 0)
+    else:
+        w1, w2 = (-t, s, 0), (-(a // g_ab) * w, -(b // g_ab) * w, u)
+    assert _det3(v, w1, w2) == 1
+    return w1, w2
+
+
+def _star_self_intersection(f, ray, wall_ray, opposite) -> int:
+    """Self-intersection s of the curve of ``wall_ray`` in the star fan of
+    ``ray``, from the 2D relation u1 + u2 + s w = 0 in Z^3 / Z ray, whose
+    coordinates come from a basis completion of ``ray``."""
+    v = f.rays[ray]
+    w1, w2 = _basis_completion(v)
+
+    def project(u):  # u = x v + y w1 + z w2, by Cramer with determinant 1
+        return (_det3(v, u, w2), _det3(v, w1, u))
+
+    wbar = project(f.rays[wall_ray])
+    u1bar, u2bar = (project(f.rays[k]) for k in opposite)
+    total = (u1bar[0] + u2bar[0], u1bar[1] + u2bar[1])
+    k = 0 if wbar[0] else 1
+    assert wbar[k] and total[k] % wbar[k] == 0, f"star of ray {ray} is not smooth"
+    s = -(total[k] // wbar[k])
+    assert (total[0] + s * wbar[0], total[1] + s * wbar[1]) == (0, 0)
+    return s
+
+
+def wall_self_intersections_oracle(f, wall) -> tuple[int, int]:
+    """Self-intersections (a, b) of the curve of the interior wall
+    ``wall = (i, j)``, i < j, in the divisors of i and of j, each computed
+    in its own star fan."""
+    i, j = wall
+    opposite = [k for c in f.cones if i in c and j in c for k in c if k not in wall]
+    assert len(opposite) == 2, f"{wall} is not an interior wall"
+    return (_star_self_intersection(f, i, j, opposite), _star_self_intersection(f, j, i, opposite))

@@ -94,6 +94,17 @@ def test_toric_extract_ray_not_a_3_vector():
     assert json.loads(proc.stdout)["diagnostics"] == ["ray 0 is not a 3-vector"]
 
 
+def test_toric_extract_split_star():
+    # Valid fan; the star of ray 0 is two chains, 1-2-5 and 3-6-4.
+    fan = {
+        "rays": [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, -1, 0], [-1, -1, 0], [-1, 1, 0], [-1, -2, 0]],
+        "cones": [[0, 1, 2], [0, 2, 5], [0, 3, 6], [0, 6, 4]],
+    }
+    code, out, err = run_main(["toric", "extract"], json.dumps(fan).encode("utf-8"))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == ["InvalidFan: invalid fan: star of ray 0 is not a cycle or chain"]
+
+
 def _modules_after(code):
     listing = "import sys; print(chr(10).join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", f"{code}; {listing}"], capture_output=True, text=True)

@@ -249,7 +249,7 @@ def dense_h1(g):
     "graph",
     [
         pytest.param(lambda: circular_ladder_graph(16), id="ladder16"),
-        pytest.param(lambda: boundary_graph(blowup_fan(random.Random(20), 20)), id="blowup20"),
+        pytest.param(lambda: boundary_graph(blowup_fan(random.Random(20), 20)[0]), id="blowup20"),
     ],
 )
 def test_h1_matches_dense_snf(graph):
@@ -291,7 +291,7 @@ def test_h1_matches_dense_snf_on_random_multigraphs(seed, vertices, data):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_h1_of_50_step_blowups_matches_fp_ranks(seed):
     # Dense snf cannot finish on these presentations (312 x 312).
-    g = boundary_graph(blowup_fan(random.Random(seed), 50))
+    g = boundary_graph(blowup_fan(random.Random(seed), 50)[0])
     start = time.perf_counter()
     h1 = h1_graph_manifold(g)
     assert time.perf_counter() - start < 2.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.errors import BoundaryWall, NotAWall
+from singlocus.errors import BoundaryWall, InvalidFan, NotAWall
 from singlocus.examples import conifold_fan, p1p1p1_fan, p3_fan
 from singlocus.graphs import dual_surface, validate_graph
 from singlocus.toric import (
@@ -19,7 +19,7 @@ from singlocus.toric import (
     walls,
 )
 
-from oracles import blowup_fan, fan_violations_oracle
+from oracles import blowup_fan, fan_violations_oracle, wall_self_intersections_oracle
 
 ALL_FIXTURE_FANS = {
     "p3": p3_fan,
@@ -27,6 +27,12 @@ ALL_FIXTURE_FANS = {
     "p1p1p1": p1p1p1_fan,
     "quartic": quartic_mirror_fan,
 }
+
+# A valid fan whose ray 0 has a star of two separate chains, 1-2-5 and 3-6-4.
+SPLIT_STAR_FAN = Fan.build(
+    [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, -1, 0], [-1, -1, 0], [-1, 1, 0], [-1, -2, 0]],
+    [[0, 1, 2], [0, 2, 5], [0, 3, 6], [0, 6, 4]],
+)
 
 
 # --- validation --------------------------------------------------------
@@ -97,7 +103,7 @@ def test_fan_diagnostics(rays, cones, expected):
 @st.composite
 def mutated_blowups(draw):
     """Blowups of 0-25 steps, valid or with one mutation."""
-    fan = blowup_fan(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(0, 25)))
+    fan, _ = blowup_fan(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(0, 25)))
     rays = [list(r) for r in fan.rays]
     cones = [list(c) for c in fan.cones]
     cone = cones[draw(st.integers(0, len(cones) - 1))]
@@ -127,7 +133,7 @@ def test_validate_fan_matches_rational_oracle(f):
 
 
 def test_validate_fan_400_step_blowup_is_fast():
-    f = blowup_fan(random.Random(400), 400)
+    f, _ = blowup_fan(random.Random(400), 400)
     start = time.perf_counter()
     report = validate_fan(f)
     seconds = time.perf_counter() - start
@@ -176,17 +182,42 @@ def test_p1p1p1_walls():
         assert report.anticanonical_degree == 2
 
 
+def check_walls_against_star_oracle(f):
+    """Every interior wall's self-intersections equal the star-fan oracle's,
+    and its defect is the anticanonical degree and a + b + 2."""
+    for wall in walls(f):
+        try:
+            report = wall_data(f, wall)
+        except BoundaryWall:
+            continue
+        a, b = report.self_intersections
+        assert (a, b) == wall_self_intersections_oracle(f, wall), wall
+        assert report.defect == report.anticanonical_degree == a + b + 2, wall
+    assert boundary_graph(f).violations == ()
+
+
 def test_triple_point_formula_cross_check_everywhere():
-    for name, factory in ALL_FIXTURE_FANS.items():
-        f = factory()
-        for wall in walls(f):
-            try:
-                report = wall_data(f, wall)
-            except BoundaryWall:
-                continue
-            assert report.defect == report.anticanonical_degree, (name, wall)
-            a, b = report.self_intersections
-            assert report.defect == a + b + 2
+    for factory in ALL_FIXTURE_FANS.values():
+        check_walls_against_star_oracle(factory())
+    check_walls_against_star_oracle(SPLIT_STAR_FAN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 50))
+def test_blowup_walls_and_exceptional_divisor(seed, steps):
+    f, wall = blowup_fan(random.Random(seed), steps)
+    check_walls_against_star_oracle(f)
+    if not steps:
+        return
+    (last,) = [e for e in divisor_classification(f) if e["ray"] == len(f.rays) - 1]
+    assert last["kind"] == "cycle"
+    if wall is None:  # a point blown up: P^2
+        assert last["selfIntersections"] == (1, 1, 1)
+    else:  # a curve blown up: the Hirzebruch surface F_k, k = |a - b|
+        before, _ = blowup_fan(random.Random(seed), steps - 1)
+        a, b = before.wall_reports[wall].self_intersections
+        k = abs(a - b)
+        assert last["selfIntersections"] == (-k, 0, k, 0)
 
 
 # --- boundary graphs ---------------------------------------------------
@@ -296,3 +327,11 @@ def test_classification_normalization_stable():
 def test_conifold_divisors_are_chains():
     entries = divisor_classification(conifold_fan())
     assert all(e["kind"] == "chain" for e in entries)
+
+
+def test_split_star_is_not_classified():
+    # The walk along the star of ray 0 from boundary ray 1 ends at ray 5;
+    # the chain 3-6-4 must not be dropped silently.
+    assert validate_fan(SPLIT_STAR_FAN) == []
+    with pytest.raises(InvalidFan, match="star of ray 0 is not a cycle or chain"):
+        divisor_classification(SPLIT_STAR_FAN)
