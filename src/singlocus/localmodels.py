@@ -17,7 +17,7 @@ from .record import Record
 
 
 def _nonzero(value, what: str) -> Fraction:
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     if f == 0:
         raise ValueError(f"{what} must be nonzero")
     return f

@@ -24,7 +24,7 @@ class ParseError(SingLocusError):
 
 
 def format_rational(x: Fraction) -> str:
-    f = Fraction(x)
+    f = x if type(x) is Fraction else Fraction(x)
     return f"{f.numerator}/{f.denominator}"
 
 

@@ -14,6 +14,13 @@ so the curve's self-intersections in the two divisors are (a, b) =
 anticanonical degree 2 - x - y.  The tests compare these numbers with an
 independent computation in each star fan.
 
+Validation (:func:`validate_fan`) is exact and integer-only, and its
+report is empty iff the fan is a smooth fan.  A smooth complete fan
+is certified in linear time: every wall in two cones, every star one cycle
+winding once around its ray, and Euler characteristic 2, so the cones
+cover the sphere of directions once.  Any other fan is scanned for rays
+inside foreign cones and for boundary walls that cross foreign walls.
+
 Sign conventions: in a smooth 2D fan, a ray w with cyclic neighbors u1,
 u2 satisfies u1 + u2 + s w = 0 where s is the self-intersection of the
 curve of w (so the ray of a line in the plane fan of P^2 gets s = 1).
@@ -82,6 +89,21 @@ class Fan(Record):
         return out
 
     @cached_property
+    def stars(self) -> tuple[tuple[tuple[int, ...], bool] | None, ...]:
+        """Per ray, the link of its star (the neighbour rays of the cones
+        through it) in walk order and whether the link is a cycle; None when
+        the link is neither one cycle nor one chain.  A chain is walked from
+        its smaller end ray, a cycle from its smallest ray; a ray in no cone
+        has the empty chain.  Read only once the cones are well formed."""
+        links: list[dict[int, list[int]]] = [{} for _ in self.rays]
+        for a, b, c in self.cones:
+            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+                link = links[v]
+                link.setdefault(x, []).append(y)
+                link.setdefault(y, []).append(x)
+        return tuple(_walk_link(link) for link in links)
+
+    @cached_property
     def wall_reports(self) -> dict[tuple[int, int], "WallReport"]:
         """Report of every interior wall; raises :class:`InvalidFan`."""
         require_valid_fan(self)
@@ -92,9 +114,35 @@ class Fan(Record):
         }
 
 
+def _walk_link(link: dict[int, list[int]]) -> tuple[tuple[int, ...], bool] | None:
+    """The walk of one star's link graph (neighbour ray -> linked rays)."""
+    if not link:
+        return (), False
+    start = min((k for k, v in link.items() if len(v) == 1), default=None)
+    complete = start is None
+    if complete:
+        start = min(link)
+    order = [start]
+    prev, here = None, start
+    while len(order) <= len(link):
+        step = next((x for x in link[here] if x != prev), None)
+        if step is None or (complete and step == start):
+            break
+        order.append(step)
+        prev, here = here, step
+    # Too long: the walk repeats a ray; too short: it missed a component.
+    return (tuple(order), complete) if len(order) == len(link) else None
+
+
 def validate_fan(f: Fan) -> list[str]:
     """Violations: non-primitive/duplicate rays, non-unimodular cones,
-    improperly intersecting cones.  Empty iff the fan is a smooth fan."""
+    improperly intersecting cones.  Empty iff the fan is a smooth fan.
+
+    A smooth complete fan is certified in time linear in its size (see
+    :func:`_covers_sphere_once`).  Any other fan that passes the local
+    checks is scanned for rays inside foreign cones, O(rays x cones), and
+    then for crossing walls, O(boundary walls x walls); the scan is the
+    only code that reports an improper intersection."""
     report = []
     seen: dict[Vec, int] = {}
     not_3d = set()
@@ -143,6 +191,8 @@ def validate_fan(f: Fan) -> list[str]:
                 sides.append(_det3(vi, vj, f.rays[opp]))
             if sides[0] * sides[1] >= 0:
                 report.append(f"cones {cones[0]} and {cones[1]} overlap across wall {wall}")
+    if not report and _covers_sphere_once(f):
+        return report
     # No ray may meet the relative interior of a foreign cone or of one of
     # its walls (two or more strictly positive cone coordinates).  Every cone
     # is unimodular here, so its inverse is d * adj with d = +-1, and the
@@ -165,7 +215,64 @@ def validate_fan(f: Fan) -> list[str]:
             else:
                 if positive >= 2:
                     report.append(f"ray {ri} lies inside cone {ci}")
+    if report:
+        return report
+    # Two cones can still overlap with no ray inside the other; the edge of
+    # their overlap is then a boundary wall crossing a foreign wall.  Walls
+    # (a, b) and (c, d) cross iff the kernel of [a b -c -d] has one sign.
+    table = f.wall_table
+    crossings = set()
+    for wall, cones in table.items():
+        if len(cones) != 1:
+            continue
+        a, b = (f.rays[k] for k in wall)
+        for other in table:
+            if wall[0] in other or wall[1] in other:
+                continue
+            c, d = (f.rays[k] for k in other)
+            s1 = _det3(a, b, c)
+            if s1 * _det3(a, b, d) < 0:
+                s3 = _det3(c, d, a)
+                if s3 * _det3(c, d, b) < 0 and s1 * s3 < 0:
+                    crossings.add((min(wall, other), max(wall, other)))
+    report.extend(f"walls {w} and {x} cross" for w, x in sorted(crossings))
     return report
+
+
+def _covers_sphere_once(f: Fan) -> bool:
+    """Whether the cones of ``f`` cover R^3 exactly once, certified from
+    the wall table, the star walks and one Euler characteristic.
+
+    Only read after the checks before the ray scan of :func:`validate_fan`
+    have passed: the cones are unimodular and every wall has at most two
+    cones, on opposite sides.  Then, when every wall has exactly two cones,
+    every link is one cycle and every star winds once around its ray, the
+    map from the cone complex to the sphere of directions is a local
+    homeomorphism of a closed surface, hence a covering of degree
+    chi / 2; rays - walls + cones = 2 leaves one sheet, so no ray meets a
+    foreign cone and no two walls cross.
+    """
+    table = f.wall_table
+    if len(f.rays) - len(table) + len(f.cones) != 2:
+        return False
+    if any(len(cones) != 2 for cones in table.values()):
+        return False
+    for v, star in zip(f.rays, f.stars):
+        if star is None or not star[1]:
+            return False
+        order = star[0]
+        u0 = f.rays[order[0]]
+        # Signs of det(v, u, u0) relative to the star's orientation, which
+        # the opposite-sides check made common to all its cones.
+        m = _cross(u0, v)
+        if _det3(v, u0, f.rays[order[1]]) < 0:
+            m = (-m[0], -m[1], -m[2])
+        sides = [m[0] * x + m[1] * y + m[2] * z for x, y, z in (f.rays[k] for k in order)]
+        # The half-open 2D cones [u_k, u_k+1) that contain u0: the winding.
+        winding = sum(1 for k in range(len(sides)) if sides[k - 1] >= 0 > sides[k])
+        if winding != 1:
+            return False
+    return True
 
 
 def require_valid_fan(f: Fan) -> None:
@@ -280,41 +387,11 @@ def divisor_classification(f: Fan) -> list[dict]:
     only).
     """
     require_valid_fan(f)
-    stars: list[list[int]] = [[] for _ in f.rays]
-    for ci, cone in enumerate(f.cones):
-        for k in cone:
-            stars[k].append(ci)
     out = []
-    for ri, star_cones in enumerate(stars):
-        # Neighbor rays and the cones of the star, in walk order.
-        if not star_cones:
-            out.append({"ray": ri, "kind": "chain", "selfIntersections": ()})
-            continue
-        # adjacency between neighbor rays through the star's cones
-        neighbor_links: dict[int, list[int]] = {}
-        for ci in star_cones:
-            others = [k for k in f.cones[ci] if k != ri]
-            neighbor_links.setdefault(others[0], []).append(others[1])
-            neighbor_links.setdefault(others[1], []).append(others[0])
-        boundary_rays = sorted(k for k, v in neighbor_links.items() if len(v) == 1)
-        complete = not boundary_rays
-        start = boundary_rays[0] if boundary_rays else min(neighbor_links)
-        order = [start]
-        prev = None
-        while True:
-            nxts = [x for x in neighbor_links[order[-1]] if x != prev]
-            if not nxts:
-                break
-            prev = order[-1]
-            order.append(nxts[0])
-            if complete and order[-1] == start:
-                order.pop()
-                break
-            if len(order) > len(neighbor_links):
-                break
-        # Too long: the walk repeats a ray; too short: it missed a component.
-        if len(order) != len(neighbor_links):
+    for ri, star in enumerate(f.stars):
+        if star is None:
             raise InvalidFan([f"star of ray {ri} is not a cycle or chain"])
+        order, complete = star
         values = []
         for w in order:
             report = f.wall_reports.get((min(ri, w), max(ri, w)))

@@ -415,7 +415,14 @@ def _det3(a, b, c) -> int:
 def fan_violations_oracle(f) -> list[str]:
     """The violations of ``validate_fan``, in its order, with each
     foreign-ray test solved for rational cone coordinates by Cramer's rule
-    over every (ray, cone) pair."""
+    over every (ray, cone) pair, and overlapping cones found pairwise by a
+    search for a separating plane.
+
+    When some pair overlaps, the crossings of a boundary wall with a
+    foreign wall are listed, each found by solving for a common point of
+    the two walls' relative interiors; an overlap that no such crossing
+    shows is reported as ``cones i and j overlap``, which ``validate_fan``
+    never says."""
     report = []
     seen = {}
     not_3d = set()
@@ -479,7 +486,59 @@ def fan_violations_oracle(f) -> list[str]:
             )
             if min(coords) >= 0 and sum(1 for x in coords if x > 0) >= 2:
                 report.append(f"ray {ri} lies inside cone {ci}")
-    return report
+    if report:
+        return report
+    overlapping = [
+        (i, j)
+        for i, j in combinations(range(len(f.cones)), 2)
+        if _cones_overlap([f.rays[k] for k in f.cones[i]], [f.rays[k] for k in f.cones[j]])
+    ]
+    if not overlapping:
+        return report
+    crossings = sorted(
+        (min(w, x), max(w, x))
+        for w, x in combinations(wall_table, 2)
+        if 1 in (len(wall_table[w]), len(wall_table[x]))
+        and not set(w) & set(x)
+        and _walls_cross(*(f.rays[k] for k in w + x))
+    )
+    if crossings:
+        return [f"walls {w} and {x} cross" for w, x in crossings]
+    return [f"cones {i} and {j} overlap" for i, j in overlapping]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _cones_overlap(first, second) -> bool:
+    """Whether two full-dimensional simplicial cones, given by their rays,
+    have meeting interiors.  They do not iff a plane through the origin has
+    each weakly on one side.  The normals of such planes form a pointed
+    polyhedral cone cut out by one inequality per ray, so if there is one,
+    an extreme one is orthogonal to two of the six rays: a facet normal of
+    either cone or the cross product of a ray of each."""
+    rays = first + second
+    for p, q in combinations(rays, 2):
+        n = _cross(p, q)
+        if n == (0, 0, 0):
+            continue
+        a = [sum(x * y for x, y in zip(n, r)) for r in first]
+        b = [sum(x * y for x, y in zip(n, r)) for r in second]
+        if (max(a) <= 0 <= min(b)) or (max(b) <= 0 <= min(a)):
+            return False
+    return True
+
+
+def _walls_cross(a, b, c, d) -> bool:
+    """Whether the 2D cones (a, b) and (c, d) meet in both relative
+    interiors: x a + y b - z c = d with x, y, z > 0, by exact Cramer."""
+    m = tuple(-x for x in c)
+    det = _det3(a, b, m)
+    if det == 0:  # a, b, c coplanar: no point is interior to both
+        return False
+    x, y, z = (Fraction(_det3(*cols), det) for cols in ((d, b, m), (a, d, m), (a, b, d)))
+    return x > 0 and y > 0 and z > 0
 
 
 def _basis_completion(v) -> tuple:

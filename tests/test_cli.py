@@ -105,6 +105,24 @@ def test_toric_extract_split_star():
     assert json.loads(out)["diagnostics"] == ["InvalidFan: invalid fan: star of ray 0 is not a cycle or chain"]
 
 
+@pytest.mark.parametrize("command", [["validate"], ["toric", "extract"]])
+def test_overlapping_cones_without_inner_rays_are_rejected(command):
+    # Both cones contain (5, -3, -12) = r0 + 7 r1 + r2 = r3 + 11 r4 + r5,
+    # though no ray of one lies in the other.
+    fan = {
+        "rays": [[-1, -1, 1], [1, 0, -2], [-1, -2, 1], [3, -2, 1], [0, 0, -1], [2, -1, -2]],
+        "cones": [[0, 1, 2], [3, 4, 5]],
+    }
+    code, out, err = run_main(command, json.dumps(fan).encode("utf-8"))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == [
+        "walls (0, 1) and (3, 4) cross",
+        "walls (0, 1) and (4, 5) cross",
+        "walls (1, 2) and (3, 4) cross",
+        "walls (1, 2) and (4, 5) cross",
+    ]
+
+
 def _modules_after(code):
     listing = "import sys; print(chr(10).join(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", f"{code}; {listing}"], capture_output=True, text=True)

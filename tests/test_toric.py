@@ -11,6 +11,7 @@ from singlocus.examples import conifold_fan, p1p1p1_fan, p3_fan
 from singlocus.graphs import dual_surface, validate_graph
 from singlocus.toric import (
     Fan,
+    _covers_sphere_once,
     boundary_graph,
     divisor_classification,
     quartic_mirror_fan,
@@ -41,6 +42,8 @@ SPLIT_STAR_FAN = Fan.build(
 def test_fixture_fans_valid():
     for name, factory in ALL_FIXTURE_FANS.items():
         assert validate_fan(factory()) == [], name
+        # every fixture but the conifold is complete, and certified so
+        assert _covers_sphere_once(factory()) == (name != "conifold"), name
 
 
 def test_non_unimodular_cone():
@@ -92,6 +95,18 @@ E123 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
             id="not-three",
         ),
         pytest.param(E123, [[0, 1, 3]], ["cone 0 has an out-of-range ray index"], id="out-of-range"),
+        # the cones share the interior point (5, -3, -12), but no ray lies in the other
+        pytest.param(
+            [[-1, -1, 1], [1, 0, -2], [-1, -2, 1], [3, -2, 1], [0, 0, -1], [2, -1, -2]],
+            [[0, 1, 2], [3, 4, 5]],
+            [
+                "walls (0, 1) and (3, 4) cross",
+                "walls (0, 1) and (4, 5) cross",
+                "walls (1, 2) and (3, 4) cross",
+                "walls (1, 2) and (4, 5) cross",
+            ],
+            id="crossing-walls",
+        ),
     ],
 )
 def test_fan_diagnostics(rays, cones, expected):
@@ -100,14 +115,47 @@ def test_fan_diagnostics(rays, cones, expected):
     assert fan_violations_oracle(f) == expected
 
 
+def two_sheets(fan, draw):
+    """``fan`` plus its image under a unimodular map that moves every ray
+    off the rays of ``fan``: two complete fans, Euler characteristic 4.
+
+    With B the largest |coordinate|, K > 2B and r = (x, y, z), the shears
+    give (x + K y, y + K (z + K x), z + K x), whose third, first or second
+    coordinate exceeds B when x != 0, x = 0 != y or x = y = 0; a signed
+    permutation keeps that."""
+    big = max(abs(x) for r in fan.rays for x in r)
+    k = 2 * big + draw(st.integers(1, 5))
+    perm = draw(st.permutations(range(3)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=3, max_size=3))
+
+    def image(r):
+        x, y, z = r
+        z += k * x
+        x, y = x + k * y, y + k * z
+        v = (x, y, z)
+        return [signs[i] * v[perm[i]] for i in range(3)]
+
+    rays = [list(r) for r in fan.rays] + [image(r) for r in fan.rays]
+    n = len(fan.rays)
+    cones = [list(c) for c in fan.cones] + [[i + n for i in c] for c in fan.cones]
+    return Fan.build(rays, cones)
+
+
 @st.composite
 def mutated_blowups(draw):
-    """Blowups of 0-25 steps, valid or with one mutation."""
+    """Blowups of 0-25 steps, valid, with one mutation, with some cones
+    dropped (incomplete) or doubled into two sheets."""
     fan, _ = blowup_fan(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(0, 25)))
     rays = [list(r) for r in fan.rays]
     cones = [list(c) for c in fan.cones]
     cone = cones[draw(st.integers(0, len(cones) - 1))]
-    kind = draw(st.sampled_from(["none", "ray", "index", "extra", "drop", "duplicate", "permute"]))
+    kind = draw(
+        st.sampled_from(
+            ["none", "ray", "index", "extra", "drop", "drop-some", "two-sheet", "duplicate", "permute"]
+        )
+    )
+    if kind == "two-sheet":
+        return two_sheets(fan, draw)
     if kind == "ray":
         ray = rays[draw(st.integers(0, len(rays) - 1))]
         ray[draw(st.integers(0, 2))] += draw(st.sampled_from([-2, -1, 1, 2]))
@@ -119,6 +167,9 @@ def mutated_blowups(draw):
         rays.append([sum(w * rays[i][k] for w, i in zip(weights, cone)) for k in range(3)])
     elif kind == "drop":
         cones.remove(cone)
+    elif kind == "drop-some":
+        keep = draw(st.lists(st.booleans(), min_size=len(cones), max_size=len(cones)))
+        cones = [c for c, kept in zip(cones, keep) if kept]
     elif kind == "duplicate":
         cones.append(draw(st.permutations(cone)))
     elif kind == "permute":
@@ -132,6 +183,32 @@ def test_validate_fan_matches_rational_oracle(f):
     assert validate_fan(f) == fan_violations_oracle(f)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 80), st.data())
+def test_certificate_accepts_blowups_and_refuses_two_sheets(seed, steps, data):
+    f, _ = blowup_fan(random.Random(seed), steps)
+    assert _covers_sphere_once(f)
+    assert validate_fan(f) == []
+    if steps <= 25:
+        doubled = two_sheets(f, data.draw)
+        assert not _covers_sphere_once(doubled)
+        report = validate_fan(doubled)
+        assert report and report == fan_violations_oracle(doubled)
+
+
+def test_certificate_refuses_a_star_that_winds_twice():
+    # Two poles over an equator link that goes around twice, the second
+    # lap raised by e3: a sphere of cones (chi = 2), each wall in two cones
+    # on opposite sides, but the map to directions is a double cover
+    # branched at the poles.
+    laps = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+    f = Fan.build([[0, 0, 1], [0, 0, -1]] + laps, [[p, 2 + k, 2 + (k + 1) % 8] for p in (0, 1) for k in range(8)])
+    assert len(f.rays) - len(walls(f)) + len(f.cones) == 2
+    assert not _covers_sphere_once(f)
+    report = validate_fan(f)
+    assert len(report) == 16 and report == fan_violations_oracle(f)
+
+
 def test_validate_fan_400_step_blowup_is_fast():
     f, _ = blowup_fan(random.Random(400), 400)
     start = time.perf_counter()
@@ -139,6 +216,15 @@ def test_validate_fan_400_step_blowup_is_fast():
     seconds = time.perf_counter() - start
     assert report == []
     assert seconds < 1.0
+
+
+def test_validate_fan_1600_step_blowup_is_fast():
+    f, _ = blowup_fan(random.Random(1600), 1600)
+    start = time.perf_counter()
+    report = validate_fan(f)
+    seconds = time.perf_counter() - start
+    assert report == []
+    assert seconds < 0.5
 
 
 # --- wall data ---------------------------------------------------------
