@@ -8,6 +8,7 @@ output.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -23,14 +24,30 @@ class ParseError(SingLocusError):
     """Malformed JSON payloads (shape errors, bad rationals, ...)."""
 
 
+# Python's default limit on the digits of an int converted from or to a string.
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def format_rational(x: Fraction) -> str:
     f = x if type(x) is Fraction else Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError:  # past the int-to-str digit limit, which decimal does not apply
+        from decimal import Decimal
+        return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
 
 
 def parse_rational(text: Any) -> Fraction:
     try:
         if isinstance(text, str):
+            exponent = _EXPONENT.search(text)
+            if exponent:
+                # Fraction scales the mantissa by 10**|exponent|: bound the
+                # digits of the two together before building either.
+                digits = sum(map(str.isdigit, text[: exponent.start()]))
+                if digits + abs(int(exponent[1])) > _MAX_DIGITS:
+                    raise ValueError(f"more than {_MAX_DIGITS} digits")
             return Fraction(text.strip())
         if type(text) is int:
             return Fraction(text)
@@ -60,14 +77,14 @@ def _bool(value: Any) -> bool:
 
 
 class CanonicalText:
-    """A value given as its canonical JSON text, which ``dumps_canonical``
-    splices in unchanged.  It may stand as a dict value below dicts only;
-    lists are encoded in one piece, and there it is a ``TypeError``."""
+    """A value given as its canonical JSON text in parts, which
+    ``dumps_canonical`` splices in unchanged.  It may stand as a dict value
+    below dicts only; lists are encoded in one piece, and there it is a TypeError."""
 
-    __slots__ = ("text",)
+    __slots__ = ("parts",)
 
-    def __init__(self, text: str) -> None:
-        self.text = text
+    def __init__(self, *parts: str) -> None:
+        self.parts = parts
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
@@ -84,7 +101,7 @@ def dumps_canonical(payload: Any) -> str:
 
 def _write(value: Any, parts: list[str]) -> None:
     if type(value) is CanonicalText:
-        parts.append(value.text)
+        parts.extend(value.parts)
     elif type(value) is not dict or _SPLICED.isdisjoint(map(type, value.values())):
         parts.append(_encode(value))
     else:
@@ -255,19 +272,34 @@ def h1_to_json(h: H1Result) -> dict:
     return {"free": h.free_rank, "torsion": list(h.torsion)}
 
 
+# Annulus links 100c ... 100c + 99 for any c >= 1, each with its leading
+# comma: "#" stands for the decimal c, and the text stops before the last
+# item's c + 1.
+_LINK_BLOCK = "".join(f',{{"nodes":1,"pair":[#{d:02},#{d + 1:02}]}}' for d in range(99))
+_LINK_BLOCK += ',{"nodes":1,"pair":[#99,'
+
+
 def nodal_curve_to_json(r: NodalCurveReport) -> dict:
     """The nodal curve with its incidence list as ``CanonicalText``.
 
     The list is sorted by pair without sorting it: the pairs touching a
-    main piece come first, then one (s, s + 1) per annulus link in
-    increasing s.  Its text is written directly, one item per node.
+    main piece (at least one per chain) come first, then one (s, s + 1)
+    per annulus link in increasing s, with its leading comma, written a
+    whole block of 100 links per piece where one fits.
     """
-    items = [f'{{"nodes":{n},"pair":[{a},{b}]}}' for (a, b), n in r.main_pairs.items()]
-    items += [f'{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in r.annulus_links()]
+    main = ",".join(f'{{"nodes":{n},"pair":[{a},{b}]}}' for (a, b), n in r.main_pairs.items())
+    parts = ["[", main]
+    for _, lo, count, _ in r.chains:
+        hi = lo + count - 1  # the links s in [lo, hi), whole blocks c in [c0, c1)
+        c0 = max(-(-lo // 100), 1)
+        c1 = max(hi // 100, c0)
+        parts += [f',{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in range(lo, min(100 * c0, hi))]
+        parts += [_LINK_BLOCK.replace("#", str(c)) + f"{c + 1}00]}}" for c in range(c0, c1)]
+        parts += [f',{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in range(100 * c1, hi)]
     return {
         "components": [{"genus": g, "boundary": b} for g, b in r.components],
         "nodes": r.nodes,
-        "incidence": CanonicalText(f"[{','.join(items)}]"),
+        "incidence": CanonicalText(*parts, "]"),
         "sphereComponents": r.sphere_components,
     }
 

@@ -11,8 +11,6 @@ cycle rank contributes free summands through the connecting map.
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Iterator
 
 from .errors import NegativeDefect
 from .graphs import DecoratedGraph, require_valid
@@ -80,12 +78,6 @@ class NodalCurveReport(Record):
                 counts[key] = counts.get(key, 0) + 1
         return dict(sorted(counts.items()))
 
-    def annulus_links(self) -> Iterator[int]:
-        """Each s, in increasing order, with one node between annuli s and s + 1."""
-        return itertools.chain.from_iterable(
-            range(first, first + count - 1) for _, first, count, _ in self.chains
-        )
-
     @functools.cached_property
     def incidence(self) -> dict[tuple[int, int], int]:
         """Node count per component pair (a, b), a <= b, in sorted order.
@@ -95,8 +87,9 @@ class NodalCurveReport(Record):
         one entry per node, so build it only for small curves.
         """
         incidence = dict(self.main_pairs)
-        for s in self.annulus_links():
-            incidence[(s, s + 1)] = 1
+        for _, first, count, _ in self.chains:
+            for s in range(first, first + count - 1):  # one node between annuli s and s + 1
+                incidence[(s, s + 1)] = 1
         return incidence
 
 

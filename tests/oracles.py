@@ -4,7 +4,8 @@ Nothing here shares code with the implementation paths it checks: the
 Smith-form oracle uses gcds of minors via fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
 Hermite-style membership test, the pencil oracle builds the nodal
-curve one annulus at a time, the fan oracle finds cone coordinates
+curve one annulus at a time and the incidence text oracle writes it one
+node at a time, the fan oracle finds cone coordinates
 with rational Cramer's rule, the wall oracle reads each self-intersection
 off the 2D relation in a star fan (a basis completion per wall end), and
 the w1 and Pic oracles multiply along the explicit cycles of
@@ -290,6 +291,16 @@ def pencil_incidence_oracle(g) -> dict[tuple[int, int], int]:
             key = (min(a, b), max(a, b))
             incidence[key] = incidence.get(key, 0) + 1
     return incidence
+
+
+def incidence_text_oracle(report) -> str:
+    """The JSON text of a nodal curve's incidence list, one f-string per
+    node: the main pairs, then (s, s + 1) for each annulus link of each
+    chain in increasing s."""
+    items = [f'{{"nodes":{n},"pair":[{a},{b}]}}' for (a, b), n in report.main_pairs.items()]
+    for _, first, count, _ in report.chains:
+        items += [f'{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in range(first, first + count - 1)]
+    return f"[{','.join(items)}]"
 
 
 def w1_oracle(g) -> list[int]:

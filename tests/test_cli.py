@@ -6,13 +6,17 @@ import io
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from singlocus.cli import main
+from singlocus.descent import assemble_diagram, pic_invariants
 from singlocus.examples import circular_ladder_graph, conifold_fan, p3_fan, theta_graph
 from singlocus.graphs import flip_vertex
 from singlocus.serialize import dumps_canonical, fan_to_json, graph_to_json
@@ -255,15 +259,47 @@ def mutated_payloads(draw):
     return obj
 
 
+# Holonomies of 2 500 digits, one inverted: pic and descent then hold
+# rationals of 4 999 digits, past Python's 4 300-digit int-to-str limit.
+BIG = 10**2499
+BIG_HOLONOMY_THETA = theta_graph(holonomies=(BIG + 7, Fraction(1, 3 * BIG + 1), 7 * BIG + 3))
+# A 10-byte rational that Fraction would expand to 10**10000000.
+HUGE_EXPONENT_THETA = graph_to_json(theta_graph())
+HUGE_EXPONENT_THETA["edges"][0]["holonomy"] = "1e10000000"
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     st.sampled_from([["validate"], ["toric", "extract"], ["analyze", "--all"]]),
     mutated_payloads(),
 )
+@example(["analyze", "--all"], graph_to_json(BIG_HOLONOMY_THETA))
+@example(["analyze", "--all"], HUGE_EXPONENT_THETA)
 def test_cli_fuzz_keeps_exit_code_contract(args, payload):
     code, _, err = run_main(args, json.dumps(payload).encode("utf-8"))
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def test_big_rationals_are_written_in_full():
+    raw = json.dumps(graph_to_json(BIG_HOLONOMY_THETA)).encode("utf-8")
+    code, out, err = run_main(["analyze", "--all"], raw)
+    assert (code, err) == (0, "")
+    pic = json.loads(out)["result"]["pic"]
+    written = pic["betaHolonomies"] + pic["alphaHolonomies"]
+    # Read back through decimal, which no digit limit applies to.
+    values = [Fraction(*(int(Decimal(x)) for x in text.split("/"))) for text in written]
+    expected = pic_invariants(assemble_diagram(BIG_HOLONOMY_THETA))
+    assert values == [*expected.beta_holonomies, *expected.alpha_holonomies]
+    assert max(len(part) for text in written for part in text.split("/")) > 4300
+
+
+def test_huge_exponent_is_a_parse_error_before_it_is_expanded():
+    start = time.perf_counter()
+    code, out, err = run_main(["analyze", "--all"], json.dumps(HUGE_EXPONENT_THETA).encode("utf-8"))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad rational '1e10000000'") and err.count("\n") == 1
 
 
 def count_calls(monkeypatch, names):
@@ -381,6 +417,19 @@ def test_analyze_all_twisted_theta_golden():
     code, out, err = run_main(["analyze", "--all"], raw)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TWISTED_THETA_ALL_SHA256
+
+
+# Taken at the per-node emitter: the first chain's links 2 .. 1233 fill
+# the 100-link blocks 1 .. 11 and cross 999 -> 1000.
+BLOCK_TWISTED_THETA_ALL_SHA256 = "27566ae3d8f1661585686ed7ecfc64b6fa9691b5e3131ce4024f3ab0fc63c333"
+
+
+def test_analyze_all_block_twisted_theta_golden():
+    graph = theta_graph(twists=(1234, 100, 99), holonomies=(2, 3, 5))
+    raw = dumps_canonical(graph_to_json(graph)).encode("utf-8")
+    code, out, err = run_main(["analyze", "--all"], raw)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BLOCK_TWISTED_THETA_ALL_SHA256
 
 
 def test_one_canonical_dump_per_report(monkeypatch):

@@ -1,9 +1,11 @@
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import incidence_text_oracle
 
 from singlocus.descent import assemble_diagram, gauge, pic_invariants
 from singlocus.examples import conifold_fan, quartic_mirror_graph, theta_graph
@@ -18,8 +20,10 @@ from singlocus.serialize import (
     format_rational,
     graph_from_json,
     graph_to_json,
+    nodal_curve_to_json,
     parse_rational,
 )
+from singlocus.topology import NodalCurveReport
 
 
 def test_rational_round_trip():
@@ -33,6 +37,19 @@ def test_rational_round_trip():
         parse_rational("x")
     with pytest.raises(ParseError):
         parse_rational(1.5)
+
+
+def test_rationals_past_the_digit_limit():
+    # Written in full although str() refuses more than 4300 digits.
+    value = Fraction(-(7**6000), 11**5000)
+    numerator, denominator = format_rational(value).split("/")
+    assert Fraction(int(Decimal(numerator)), int(Decimal(denominator))) == value
+    # The exponent is bounded before Fraction builds 10**exponent.
+    assert parse_rational("1e4299") == 10**4299
+    assert parse_rational("-2.5E-4298") == Fraction(-25, 10**4299)
+    for text in ("1e4300", "1.5e4299", "2e-4300", "1e10000000", "1e" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
 def test_graph_round_trip():
@@ -164,3 +181,56 @@ def test_dumps_canonical_rejects_misplaced_fragments():
         dumps_canonical({"a": [fragment]})  # inside a list
     with pytest.raises(TypeError):
         dumps_canonical({1: fragment, "b": 2})  # json cannot sort mixed keys either
+
+
+# --- nodal-curve incidence text --------------------------------------------
+
+
+def nodal_curve(num_main, runs):
+    """A report whose main pieces are 0 .. num_main - 1 and whose runs
+    (u, annulus count, v) are numbered consecutively after them, as
+    ``pencil_localization`` numbers them."""
+    chains, first = [], num_main
+    for u, count, v in runs:
+        chains.append((u, first, count, v))
+        first += count
+    nodes = sum(count + 1 for _, count, _ in runs)
+    return NodalCurveReport(((0, 1),) * num_main, nodes, tuple(chains), first - num_main)
+
+
+BLOCK_EDGES = (1, 2, 99, 100, 101, 950, 999, 1_000, 1_001, 9_950, 9_999, 10_000)
+
+
+@st.composite
+def nodal_curves(draw):
+    """Runs of 0-450 links that start at, end at or cross the 100-link
+    blocks of the emitted text, 999 -> 1000 and 9 999 -> 10 000 included."""
+    num_main = draw(st.sampled_from(BLOCK_EDGES) | st.integers(1, 12_000))
+    runs, first = [], num_main
+    for _ in range(draw(st.integers(0, 4))):
+        how = draw(st.sampled_from(("listed", "any", "to an edge")))
+        if how == "listed":  # 0, 1, 2, 99, 100 or 101 links
+            count = draw(st.sampled_from((0, 1, 2, 3, 100, 101, 102)))
+        elif how == "any":
+            count = draw(st.integers(0, 451))
+        else:  # the run's end first + count - 1 is one before, at or one past a block edge
+            count = (1 - first) % 100 + 100 * draw(st.integers(0, 2)) + draw(st.integers(-1, 1))
+            count = max(count, 0)
+        ends = st.integers(0, num_main - 1)
+        runs.append((draw(ends), count, draw(ends)))
+        first += count
+    return nodal_curve(num_main, runs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodal_curves())
+@example(nodal_curve(950, [(0, 150, 3)]))
+@example(nodal_curve(9_950, [(7, 151, 2), (0, 100, 0)]))
+@example(nodal_curve(100, [(0, 101, 1), (1, 0, 0), (0, 100, 0)]))
+def test_incidence_text_matches_per_node_oracle(report):
+    text = dumps_canonical({"incidence": nodal_curve_to_json(report)["incidence"]})
+    expected = incidence_text_oracle(report)
+    assert text == f'{{"incidence":{expected}}}'
+    assert len(json.loads(expected)) == len(report.main_pairs) + sum(
+        max(count - 1, 0) for _, _, count, _ in report.chains
+    )
