@@ -1,4 +1,9 @@
-"""Exact integer linear algebra: Smith normal form, cokernels, cycle bases.
+"""Exact integer linear algebra: the cokernel of an integer matrix, and
+the spanning forests and trees that graphs are walked along.
+
+A cokernel eliminates its unit pivots sparsely and reads the invariant
+factors of the dense residue from one Smith routine with no transforms,
+which works modulo a nonzero minor of the residue.
 
 Everything here works over Python's arbitrary-precision integers; no
 floating point is ever used.  All values are immutable and all functions
@@ -38,42 +43,12 @@ class IntMatrix(Record):
             raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        a, b = self.to_rows(), other.to_rows()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntMatrix(self.rows, other.cols, tuple(x for r in out for x in r))
-
-
-class SmithForm(Record):
-    """Diagonalization ``left * a * right == diag`` by unimodular transforms.
-
-    ``diagonal`` has length ``min(rows, cols)``; each entry is non-negative,
-    divides the next, and zeros trail.
-    """
-
-    diagonal: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
 
 
 def _egcd(p: int, q: int) -> tuple[int, int, int]:
@@ -93,115 +68,20 @@ def _egcd(p: int, q: int) -> tuple[int, int, int]:
     return (p, x0, y0)
 
 
-def snf(m: IntMatrix) -> SmithForm:
-    """Smith normal form with transforms.
-
-    Pivot selection: smallest absolute nonzero entry of the working
-    submatrix, ties broken in row-major order.  Rows and columns are
-    cleared with extended-gcd combinations (determinant-one 2x2 blocks),
-    which keeps the transform entries from blowing up; the whole
-    procedure is deterministic.  This is :func:`_diagonalize` over Z.
-    """
-    left = IntMatrix.identity(m.rows).to_rows()
-    right_t = IntMatrix.identity(m.cols).to_rows()  # transposed as it is built
-    diag = _diagonalize(m.to_rows(), 0, min(m.rows, m.cols), left, right_t)
-    return SmithForm(
-        tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag)),
-        IntMatrix.from_rows(left) if m.rows else IntMatrix(0, 0, ()),
-        IntMatrix.from_rows([list(c) for c in zip(*right_t)]) if m.cols else IntMatrix(0, 0, ()),
-    )
-
-
-def _least_entry(a: list[list[int]], t: int, key) -> tuple[int, int] | None:
-    """Position of the nonzero ``a[i][j]``, i, j >= t, of least ``key``
-    (a positive integer), first in row-major order; None if all are 0."""
+def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """Position of the nonzero ``a[i][j]``, i, j >= t, of least absolute
+    value, first in row-major order; None if all are 0."""
     best = None
     for i in range(t, len(a)):
         row = a[i]
         for j in range(t, len(row)):
             if row[j]:
-                k = key(row[j])
+                k = abs(row[j])
                 if best is None or k < best[0]:
                     best = (k, i, j)
                     if k == 1:
                         return i, j
     return None if best is None else best[1:]
-
-
-def _clear_below(a: list[list[int]], t: int, n: int, companion: list[list[int]]) -> bool:
-    """Zero ``a[i][t]`` for i > t by row operations, reducing ``a`` mod
-    ``n`` unless it is 0; the rows of ``companion`` (a transform, or
-    empty) undergo the same operations.
-
-    Returns True when an ``_egcd`` 2x2 block was needed: then the pivot
-    ``a[t][t]`` shrank to a proper divisor of itself and row t changed.
-    """
-    shrank = False
-    for i in range(t + 1, len(a)):
-        p, b = a[t][t], a[i][t]
-        if not b:
-            continue
-        if b % p == 0:
-            x, y, u, v = 1, 0, -(b // p), 1
-        else:
-            g, x, y = _egcd(p, b)
-            u, v = -(b // g), p // g  # det [[x, y], [u, v]] = 1
-            shrank = True
-        for mat in (a, companion) if companion else (a,):
-            top, row = mat[t], mat[i]
-            if y:
-                mat[t] = [x * e + y * f for e, f in zip(top, row)]
-            mat[i] = [u * e + v * f for e, f in zip(top, row)]
-        if n:
-            a[t], a[i] = [e % n for e in a[t]], [e % n for e in a[i]]
-    return shrank
-
-
-def _diagonalize(a, n: int, steps: int, left, right_t) -> list[int]:
-    """Up to ``steps`` Smith pivots of ``a`` as gcd(pivot, n): over Z when
-    ``n`` is 0, else over Z/nZ with ``a`` reduced mod n.
-
-    ``a`` is overwritten.  ``left`` and the transpose ``right_t`` of the
-    right transform (identities, or empty) take the row and column
-    operations.  Step t moves an entry of least gcd with n (least |entry|
-    over Z) to (t, t) and clears row and column t with
-    :func:`_clear_below` on ``a`` and on its transpose.  While gcd(pivot,
-    n) misses an entry left, that entry's row is added to row t and the
-    clearing repeats; each repeat shrinks the pivot to a proper divisor,
-    so the step ends.  Stops early once the rest is 0 (mod n).
-    """
-    diag = []
-    for t in range(steps):
-        pivot = _least_entry(a, t, lambda x: gcd(x, n))  # gcd(x, 0) = |x|
-        if pivot is None:
-            break
-        i, j = pivot
-        for mat in (a, left) if left else (a,):
-            mat[t], mat[i] = mat[i], mat[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        if right_t:
-            right_t[t], right_t[j] = right_t[j], right_t[t]
-        while True:
-            _clear_below(a, t, n, left)
-            a_t = [list(c) for c in zip(*a)]
-            shrank = _clear_below(a_t, t, n, right_t)
-            a = [list(r) for r in zip(*a_t)]
-            if shrank:  # the column blocks refilled column t
-                continue
-            g = gcd(a[t][t], n)
-            stray = next((r for r in range(t + 1, len(a)) if any(x % g for x in a[r])), None)
-            if stray is None:
-                break
-            for mat in (a, left) if left else (a,):
-                mat[t] = [x + y for x, y in zip(mat[t], mat[stray])]
-            if n:
-                a[t] = [x % n for x in a[t]]
-        if a[t][t] < 0:
-            for mat in (a, left) if left else (a,):
-                mat[t] = [-x for x in mat[t]]
-        diag.append(gcd(a[t][t], n))
-    return diag
 
 
 class SparseColumns(Record):
@@ -294,7 +174,7 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     nr, nc = len(a), len(a[0]) if a else 0
     prev = 1
     for k in range(min(nr, nc)):
-        pivot = _least_entry(a, k, abs)
+        pivot = _least_entry(a, k)
         if pivot is None:
             return k, prev
         i, j = pivot
@@ -312,20 +192,91 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     return min(nr, nc), prev
 
 
+def _echelon_mod(a: list[list[int]], n: int) -> None:
+    """Bring ``a``, with entries in [0, n), to row echelon form over Z/nZ
+    by row operations; ``a`` is overwritten.
+
+    Each column's pivot is its entry of least gcd with n among the rows
+    not yet pivots.  Rows below the pivot are zero left of its column,
+    so only the columns from the pivot on change.  A unit pivot p clears
+    each lower row by subtracting b * p^-1 times the pivot row; otherwise
+    a lower entry b that p divides is cleared the same way with b // p,
+    and any other b by the ``_egcd`` 2x2 block, which replaces p by
+    gcd(p, b) < p.
+    """
+    rows, t = len(a), 0
+    for j in range(len(a[0]) if a else 0):
+        best = None
+        for i in range(t, rows):
+            if a[i][j]:
+                g = gcd(a[i][j], n)
+                if best is None or g < best[0]:
+                    best = (g, i)
+                    if g == 1:
+                        break
+        if best is None:
+            continue
+        unit, i = best[0] == 1, best[1]
+        a[t], a[i] = a[i], a[t]
+        top = a[t]
+        inverse = pow(top[j], -1, n) if unit else 0
+        for row in a[t + 1:]:
+            b, p = row[j], top[j]
+            if not b:
+                continue
+            if unit or b % p == 0:
+                f = b * inverse % n if unit else b // p
+                row[j:] = [(x - f * y) % n for x, y in zip(row[j:], top[j:])]
+            else:
+                g, x, y = _egcd(p, b)
+                u, v = b // g, p // g  # det [[x, y], [-u, v]] = 1
+                pairs = list(zip(top[j:], row[j:]))
+                top[j:] = [(x * e + y * f) % n for e, f in pairs]
+                row[j:] = [(v * f - u * e) % n for e, f in pairs]
+        t += 1
+        if t == rows:
+            return
+
+
 def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """``snf(m).diagonal`` without transforms, computed modulo a minor.
+    """The Smith diagonal of ``m`` (length min(rows, cols); each entry
+    divides the next, and zeros trail), computed modulo a minor.
 
     :func:`_bareiss` gives the rank r and a nonzero r x r minor D.  The
     first r invariant factors multiply to the gcd of the r x r minors,
-    so each divides D and equals its gcd with D: they are the pivots of
-    :func:`_diagonalize` over Z/DZ (Domich-Kannan-Trotter, Math. Oper.
-    Res. 12, 1987), whose entries stay in [0, D); the ones it stops
-    short of, on an all-zero rest, equal D.
+    so each divides D and equals its gcd with D (Domich-Kannan-Trotter,
+    Math. Oper. Res. 12, 1987).  So the matrix is reduced mod D, and
+    rounds of :func:`_echelon_mod`, on it and then on its transpose, make
+    it diagonal over Z/DZ with entries in [0, D).  The gcds of those
+    entries with D (D for a 0) become a divisibility chain by pairwise
+    gcd and lcm, which leaves the group they present unchanged; its
+    first r entries are the invariant factors.  The chain comes first:
+    a diagonal mod D can hold more than r nonzero entries.
+
+    The rounds end.  Row operations keep the ideal of Z/DZ that a
+    column's entries generate, so after each pass the first pivot
+    generates the ideal of its whole line before the pass, which holds
+    the pivot: the ideal grows, and D has finitely many divisors.  Once
+    it stops growing, every entry of the line lies in it, so the pivot
+    keeps its least gcd and its place (ties go to the first entry), and
+    each 2x2 block lowers its value in [1, D).  A pass without a block
+    clears the line without refilling the other; the first row and
+    column then stay clear, and the same holds for the rest.
     """
     rank, minor = _bareiss(m.to_rows())
     n = abs(minor)
-    diag = _diagonalize([[x % n for x in row] for row in m.to_rows()], n, rank, [], [])
-    return tuple(diag) + (n,) * (rank - len(diag)) + (0,) * (min(m.rows, m.cols) - rank)
+    a = [[x % n for x in row] for row in m.to_rows()]
+    while True:
+        _echelon_mod(a, n)
+        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
+            break
+        a = [list(column) for column in zip(*a)]
+    chain = [gcd(a[i][i], n) for i in range(min(m.rows, m.cols))]  # gcd(0, D) = D
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(chain[:rank]) + (0,) * (min(m.rows, m.cols) - rank)
 
 
 def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -390,34 +341,3 @@ def _spanning_tree(
         adjacency[u].append((v, idx, +1))
         adjacency[v].append((u, idx, -1))
     return adjacency
-
-
-def cycle_basis(
-    num_vertices: int, edges: Sequence[tuple[int, int]]
-) -> list[list[tuple[int, int]]]:
-    """Fundamental cycles of a connected multigraph.
-
-    The spanning tree grows lowest-edge-index-first.  For each non-tree
-    edge ``e = (u, v)`` the cycle is the tree path ``u -> v`` followed by
-    ``e`` traversed backwards, recorded as ``(edge index, sign)`` pairs
-    where sign +1 means traversal along the stored ``(u, v)`` direction.
-    Self-loops and parallel edges are allowed.  The library reads cycle
-    values off potentials along the same tree; this is the tests' oracle.
-    """
-    adjacency = _spanning_tree(num_vertices, edges)
-
-    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        prev = _bfs_parents(adjacency, src)
-        path: list[tuple[int, int]] = []
-        while dst != src:
-            dst, idx, sign = prev[dst]
-            path.append((idx, sign))
-        path.reverse()
-        return path
-
-    in_tree = {idx for links in adjacency.values() for _, idx, _ in links}
-    cycles = []
-    for idx, (u, v) in enumerate(edges):
-        if idx not in in_tree:
-            cycles.append(tree_path(u, v) + [(idx, -1)])
-    return cycles

@@ -93,7 +93,7 @@ _SPLICED = frozenset((dict, CanonicalText))
 
 def dumps_canonical(payload: Any) -> str:
     """``json.dumps`` with sorted keys, no spaces and no ASCII escapes,
-    writing each ``CanonicalText`` as its text."""
+    writing each ``CanonicalText`` as its text and every int in full."""
     parts: list[str] = []
     _write(payload, parts)
     return "".join(parts)
@@ -102,9 +102,14 @@ def dumps_canonical(payload: Any) -> str:
 def _write(value: Any, parts: list[str]) -> None:
     if type(value) is CanonicalText:
         parts.extend(value.parts)
-    elif type(value) is not dict or _SPLICED.isdisjoint(map(type, value.values())):
-        parts.append(_encode(value))
-    else:
+        return
+    if type(value) is not dict or _SPLICED.isdisjoint(map(type, value.values())):
+        try:
+            parts.append(_encode(value))
+            return
+        except ValueError:  # an int past the int-to-str digit limit: take it apart
+            pass
+    if type(value) is dict:
         # json sorts the keys first and then turns each into a string (1 -> "1").
         separator = "{"
         for key in sorted(value):
@@ -112,6 +117,16 @@ def _write(value: Any, parts: list[str]) -> None:
             _write(value[key], parts)
             separator = ","
         parts.append("}")
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for k, item in enumerate(value):
+            if k:
+                parts.append(",")
+            _write(item, parts)
+        parts.append("]")
+    else:  # the int itself; decimal applies no digit limit
+        from decimal import Decimal
+        parts.append(str(Decimal(value)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Independent oracles used by the test suite.
 
 Nothing here shares code with the implementation paths it checks: the
-Smith-form oracle uses gcds of minors via fraction-free determinants, and
+Smith-form oracles are ``snf``, which diagonalizes over Z with unimodular
+transforms that the tests multiply back, and the gcds of minors via
+fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
 Hermite-style membership test, the pencil oracle builds the nodal
 curve one annulus at a time and the incidence text oracle writes it one
@@ -22,11 +24,144 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Sequence
 
 from singlocus.descent import PicInvariants
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex
-from singlocus.intlinalg import IntMatrix, _egcd, cycle_basis
+from singlocus.intlinalg import IntMatrix, _bfs_parents, _egcd, _spanning_tree
+from singlocus.record import Record
 from singlocus.toric import Fan
+
+
+def zero_matrix(rows: int, cols: int) -> IntMatrix:
+    return IntMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def identity_matrix(n: int) -> IntMatrix:
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    x, y = a.to_rows(), b.to_rows()
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(x[i][k] * y[k][j] for k in range(a.cols)) for i in range(a.rows) for j in range(b.cols)
+    ))
+
+
+class SmithForm(Record):
+    """Diagonalization ``left * a * right == diag`` by unimodular transforms.
+
+    ``diagonal`` has length ``min(rows, cols)``; each entry is non-negative,
+    divides the next, and zeros trail.
+    """
+
+    diagonal: tuple[int, ...]
+    left: IntMatrix
+    right: IntMatrix
+
+
+def _clear_below(a: list[list[int]], t: int, companion: list[list[int]]) -> bool:
+    """Zero ``a[i][t]`` for i > t by row operations, which the rows of
+    ``companion`` undergo too.  Returns True when an ``_egcd`` 2x2 block
+    was needed: then the pivot ``a[t][t]`` shrank to a proper divisor of
+    itself and row t changed."""
+    shrank = False
+    for i in range(t + 1, len(a)):
+        p, b = a[t][t], a[i][t]
+        if not b:
+            continue
+        if b % p == 0:
+            x, y, u, v = 1, 0, -(b // p), 1
+        else:
+            g, x, y = _egcd(p, b)
+            u, v = -(b // g), p // g  # det [[x, y], [u, v]] = 1
+            shrank = True
+        for mat in (a, companion):
+            top, row = mat[t], mat[i]
+            if y:
+                mat[t] = [x * e + y * f for e, f in zip(top, row)]
+            mat[i] = [u * e + v * f for e, f in zip(top, row)]
+    return shrank
+
+
+def snf(m: IntMatrix) -> SmithForm:
+    """Smith normal form over Z with transforms.
+
+    Step t moves the nonzero entry of least absolute value (first in
+    row-major order) to (t, t) and clears row and column t with
+    determinant-one 2x2 blocks, on the matrix and its transpose, which the
+    left transform and the transposed right transform undergo too.  While
+    the pivot misses an entry left, that entry's row is added to row t
+    and the clearing repeats; each repeat shrinks the pivot to a proper
+    divisor, so the step ends.
+    """
+    a = m.to_rows()
+    left = identity_matrix(m.rows).to_rows()
+    right_t = identity_matrix(m.cols).to_rows()  # transposed as it is built
+    diag = []
+    for t in range(min(m.rows, m.cols)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, m.rows) for j in range(t, m.cols) if a[i][j]]
+        if not entries:
+            break
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        left[t], left[i] = left[i], left[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        right_t[t], right_t[j] = right_t[j], right_t[t]
+        while True:
+            _clear_below(a, t, left)
+            a_t = [list(c) for c in zip(*a)]
+            shrank = _clear_below(a_t, t, right_t)
+            a = [list(r) for r in zip(*a_t)]
+            if shrank:  # the column blocks refilled column t
+                continue
+            stray = next((r for r in range(t + 1, m.rows) if any(x % a[t][t] for x in a[r])), None)
+            if stray is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[stray])]
+            left[t] = [x + y for x, y in zip(left[t], left[stray])]
+        if a[t][t] < 0:
+            a[t], left[t] = [-x for x in a[t]], [-x for x in left[t]]
+        diag.append(a[t][t])
+    return SmithForm(
+        tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag)),
+        IntMatrix.from_rows(left),
+        IntMatrix.from_rows([list(c) for c in zip(*right_t)]),
+    )
+
+
+def cycle_basis(
+    num_vertices: int, edges: Sequence[tuple[int, int]]
+) -> list[list[tuple[int, int]]]:
+    """Fundamental cycles of a connected multigraph.
+
+    The spanning tree grows lowest-edge-index-first.  For each non-tree
+    edge ``e = (u, v)`` the cycle is the tree path ``u -> v`` followed by
+    ``e`` traversed backwards, recorded as ``(edge index, sign)`` pairs
+    where sign +1 means traversal along the stored ``(u, v)`` direction.
+    Self-loops and parallel edges are allowed.  The library reads cycle
+    values off potentials along the same tree; this is their explicit form.
+    """
+    adjacency = _spanning_tree(num_vertices, edges)
+
+    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
+        prev = _bfs_parents(adjacency, src)
+        path: list[tuple[int, int]] = []
+        while dst != src:
+            dst, idx, sign = prev[dst]
+            path.append((idx, sign))
+        path.reverse()
+        return path
+
+    in_tree = {idx for links in adjacency.values() for _, idx, _ in links}
+    cycles = []
+    for idx, (u, v) in enumerate(edges):
+        if idx not in in_tree:
+            cycles.append(tree_path(u, v) + [(idx, -1)])
+    return cycles
 
 
 def det_bareiss(rows: list[list[int]]) -> int:

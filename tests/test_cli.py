@@ -20,6 +20,9 @@ from singlocus.descent import assemble_diagram, pic_invariants
 from singlocus.examples import circular_ladder_graph, conifold_fan, p3_fan, theta_graph
 from singlocus.graphs import flip_vertex
 from singlocus.serialize import dumps_canonical, fan_to_json, graph_to_json
+from singlocus.topology import h1_graph_manifold
+
+import golden
 
 
 def run_cli(args, stdin_text=None):
@@ -266,6 +269,8 @@ BIG_HOLONOMY_THETA = theta_graph(holonomies=(BIG + 7, Fraction(1, 3 * BIG + 1), 
 # A 10-byte rational that Fraction would expand to 10**10000000.
 HUGE_EXPONENT_THETA = graph_to_json(theta_graph())
 HUGE_EXPONENT_THETA["edges"][0]["holonomy"] = "1e10000000"
+# A 6.2 KB input whose H1 torsion has 6 001 digits.
+BIG_TORSION_THETA = theta_graph(twists=(10**3000, 10**3000 + 1, 1))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -275,6 +280,7 @@ HUGE_EXPONENT_THETA["edges"][0]["holonomy"] = "1e10000000"
 )
 @example(["analyze", "--all"], graph_to_json(BIG_HOLONOMY_THETA))
 @example(["analyze", "--all"], HUGE_EXPONENT_THETA)
+@example(["analyze", "--h1"], graph_to_json(BIG_TORSION_THETA))
 def test_cli_fuzz_keeps_exit_code_contract(args, payload):
     code, _, err = run_main(args, json.dumps(payload).encode("utf-8"))
     assert code in (0, 1, 2)
@@ -292,6 +298,16 @@ def test_big_rationals_are_written_in_full():
     expected = pic_invariants(assemble_diagram(BIG_HOLONOMY_THETA))
     assert values == [*expected.beta_holonomies, *expected.alpha_holonomies]
     assert max(len(part) for text in written for part in text.split("/")) > 4300
+
+
+def test_big_torsion_is_written_in_full():
+    raw = json.dumps(graph_to_json(BIG_TORSION_THETA)).encode("utf-8")
+    code, out, err = run_main(["analyze", "--h1"], raw)
+    assert (code, err) == (0, "")
+    h1 = json.loads(out, parse_int=Decimal)["result"]["h1"]  # no digit limit
+    expected = h1_graph_manifold(BIG_TORSION_THETA)
+    assert (int(h1["free"]), [int(d) for d in h1["torsion"]]) == (expected.free_rank, list(expected.torsion))
+    assert len(str(max(h1["torsion"]))) > 4300
 
 
 def test_huge_exponent_is_a_parse_error_before_it_is_expanded():
@@ -430,6 +446,11 @@ def test_analyze_all_block_twisted_theta_golden():
     code, out, err = run_main(["analyze", "--all"], raw)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BLOCK_TWISTED_THETA_ALL_SHA256
+
+
+def test_golden_corpus_is_byte_identical():
+    # Exit code and stdout SHA-256 of each case in tests/golden.py.
+    assert golden.mismatches() == []
 
 
 def test_one_canonical_dump_per_report(monkeypatch):

@@ -19,9 +19,8 @@ from singlocus.descent import (
 from singlocus.errors import GraphMismatch, NonOrientable, TwistMismatch
 from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, oriented_form
-from singlocus.intlinalg import cycle_basis
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
-from oracles import pic_invariants_oracle, random_multigraph
+from oracles import cycle_basis, pic_invariants_oracle, random_multigraph
 
 
 def rand_scalar(rng):

@@ -26,8 +26,7 @@ from singlocus.graphs import (
     oriented_form,
     validate_graph,
 )
-from singlocus.intlinalg import cycle_basis
-from oracles import flip_each, random_multigraph, w1_oracle
+from oracles import cycle_basis, flip_each, random_multigraph, w1_oracle
 
 
 def pants_graph():

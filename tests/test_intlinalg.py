@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.errors import DisconnectedGraph
-from singlocus.intlinalg import (
-    IntMatrix,
-    SparseColumns,
-    _egcd,
-    _smith_diagonal,
-    cokernel_abelian_group,
-    cycle_basis,
-    snf,
-)
+from singlocus.intlinalg import IntMatrix, SparseColumns, _egcd, _smith_diagonal, cokernel_abelian_group
 
-from oracles import det_bareiss, enumerate_cokernel, smith_diagonal_oracle
+from oracles import (
+    cycle_basis,
+    det_bareiss,
+    enumerate_cokernel,
+    matmul,
+    smith_diagonal_oracle,
+    snf,
+    zero_matrix,
+)
 
 
 def check_form(m: IntMatrix):
@@ -33,7 +33,7 @@ def check_form(m: IntMatrix):
             assert b % a == 0
     # left * m * right reproduces the diagonal embedding
     if m.rows and m.cols:
-        product = form.left.mul(m).mul(form.right).to_rows()
+        product = matmul(matmul(form.left, m), form.right).to_rows()
         for i in range(m.rows):
             for j in range(m.cols):
                 expected = diag[i] if i == j and i < len(diag) else 0
@@ -60,10 +60,10 @@ def test_coprime_row():
 
 
 def test_empty_and_degenerate():
-    assert snf(IntMatrix.zero(0, 0)).diagonal == ()
-    assert snf(IntMatrix.zero(3, 0)).diagonal == ()
-    assert snf(IntMatrix.zero(0, 3)).diagonal == ()
-    assert check_form(IntMatrix.zero(2, 3)).diagonal == (0, 0)
+    assert snf(zero_matrix(0, 0)).diagonal == ()
+    assert snf(zero_matrix(3, 0)).diagonal == ()
+    assert snf(zero_matrix(0, 3)).diagonal == ()
+    assert check_form(zero_matrix(2, 3)).diagonal == (0, 0)
 
 
 def test_determinism():
@@ -90,7 +90,7 @@ def test_cokernel_examples():
     assert cokernel_abelian_group(IntMatrix.from_rows([[3]])) == (0, (3,))
     assert cokernel_abelian_group(IntMatrix.from_rows([[2, 0], [0, 2]])) == (0, (2, 2))
     # generators = rows: a 3 x 0 matrix presents Z^3
-    assert cokernel_abelian_group(IntMatrix.zero(3, 0)) == (3, ())
+    assert cokernel_abelian_group(zero_matrix(3, 0)) == (3, ())
 
 
 def test_cokernel_against_enumeration():
@@ -205,14 +205,24 @@ def test_smith_diagonal_matches_snf_on_rank_deficient_matrices(m):
 
 
 def test_smith_diagonal_examples():
-    # D = 6 for diag(2, 3): the least-gcd pivot 2 leaves 3, not a
-    # multiple of gcd(2, 6), so that row is folded into the pivot row.
+    # D = 6 for diag(2, 3): diagonal mod D already, and the chain step
+    # turns (2, 3) into (gcd, lcm) = (1, 6).
     assert _smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    # D = 8.  Each pivot 2 divides the entries below it.  Without the
+    # b % p == 0 shortcut, the _egcd block of two equal entries swaps
+    # their rows, and the rounds never end.
+    rows = [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 2, 2], [-2, 0, 0, 0]]
+    assert _smith_diagonal(IntMatrix.from_rows(rows)) == (2, 2, 2, 0)
+    # Rank 4, but the diagonal mod D has five nonzero entries: cutting it
+    # to four before the chain step gives a wrong answer.
+    rows = [[23, 0, 38, 0, 0], [0, 0, 0, 0, 0], [-33, -38, -16, 0, 0], [0, 33, 0, -19, 26],
+            [0, 0, 0, 0, 0], [-40, 0, 0, 0, 0], [0, 36, 0, 0, 0]]
+    assert _smith_diagonal(IntMatrix.from_rows(rows)) == (1, 1, 2, 4, 0)
     # The only entry is the minor D itself, 0 mod D.
     assert _smith_diagonal(IntMatrix.from_rows([[6]])) == (6,)
     assert _smith_diagonal(IntMatrix.from_rows([[4, 6], [6, 9]])) == (1, 0)
     for nr, nc in ((0, 0), (0, 3), (3, 0)):
-        assert _smith_diagonal(IntMatrix.zero(nr, nc)) == ()
+        assert _smith_diagonal(zero_matrix(nr, nc)) == ()
 
 
 def test_cokernel_reads_sparse_columns_in_row_order():
@@ -224,7 +234,7 @@ def test_cokernel_reads_sparse_columns_in_row_order():
 
 def test_cokernel_of_empty_and_zero_matrices():
     for nr, nc in ((0, 0), (0, 4), (4, 0), (3, 5), (5, 3)):
-        assert cokernel_abelian_group(IntMatrix.zero(nr, nc)) == (nr, ())
+        assert cokernel_abelian_group(zero_matrix(nr, nc)) == (nr, ())
     assert cokernel_abelian_group(IntMatrix.from_rows([[0, 1], [0, 0]])) == (1, ())
     assert cokernel_abelian_group(IntMatrix.from_rows([[0, 0], [0, -1], [0, 0]])) == (2, ())
 

@@ -22,7 +22,7 @@ from singlocus.graphs import (
     Incidence,
     Leg,
 )
-from singlocus.intlinalg import IntMatrix, SmithForm, SparseColumns
+from singlocus.intlinalg import IntMatrix, SparseColumns
 from singlocus.localmodels import (
     EdgeAut,
     Monomial,
@@ -35,10 +35,12 @@ from singlocus.record import FrozenInstanceError, Record
 from singlocus.toric import Fan, WallReport
 from singlocus.topology import H1Result, NodalCurveReport, PlumbingPresentation, ShearMatrix
 
+from oracles import SmithForm
+
 RECORDS = (
     VertexChart, DescentDiagram, PicInvariants,
     CompactEdge, Leg, DecoratedGraph, Incidence, DualSurface, FiniteCategory,
-    IntMatrix, SmithForm, SparseColumns,
+    IntMatrix, SmithForm, SparseColumns,  # SmithForm: the snf oracle's record
     Monomial, TwoPerE, EdgeAut, TwoPerV, VertexAut, PantsPresentation,
     Fan, WallReport,
     ShearMatrix, PlumbingPresentation, H1Result, NodalCurveReport,
@@ -52,7 +54,7 @@ SAMPLES = {
     DecoratedGraph: [theta_graph(), theta_graph(twists=(1, 0, 2))],
     VertexChart: [VertexChart((0, 1, 2)), VertexChart((2, 1, 0), Fraction(3))],
     EdgeAut: [EdgeAut(-1, 2, Fraction(1, 2), 3, 1)],
-    IntMatrix: [IntMatrix.identity(2), IntMatrix(1, 0, ())],
+    IntMatrix: [IntMatrix(2, 2, (1, 0, 0, 1)), IntMatrix(1, 0, ())],
     SparseColumns: [SparseColumns(2, ({0: 1},)), SparseColumns(0, ())],
 }
 # Fields whose valid values a type does not describe.

@@ -23,7 +23,7 @@ from singlocus.graphs import (
     dual_surface,
     flip_vertex,
 )
-from singlocus.intlinalg import cokernel_abelian_group, snf
+from singlocus.intlinalg import cokernel_abelian_group
 from singlocus.serialize import dumps_canonical, nodal_curve_to_json
 from singlocus.topology import (
     ShearMatrix,
@@ -40,6 +40,7 @@ from oracles import (
     dense_relations,
     pencil_incidence_oracle,
     random_multigraph,
+    snf,
     stored_direction_relations,
 )
 
@@ -295,6 +296,16 @@ def test_h1_of_50_step_blowups_matches_fp_ranks(seed):
     start = time.perf_counter()
     h1 = h1_graph_manifold(g)
     assert time.perf_counter() - start < 2.0
+    cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
+    check_fp_ranks(dense_relations(plumbing_presentation(g)), h1.free_rank - cycle_rank, h1.torsion)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 100))
+def test_h1_of_random_blowups_matches_fp_ranks(seed, steps):
+    # Every F_p dimension of H1 against a rank mod p of the dense relations.
+    g = boundary_graph(blowup_fan(random.Random(seed), steps)[0])
+    h1 = h1_graph_manifold(g)
     cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
     check_fp_ranks(dense_relations(plumbing_presentation(g)), h1.free_rank - cycle_rank, h1.torsion)
 
