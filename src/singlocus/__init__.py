@@ -73,7 +73,6 @@ from .topology import (
     H1Result,
     NodalCurveReport,
     PlumbingPresentation,
-    ShearMatrix,
     dehn_twist_record,
     h1_graph_manifold,
     pencil_localization,

@@ -184,6 +184,8 @@ def _cmd_analyze(args) -> int:
         "dehnTwists",
         lambda: [{"edge": e, "multiplicity": m} for e, m in dehn_twist_record(graph)],
     )
+    # Sections that fail on one precondition give one line, not one each.
+    diagnostics = list(dict.fromkeys(diagnostics))
     return _report(args, "analyze", raw, result, diagnostics, 1 if diagnostics else 0)
 
 

@@ -3,9 +3,11 @@
 The 3-manifold attached to a decorated graph is one circle-fibered pair
 of pants per vertex, glued along boundary tori by the self-inverse shear
 [[-1, n_e], [0, 1]] acting on the (base, fiber) framings.  Only the first
-homology is computed; it comes from a Mayer-Vietoris presentation whose
-relations are the differences of the two torus images, and the graph's
-cycle rank contributes free summands through the connecting map.
+homology is computed.  It is presented on the fiber of each vertex and
+one cuff class per edge, with one relation per vertex and one per
+compact edge, so it depends only on the oriented incidence and the
+twists, not on the cyclic orders; the graph's cycle rank contributes
+free summands through the connecting map.
 """
 
 from __future__ import annotations
@@ -18,25 +20,14 @@ from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
 from .record import Record
 
 
-class ShearMatrix(Record):
-    """The framing change [[-1, n], [0, 1]] on (base, fiber); self-inverse."""
-
-    n: int
-
-    def apply(self, base_coeff: int, fiber_coeff: int) -> tuple[int, int]:
-        return (-base_coeff + self.n * fiber_coeff, fiber_coeff)
-
-
 class PlumbingPresentation(Record):
-    """Mayer-Vietoris relations on the generators b1, b2, f of each vertex.
+    """Relations of H1 on the fibers and the cuff classes.
 
-    The relation matrix has the 3V generators as rows and two columns per
-    compact edge.  The boundary class of the edge at cyclic position p of
-    a vertex is b1, b2, or -b1 - b2 - f; the fiber term in the third
-    position carries the framing correction that a trivialized pants
-    piece forces on its cuff lifts (the three corrections sum to the
-    piece's Euler characteristic).  Rows are numbered in the elimination
-    order of :func:`plumbing_presentation`.
+    The rows are the fiber f_v of each vertex and one cuff class per edge
+    or leg; the columns are one relation per vertex and one per compact
+    edge, so the matrix is V + E + L by V + E.  No row or column depends
+    on the cyclic order at a vertex.  Rows and columns are numbered in
+    the elimination order of :func:`plumbing_presentation`.
     """
 
     relation_matrix: SparseColumns
@@ -93,15 +84,6 @@ class NodalCurveReport(Record):
         return incidence
 
 
-def _torus_class(position: int, gens: tuple[int, int, int], base: int, fiber: int):
-    """base * B(position) + fiber * f at a vertex with generators
-    (b1, b2, f), as (row, coefficient) terms."""
-    b1, b2, f = gens
-    if position == 2:
-        return ((b1, -base), (b2, -base), (f, fiber - base))
-    return ((gens[position], base), (f, fiber))
-
-
 def _column(terms) -> dict[int, int]:
     """The sum of (row, coefficient) terms as a sparse column."""
     column: dict[int, int] = {}
@@ -111,60 +93,52 @@ def _column(terms) -> dict[int, int]:
 
 
 def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
-    """Mayer-Vietoris presentation of H1 of the glued 3-manifold.
+    """Vertex-edge presentation of H1 of the glued 3-manifold.
 
-    Requires a valid, connected, orientable graph; the reversing flags are
-    first gauged away.  A compact edge glues its torus at (a, position i)
-    to the one at (b, position j) by the shear S of twist n_e; the torus
-    class (base, fiber) maps to base * B(a, i) + fiber * f_a on the a
-    side.  Its two relations are image_b(S x) - image_a(x) for the basis
-    vectors x:
+    Requires a valid, connected, orientable graph; the reversing flags
+    are gauged away, which leaves the edges' ends in place.  A compact
+    edge from a to b has the cuff class x_e at its first end; the shear
+    of twist n_e makes the class at its second end -x_e.  A leg's cuff
+    class is its own.  The relations are, per vertex v and per compact
+    edge e from a to b (plumbing calculus: Neumann, Trans. AMS 268, 1981):
 
-        -B(b, j) - B(a, i) = 0
-        n_e * B(b, j) + f_b - f_a = 0
+        f_v + (signed cuff classes at v) = 0
+        f_b - f_a - n_e * x_e = 0
 
-    which span the same lattice whichever end is a, as S is
-    self-inverse.  Legs contribute nothing.
-
-    Rows are numbered in the order that suits the unit elimination of
-    :func:`cokernel_abelian_group`: first the fiber f of each vertex but
-    the root, root-outward along :attr:`DecoratedGraph.tree`, taking the
-    child as a on its tree edge, so that the fiber relation of that edge
-    (its column comes first, in the same order) holds -f and otherwise
-    only classes of the parent; then b1 and b2 of each vertex in reverse
-    breadth-first order, leaves first; last the root's f, which carries
-    the shared fiber class.
+    Rows and columns are numbered in the order that suits the unit
+    elimination of :func:`cokernel_abelian_group`.  First come the fiber
+    of each vertex but the root, along :attr:`DecoratedGraph.tree`, and
+    in the same order the relations of their tree edges, which hold
+    +-f_v, the parent's fiber and the edge's cuff class.  Then the cuff
+    classes, leaves first: by the larger breadth-first index of their
+    ends, descending, ties in edge order.  Last the root's fiber, which
+    carries the shared fiber class.  The vertex relations follow the
+    tree edges in breadth-first order, and the other edges come last.
     """
-    oriented = g.oriented
-    tree = g.tree  # built by the orientation check; the same on ``oriented``
-    g = oriented
+    g.oriented  # checks the graph; raises NonOrientable when w1 != 0
+    tree = g.tree
     inc = g.incidence
-    num_v = len(g.vertices)
-    fiber_row = {v: k for k, v in enumerate(tree)} | {0: 3 * num_v - 1}
-    gens = {
-        v: (num_v - 1 + 2 * k, num_v + 2 * k, fiber_row[v])
-        for k, v in enumerate(reversed([0, *tree]))
-    }
-    child_of = {idx: v for v, (_, idx, _) in tree.items()}
+    bfs_index = {v: k for k, v in enumerate([0, *tree])}
+    ends = {ei: inc.endpoints.get(ei) or (inc.vertex_of[e.end],) for ei, e in enumerate(g.edges)}
+    cuffs = sorted(ends, key=lambda ei: -max(bfs_index[v] for v in ends[ei]))
+    rows = len(bfs_index) + len(cuffs)
+    fiber = {v: k for k, v in enumerate(tree)} | {0: rows - 1}
+    cuff = {ei: len(tree) + k for k, ei in enumerate(cuffs)}
 
-    tree_fibers: list[dict[int, int]] = [{}] * len(tree)
-    rest: list[dict[int, int]] = []
-    for ci, (_, e) in enumerate(g.compact_edges()):
-        h_a, h_b = e.ends
-        if child_of.get(ci) == inc.vertex_of[h_b]:
-            h_a, h_b = h_b, h_a
-        a, b = ((inc.position_of[h], gens[inc.vertex_of[h]]) for h in (h_a, h_b))
-        shear = ShearMatrix(e.twist)
-        base, fiber = (
-            _column((*_torus_class(*b, *shear.apply(*x)), *_torus_class(*a, -x[0], -x[1])))
-            for x in ((1, 0), (0, 1))
-        )
-        rest.append(base)
-        if ci in child_of:
-            tree_fibers[a[1][2]] = fiber
-        else:
-            rest.append(fiber)
-    return PlumbingPresentation(SparseColumns(3 * num_v, tuple(tree_fibers + rest)))
+    sign = {e.ends[1]: -1 for _, e in g.compact_edges()}  # the class there is -x_e
+    vertex_relations = [
+        _column([(fiber[v], 1)] + [(cuff[inc.edge_of[h]], sign.get(h, 1)) for h in g.vertices[v]])
+        for v in bfs_index
+    ]
+    edge_relations = []
+    for ei, e in g.compact_edges():
+        a, b = inc.endpoints[ei]
+        edge_relations.append(_column(((fiber[b], 1), (fiber[a], -1), (cuff[ei], -e.twist))))
+    in_tree = [ci for _, ci, _ in tree.values()]
+    others = sorted(set(range(len(edge_relations))).difference(in_tree))
+    columns = [edge_relations[ci] for ci in in_tree] + vertex_relations
+    columns += [edge_relations[ci] for ci in others]
+    return PlumbingPresentation(SparseColumns(rows, tuple(columns)))
 
 
 def h1_graph_manifold(g: DecoratedGraph) -> H1Result:

@@ -132,6 +132,7 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
         orientable = seed % 2 == 0
         g = random_multigraph(random.Random(seed), 3 + 2 * seed, orientable=orientable)
         add(f"analyze-multigraph{seed}", ["analyze", "--all"], _graph(g))
+    add("analyze-empty-graph", ["analyze", "--all"], b'{"vertices":[],"edges":[]}')
     add("analyze-two-thetas", ["analyze", "--all"], _graph(_two_thetas()))
     twisted = theta_graph(twists=(3, 5, 8), holonomies=(2, -3, 5), reversing=(True, True, False))
     add("analyze-reversing-theta", ["analyze", "--all"], _graph(twisted))
@@ -142,6 +143,11 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
         add(f"validate-blowup{steps}", ["validate"], data)
         add(f"extract-blowup{steps}", ["toric", "extract"], data)
         add(f"analyze-blowup{steps}", ["analyze", "--all"], source=f"extract-blowup{steps}")
+    # H1 at scale, where the presentation's elimination order matters most.
+    fan, _ = blowup_fan(random.Random(1), 200)
+    add("extract-blowup200", ["toric", "extract"], _json(fan_to_json(fan)))
+    add("analyze-blowup200-h1", ["analyze", "--h1"], source="extract-blowup200")
+    add("analyze-ladder1024-h1", ["analyze", "--h1"], _graph(circular_ladder_graph(1024)))
 
     for name, fan in BAD_FANS.items():
         add(f"validate-fan-{name}", ["validate"], _json(fan))

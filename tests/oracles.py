@@ -228,7 +228,10 @@ def stored_direction_relations(g) -> IntMatrix:
 
         B(w, j) + B(v, i)   and   f_w - f_v - n_e * B(v, i),
 
-    where B is b1, b2 or -b1 - b2 - f at position 0, 1 or 2."""
+    where B is b1, b2 or -b1 - b2 - f at position 0, 1 or 2.  This is the
+    Mayer-Vietoris form, built from the cyclic positions, that the
+    vertex-edge presentation of ``plumbing_presentation`` is checked
+    against."""
     g = g.oriented
     vertex_of = {h: v for v, halves in enumerate(g.vertices) for h in halves}
     position_of = {h: p for halves in g.vertices for p, h in enumerate(halves)}

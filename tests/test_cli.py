@@ -371,6 +371,18 @@ def test_analyze_negative_defect(tmp_path):
     assert any("NegativeDefect" in d for d in report["diagnostics"])
 
 
+def test_analyze_writes_each_diagnostic_once():
+    # Every section but dehn needs a connected graph, and each fails alike.
+    code, out, err = run_main(["analyze", "--all"], b'{"vertices":[],"edges":[]}')
+    assert (code, err) == (1, "")
+    assert json.loads(out)["diagnostics"] == ["DisconnectedGraph: graph is not connected"]
+    # Distinct lines stay, in the order the sections meet them.
+    reversing = theta_graph(twists=(3, 5, 8), reversing=(True, True, False))
+    code, out, _ = run_main(["analyze", "--all"], dumps_canonical(graph_to_json(reversing)).encode())
+    assert code == 1
+    assert [d.split(":")[0] for d in json.loads(out)["diagnostics"]] == ["NonOrientable"] * 2
+
+
 def test_analyze_p3_example():
     proc = run_cli(["analyze", "--example", "p3", "--dehn", "--surface"])
     assert proc.returncode == 0

@@ -33,7 +33,7 @@ from singlocus.localmodels import (
 )
 from singlocus.record import FrozenInstanceError, Record
 from singlocus.toric import Fan, WallReport
-from singlocus.topology import H1Result, NodalCurveReport, PlumbingPresentation, ShearMatrix
+from singlocus.topology import H1Result, NodalCurveReport, PlumbingPresentation
 
 from oracles import SmithForm
 
@@ -43,7 +43,7 @@ RECORDS = (
     IntMatrix, SmithForm, SparseColumns,  # SmithForm: the snf oracle's record
     Monomial, TwoPerE, EdgeAut, TwoPerV, VertexAut, PantsPresentation,
     Fan, WallReport,
-    ShearMatrix, PlumbingPresentation, H1Result, NodalCurveReport,
+    PlumbingPresentation, H1Result, NodalCurveReport,
 )
 UNCOMPARED = {FiniteCategory: {"arrows", "identities", "compose"}}
 
@@ -131,7 +131,7 @@ def hash_or_error(x):
 
 def test_every_record_type_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 23
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -227,8 +227,8 @@ def test_arguments_are_checked():
 
 
 def test_records_of_different_classes_are_unequal():
-    assert Leg(1) != ShearMatrix(1)
-    assert len({Leg(1), ShearMatrix(1)}) == 2
+    assert H1Result(0, ()) != SparseColumns(0, ())
+    assert len({H1Result(0, ()), SparseColumns(0, ())}) == 2
 
 
 def test_finite_category_equality_ignores_its_tables():

@@ -26,7 +26,6 @@ from singlocus.graphs import (
 from singlocus.intlinalg import cokernel_abelian_group
 from singlocus.serialize import dumps_canonical, nodal_curve_to_json
 from singlocus.topology import (
-    ShearMatrix,
     dehn_twist_record,
     h1_graph_manifold,
     pencil_localization,
@@ -54,6 +53,11 @@ def gysin_h1(genus):
     return (2 * genus, (2 * genus - 2,))
 
 
+def permute_half_edges(g, rng):
+    """Shuffle each vertex's half-edge triple, which changes the cyclic orders."""
+    return DecoratedGraph(tuple(tuple(rng.sample(t, len(t))) for t in g.vertices), g.edges)
+
+
 def relabel(g, vperm, rng):
     """Relabel vertices (keeping half-edge names) and shuffle edge order."""
     vertices = tuple(g.vertices[vperm.index(i)] for i in range(len(g.vertices)))
@@ -62,32 +66,24 @@ def relabel(g, vperm, rng):
     return DecoratedGraph(vertices, tuple(edges))
 
 
-# --- shear -------------------------------------------------------------
-
-
-def test_shear_self_inverse():
-    for n in range(-4, 5):
-        m = ShearMatrix(n)
-        twice = m.apply(*m.apply(1, 0)), m.apply(*m.apply(0, 1))
-        assert twice == ((1, 0), (0, 1))
-
-
 # --- plumbing / H1 -----------------------------------------------------
 
 
 def test_pants_presentation_trivial():
     from singlocus.topology import H1Result
 
+    # One fiber and three leg cuffs; one vertex relation.
     relations = dense_relations(plumbing_presentation(pants_graph()))
-    assert relations.rows == 3
-    assert relations.cols == 0
+    assert relations.rows == 4
+    assert relations.cols == 1
     assert h1_graph_manifold(pants_graph()) == H1Result(3, ())
 
 
 def test_theta_presentation_shape():
+    # Two fibers and three cuffs; two vertex and three edge relations.
     relations = dense_relations(plumbing_presentation(theta_graph()))
-    assert relations.rows == 6
-    assert relations.cols == 6
+    assert relations.rows == 5
+    assert relations.cols == 5
 
 
 def test_unit_circle_bundle_values():
@@ -115,6 +111,11 @@ def test_h1_invariances():
     # ribbon gauge: flip a vertex and toggle its incident flags
     for v in range(len(g.vertices)):
         assert h1_graph_manifold(flip_vertex(g, v)) == base
+    # cyclic orders: H1 does not depend on them, also by the oracle
+    permuted = permute_half_edges(g, rng)
+    assert permuted.vertices != g.vertices
+    assert h1_graph_manifold(permuted) == base
+    assert stored_direction_h1(permuted) == _h1_pair(base)
 
 
 def test_h1_with_twists_changes_torsion():
@@ -240,9 +241,10 @@ def test_h1_single_twist_family():
 
 def dense_h1(g):
     """H1 with the cokernel read off the dense ``snf`` diagonal."""
-    diag = snf(dense_relations(plumbing_presentation(g))).diagonal
+    relations = dense_relations(plumbing_presentation(g))
+    diag = snf(relations).diagonal
     cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
-    free = 3 * len(g.vertices) - sum(1 for d in diag if d != 0) + cycle_rank
+    free = relations.rows - sum(1 for d in diag if d != 0) + cycle_rank
     return free, tuple(d for d in diag if d > 1)
 
 
@@ -287,11 +289,14 @@ def test_h1_matches_dense_snf_on_random_multigraphs(seed, vertices, data):
     h1 = _outcome(lambda g: _h1_pair(h1_graph_manifold(g)), g)
     assert h1 == _outcome(dense_h1, g)
     assert h1 == _outcome(stored_direction_h1, g)
+    permuted = permute_half_edges(g, random.Random(seed))
+    assert h1 == _outcome(lambda g: _h1_pair(h1_graph_manifold(g)), permuted)
+    assert h1 == _outcome(stored_direction_h1, permuted)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_h1_of_50_step_blowups_matches_fp_ranks(seed):
-    # Dense snf cannot finish on these presentations (312 x 312).
+    # Dense snf cannot finish on these presentations (260 x 260).
     g = boundary_graph(blowup_fan(random.Random(seed), 50)[0])
     start = time.perf_counter()
     h1 = h1_graph_manifold(g)
@@ -319,7 +324,7 @@ def test_h1_ladder_1024_is_fast():
 
 
 def test_h1_ladder_128_closed_form():
-    # g = 129: Z^258 + Z/256, from a 768 x 768 relation matrix
+    # g = 129: Z^258 + Z/256, from a 640 x 640 relation matrix
     h1 = h1_graph_manifold(circular_ladder_graph(128))
     assert (h1.free_rank, h1.torsion) == gysin_h1(129)
 
