@@ -22,7 +22,7 @@ import json
 import sys
 
 from .descent import assemble_diagram, pic_invariants
-from .errors import BoundaryWall, SingLocusError
+from .errors import SingLocusError
 from .examples import CLI_EXAMPLE_FANS, CLI_EXAMPLE_GRAPHS
 from .graphs import dual_surface
 from .serialize import (
@@ -39,7 +39,7 @@ from .serialize import (
     surface_to_json,
     wall_report_to_json,
 )
-from .toric import boundary_graph, divisor_classification, quartic_mirror_fan, wall_data, walls
+from .toric import boundary_graph, divisor_classification, quartic_mirror_fan
 from .topology import dehn_twist_record, h1_graph_manifold, pencil_localization
 
 ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil", "dehn")
@@ -116,20 +116,20 @@ def _cmd_toric_extract(args) -> int:
         return _report(args, "toric extract", raw, {"violations": violations}, violations, 1)
     try:
         graph = boundary_graph(fan)
-        wall_rows = []
-        defect_counts: dict[str, int] = {}
-        for wall in walls(fan):
-            try:
-                row = wall_report_to_json(wall_data(fan, wall))
-                key = str(row["defect"])
-                defect_counts[key] = defect_counts.get(key, 0) + 1
-            except BoundaryWall as exc:
-                row = {"wall": list(wall), "adjacentCones": [exc.cone], "boundary": True}
-            wall_rows.append(row)
         divisors = divisor_classification(fan)
     except SingLocusError as exc:
         diagnostics = [f"{type(exc).__name__}: {exc}"]
         return _report(args, "toric extract", raw, {}, diagnostics, 1)
+    reports = fan.wall_reports
+    wall_rows = [
+        wall_report_to_json(reports[wall]) if wall in reports
+        else {"wall": list(wall), "adjacentCones": cones, "boundary": True}
+        for wall, cones in sorted(fan.wall_table.items())
+    ]
+    defect_counts: dict[str, int] = {}
+    for report in reports.values():
+        key = str(report.defect)
+        defect_counts[key] = defect_counts.get(key, 0) + 1
     result = {
         "graph": graph_to_json(graph),
         "walls": wall_rows,

@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import GraphMismatch, NonOrientable, TwistMismatch
-from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientability
+from .errors import GraphMismatch, TwistMismatch
+from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientation_gauge
 from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
 from .record import Record
 
@@ -79,10 +79,7 @@ def assemble_diagram(
     against the reversed direction is replaced by its inverse.  The
     discrete constraints (eps = -1, shift = 1, n = twist) are enforced.
     """
-    orientable, w1 = orientability(g)
-    if not orientable:
-        raise NonOrientable(f"w1 cocycle on cycles is {w1}; diagrams need w1 = 0")
-
+    orientation_gauge(g)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
     if charts is None:
         chart_scalars = [Fraction(1)] * len(g.vertices)
     else:

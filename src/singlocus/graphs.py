@@ -59,7 +59,8 @@ class DecoratedGraph(Record):
 
     The derived data below is computed on first use and kept on the
     value (treat it as read-only), so each graph is validated, indexed
-    and gauged at most once.
+    and gauged at most once.  Every table is built from :attr:`incidence`,
+    which raises :class:`InvalidGraph` first on an invalid graph.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -72,13 +73,14 @@ class DecoratedGraph(Record):
 
     @cached_property
     def incidence(self) -> "Incidence":
-        """Lookup tables; meaningful only for a valid graph."""
+        """Lookup tables; raises :class:`InvalidGraph` on an invalid graph."""
+        require_valid(self)
         return Incidence.of(self)
 
     @cached_property
     def compact_pairs(self) -> tuple[tuple[int, int], ...]:
-        """:func:`compact_edge_pairs` of this graph."""
-        return tuple(compact_edge_pairs(self))
+        """Endpoint vertex pairs of the compact edges, in edge order."""
+        return tuple(self.incidence.endpoints.values())
 
     @cached_property
     def tree(self) -> dict[int, tuple[int, int, int]]:
@@ -88,13 +90,10 @@ class DecoratedGraph(Record):
         return _bfs_parents(_spanning_tree(len(self.vertices), self.compact_pairs), 0)
 
     @cached_property
-    def oriented(self) -> "DecoratedGraph":
-        """:func:`oriented_form` of this graph."""
-        return oriented_form(self)
-
-    @classmethod
-    def build(cls, vertices, edges) -> "DecoratedGraph":
-        return cls(tuple(tuple(v) for v in vertices), tuple(edges))
+    def flag_parity(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The reversing-flag parity: the vertex flips and the w1 of each
+        cycle, read by :func:`orientability` and :func:`orientation_gauge`."""
+        return _flag_parity(self)
 
     def half_edges(self) -> list[int]:
         out = []
@@ -178,12 +177,6 @@ class Incidence(Record):
         return cls(vertex_of, position_of, partner, edge_of, endpoints)
 
 
-def compact_edge_pairs(g: DecoratedGraph) -> list[tuple[int, int]]:
-    """Endpoint vertex pairs of the compact edges, in edge order."""
-    inc = g.incidence
-    return [inc.endpoints[ei] for ei, _ in g.compact_edges()]
-
-
 # ---------------------------------------------------------------------------
 # Orientability
 # ---------------------------------------------------------------------------
@@ -195,14 +188,15 @@ def _non_tree_edges(g: DecoratedGraph) -> list[tuple[int, tuple[int, int]]]:
     return [(i, pair) for i, pair in enumerate(g.compact_pairs) if i not in in_tree]
 
 
-def _flag_parity(g: DecoratedGraph) -> tuple[list[int], list[tuple[int, int]]]:
+def _flag_parity(g: DecoratedGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Reversing-flag parity of each vertex along ``g.tree``, and
-    ``(edge, w1)`` for each edge of :func:`_non_tree_edges`."""
+    ``(index, w1)`` for each compact edge of :func:`_non_tree_edges`."""
     rev = [int(e.reversing) for _, e in g.compact_edges()]
     parity = [0] * len(g.vertices)
     for v, (u, idx, _) in g.tree.items():
         parity[v] = parity[u] ^ rev[idx]
-    return parity, [(i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in _non_tree_edges(g)]
+    w1 = tuple((i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in _non_tree_edges(g))
+    return tuple(parity), w1
 
 
 def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:
@@ -214,8 +208,7 @@ def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:
     toggles the flag of every non-loop edge end at it, so the cycle
     holonomies are the complete obstruction.
     """
-    require_valid(g)
-    w1 = [x for _, x in _flag_parity(g)[1]]
+    w1 = [x for _, x in g.flag_parity[1]]
     return all(x == 0 for x in w1), w1
 
 
@@ -223,16 +216,17 @@ def orientation_gauge(g: DecoratedGraph) -> list[int]:
     """Vertex flips (0/1 per vertex) that gauge all reversing flags to False.
 
     The gauge is the deterministic one rooted at vertex 0 over the
-    lowest-index spanning tree :attr:`DecoratedGraph.tree`.  Raises
-    :class:`NonOrientable`, naming the first edge whose cycle has w1 = 1,
-    if no such gauge exists.
+    lowest-index spanning tree :attr:`DecoratedGraph.tree`.  This is the
+    gate for every construction that needs w1 = 0: it raises
+    :class:`NonOrientable`, naming by its index in ``g.edges`` the first
+    compact edge whose cycle has w1 = 1, if no such gauge exists.
     """
-    require_valid(g)
-    flips, w1 = _flag_parity(g)
+    flips, w1 = g.flag_parity
     for idx, x in w1:
         if x:
-            raise NonOrientable(f"reversing flags have nontrivial holonomy (edge {idx})")
-    return flips
+            edge = g.compact_edges()[idx][0]
+            raise NonOrientable(f"reversing flags have nontrivial holonomy (edge {edge})")
+    return list(flips)
 
 
 def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
@@ -419,7 +413,6 @@ class FiniteCategory(Record, uncompared=("arrows", "identities", "compose")):
 
 def build_j(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
     """The category with objects = vertices and edges, one arrow per flag."""
-    require_valid(g)
     inc = g.incidence
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"e{ei}" for ei in range(len(g.edges))]
@@ -450,7 +443,6 @@ def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
     an edge cancel; the only nonidentity words are the flags, the isos
     and flag-then-iso, so V + 2H + 4C arrows in all.
     """
-    require_valid(g)
     inc = g.incidence
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"f{h}" for h in sorted(inc.vertex_of)]
@@ -509,7 +501,9 @@ def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
 
 def collapse_functor(g: DecoratedGraph) -> dict[str, str]:
     """Object map of the equivalence from :func:`build_i` to :func:`build_j`,
-    sending each flag object to its edge object."""
+    sending each flag object to its edge object.  Like both categories it
+    reads :attr:`DecoratedGraph.incidence`, so an invalid graph raises
+    :class:`InvalidGraph`."""
     inc = g.incidence
     mapping = {f"v{vi}": f"v{vi}" for vi in range(len(g.vertices))}
     for h, ei in inc.edge_of.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 
 from .errors import NegativeDefect
-from .graphs import DecoratedGraph, require_valid
+from .graphs import DecoratedGraph, orientation_gauge, require_valid
 from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
 from .record import Record
 
@@ -115,7 +115,7 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
     carries the shared fiber class.  The vertex relations follow the
     tree edges in breadth-first order, and the other edges come last.
     """
-    g.oriented  # checks the graph; raises NonOrientable when w1 != 0
+    orientation_gauge(g)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
     tree = g.tree
     inc = g.incidence
     bfs_index = {v: k for k, v in enumerate([0, *tree])}
@@ -170,7 +170,7 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
     to a node yields the nodal curve: nodes total Sum(n_e), annuli become
     genus-0 components with two nodes.
     """
-    g.oriented  # checks the graph; raises NonOrientable when w1 != 0
+    orientation_gauge(g)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
     negative = [ei for ei, e in g.compact_edges() if e.twist < 0]
     if negative:
         raise NegativeDefect(

@@ -281,6 +281,9 @@ def require_valid_fan(f: Fan) -> None:
 
 
 def walls(f: Fan) -> list[tuple[int, int]]:
+    """Every wall (sorted ray pair) of a valid fan, sorted; raises
+    :class:`InvalidFan` otherwise."""
+    require_valid_fan(f)
     return sorted(f.wall_table)
 
 

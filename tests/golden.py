@@ -132,6 +132,11 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
         orientable = seed % 2 == 0
         g = random_multigraph(random.Random(seed), 3 + 2 * seed, orientable=orientable)
         add(f"analyze-multigraph{seed}", ["analyze", "--all"], _graph(g))
+    # The first graph of this series with random flags that is non-orientable
+    # and has legs before the closing edge of its first cycle with w1 = 1:
+    # compact edge 5, index 10 in g.edges.
+    g = random_multigraph(random.Random(2), 7)
+    add("analyze-nonorientable-multigraph", ["analyze", "--all"], _graph(g))
     add("analyze-empty-graph", ["analyze", "--all"], b'{"vertices":[],"edges":[]}')
     add("analyze-two-thetas", ["analyze", "--all"], _graph(_two_thetas()))
     twisted = theta_graph(twists=(3, 5, 8), holonomies=(2, -3, 5), reversing=(True, True, False))
@@ -148,6 +153,18 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
     add("extract-blowup200", ["toric", "extract"], _json(fan_to_json(fan)))
     add("analyze-blowup200-h1", ["analyze", "--h1"], source="extract-blowup200")
     add("analyze-ladder1024-h1", ["analyze", "--h1"], _graph(circular_ladder_graph(1024)))
+    # Incomplete and invalid blowups: boundary-wall rows and the fan gate.
+    for steps in (50, 100, 200):
+        fan, _ = blowup_fan(random.Random(1), steps)
+        mutations = {
+            "drop-first": fan.cones[1:],
+            "drop-alternate": fan.cones[::2],
+            "bad-ray": ((*fan.cones[0][:2], len(fan.rays)), *fan.cones[1:]),
+        }
+        for name, cones in mutations.items():
+            data = _json(fan_to_json(fan.replace(cones=cones)))
+            add(f"validate-blowup{steps}-{name}", ["validate"], data)
+            add(f"extract-blowup{steps}-{name}", ["toric", "extract"], data)
 
     for name, fan in BAD_FANS.items():
         add(f"validate-fan-{name}", ["validate"], _json(fan))

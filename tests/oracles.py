@@ -27,7 +27,7 @@ from math import gcd
 from typing import Sequence
 
 from singlocus.descent import PicInvariants
-from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex
+from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, oriented_form
 from singlocus.intlinalg import IntMatrix, _bfs_parents, _egcd, _spanning_tree
 from singlocus.record import Record
 from singlocus.toric import Fan
@@ -232,7 +232,7 @@ def stored_direction_relations(g) -> IntMatrix:
     Mayer-Vietoris form, built from the cyclic positions, that the
     vertex-edge presentation of ``plumbing_presentation`` is checked
     against."""
-    g = g.oriented
+    g = oriented_form(g)
     vertex_of = {h: v for v, halves in enumerate(g.vertices) for h in halves}
     position_of = {h: p for halves in g.vertices for p, h in enumerate(halves)}
 

@@ -341,9 +341,12 @@ def test_each_value_is_validated_and_derived_once(tmp_path, monkeypatch):
     graph = flip_vertex(flip_vertex(circular_ladder_graph(4), 0), 5)
     path = tmp_path / "ladder.json"
     path.write_text(dumps_canonical(graph_to_json(graph)))
-    counts = count_calls(monkeypatch, ("validate_graph", "assemble_diagram", "oriented_form"))
+    names = ("validate_graph", "assemble_diagram", "oriented_form", "_flag_parity")
+    counts = count_calls(monkeypatch, names)
     assert main(["analyze", str(path), "--all"]) == 0
-    assert counts == {"validate_graph": 1, "assemble_diagram": 1, "oriented_form": 1}
+    # One flag-parity walk serves every section; no section builds the
+    # gauged graph (oriented_form 0).
+    assert counts == {"validate_graph": 1, "assemble_diagram": 1, "_flag_parity": 1}
 
     path = tmp_path / "fan.json"
     path.write_text(dumps_canonical(fan_to_json(p3_fan())))
@@ -376,11 +379,14 @@ def test_analyze_writes_each_diagnostic_once():
     code, out, err = run_main(["analyze", "--all"], b'{"vertices":[],"edges":[]}')
     assert (code, err) == (1, "")
     assert json.loads(out)["diagnostics"] == ["DisconnectedGraph: graph is not connected"]
-    # Distinct lines stay, in the order the sections meet them.
+    # One gate decides orientability, so every section that needs w1 = 0
+    # fails with the same line.
     reversing = theta_graph(twists=(3, 5, 8), reversing=(True, True, False))
     code, out, _ = run_main(["analyze", "--all"], dumps_canonical(graph_to_json(reversing)).encode())
     assert code == 1
-    assert [d.split(":")[0] for d in json.loads(out)["diagnostics"]] == ["NonOrientable"] * 2
+    assert json.loads(out)["diagnostics"] == [
+        "NonOrientable: reversing flags have nontrivial holonomy (edge 2)"
+    ]
 
 
 def test_analyze_p3_example():

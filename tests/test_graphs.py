@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.errors import DisconnectedGraph, NonOrientable
+from singlocus.descent import assemble_diagram
+from singlocus.errors import DisconnectedGraph, InvalidGraph, NonOrientable
 from singlocus.examples import (
     circular_ladder_graph,
     conifold_graph,
@@ -25,6 +26,12 @@ from singlocus.graphs import (
     orientation_gauge,
     oriented_form,
     validate_graph,
+)
+from singlocus.topology import (
+    dehn_twist_record,
+    h1_graph_manifold,
+    pencil_localization,
+    plumbing_presentation,
 )
 from oracles import cycle_basis, flip_each, random_multigraph, w1_oracle
 
@@ -71,6 +78,49 @@ def test_half_edge_bookkeeping():
     report = validate_graph(g)
     assert any("used by 2 edges" in v for v in report)
     assert any("belongs to no edge" in v for v in report)
+
+
+# Theta graphs broken one way each; every public entry must refuse them.
+INVALID_GRAPHS = {
+    # Half-edge 7 is on no vertex, and half-edge 5 in no edge.
+    "dangling-half-edge": lambda: DecoratedGraph(
+        ((0, 1, 2), (3, 4, 5)), (CompactEdge((0, 3)), CompactEdge((1, 4)), CompactEdge((2, 7)))
+    ),
+    "shared-half-edge": lambda: DecoratedGraph(
+        ((0, 1, 2), (3, 4, 5)),
+        (CompactEdge((0, 3)), CompactEdge((1, 4)), CompactEdge((2, 5)), Leg(0)),
+    ),
+    "non-trivalent-vertex": lambda: DecoratedGraph(
+        ((0, 1, 2, 6), (3, 4, 5)),
+        (CompactEdge((0, 3)), CompactEdge((1, 4)), CompactEdge((2, 5)), Leg(6)),
+    ),
+}
+GRAPH_ENTRIES = {
+    "incidence": lambda g: g.incidence,
+    "compact_pairs": lambda g: g.compact_pairs,
+    "tree": lambda g: g.tree,
+    "collapse_functor": collapse_functor,
+    "orientability": orientability,
+    "orientation_gauge": orientation_gauge,
+    "oriented_form": oriented_form,
+    "dual_surface": dual_surface,
+    "build_i": build_i,
+    "build_j": build_j,
+    "assemble_diagram": assemble_diagram,
+    "plumbing_presentation": plumbing_presentation,
+    "h1_graph_manifold": h1_graph_manifold,
+    "pencil_localization": pencil_localization,
+    "dehn_twist_record": dehn_twist_record,
+}
+
+
+@pytest.mark.parametrize("entry", GRAPH_ENTRIES)
+@pytest.mark.parametrize("graph", INVALID_GRAPHS)
+def test_every_graph_entry_refuses_an_invalid_graph(graph, entry):
+    g = INVALID_GRAPHS[graph]()
+    with pytest.raises(InvalidGraph) as info:
+        GRAPH_ENTRIES[entry](g)
+    assert info.value.report == list(g.violations)
 
 
 # --- categories --------------------------------------------------------
@@ -310,7 +360,8 @@ def test_orientability_requires_connected():
 @given(st.integers(0, 2**32), st.integers(1, 9))
 def test_w1_and_gauge_diagnostic_match_cycle_oracle(seed, vertices):
     # random flags: w1 equals the explicit cycle sums, and a non-orientable
-    # graph's diagnostic names the closing edge of the first cycle with w1 = 1
+    # graph's diagnostic names, by its index in g.edges, the closing compact
+    # edge of the first cycle with w1 = 1
     g = random_multigraph(random.Random(seed), vertices)
     w1 = w1_oracle(g)
     assert orientability(g) == (not any(w1), w1)
@@ -318,7 +369,8 @@ def test_w1_and_gauge_diagnostic_match_cycle_oracle(seed, vertices):
         cycle = cycle_basis(len(g.vertices), g.compact_pairs)[w1.index(1)]
         with pytest.raises(NonOrientable) as info:
             orientation_gauge(g)
-        assert str(info.value) == f"reversing flags have nontrivial holonomy (edge {cycle[-1][0]})"
+        edge = g.compact_edges()[cycle[-1][0]][0]
+        assert str(info.value) == f"reversing flags have nontrivial holonomy (edge {edge})"
     else:
         assert oriented_form(g) == flip_each(g, orientation_gauge(g))
 

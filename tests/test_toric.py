@@ -70,6 +70,28 @@ def test_overlapping_cones_detected():
 E123 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+# A cone with two rays, and a cone on a ray that does not exist.
+INVALID_FANS = {
+    "two-ray-cone": lambda: Fan.build(E123, [[0, 1]]),
+    "out-of-range-ray": lambda: Fan.build(E123, [[0, 1, 5]]),
+}
+FAN_ENTRIES = {
+    "walls": walls,
+    "wall_data": lambda f: wall_data(f, (0, 1)),
+    "boundary_graph": boundary_graph,
+    "divisor_classification": divisor_classification,
+}
+
+
+@pytest.mark.parametrize("entry", FAN_ENTRIES)
+@pytest.mark.parametrize("fan", INVALID_FANS)
+def test_every_fan_entry_refuses_an_invalid_fan(fan, entry):
+    f = INVALID_FANS[fan]()
+    with pytest.raises(InvalidFan) as info:
+        FAN_ENTRIES[entry](f)
+    assert info.value.report == list(f.violations)
+
+
 @pytest.mark.parametrize(
     "rays, cones, expected",
     [
@@ -203,7 +225,7 @@ def test_certificate_refuses_a_star_that_winds_twice():
     # branched at the poles.
     laps = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
     f = Fan.build([[0, 0, 1], [0, 0, -1]] + laps, [[p, 2 + k, 2 + (k + 1) % 8] for p in (0, 1) for k in range(8)])
-    assert len(f.rays) - len(walls(f)) + len(f.cones) == 2
+    assert len(f.rays) - len(f.wall_table) + len(f.cones) == 2
     assert not _covers_sphere_once(f)
     report = validate_fan(f)
     assert len(report) == 16 and report == fan_violations_oracle(f)
@@ -317,9 +339,7 @@ def test_p3_gives_k4():
     assert len(compact) == 6 and not g.legs()
     assert all(e.twist == 4 for e in compact)
     # complete graph: every vertex pair joined exactly once
-    from singlocus.graphs import compact_edge_pairs
-
-    pairs = Counter(tuple(sorted(p)) for p in compact_edge_pairs(g))
+    pairs = Counter(tuple(sorted(p)) for p in g.compact_pairs)
     assert pairs == Counter({(a, b): 1 for a in range(4) for b in range(a + 1, 4)})
 
 
