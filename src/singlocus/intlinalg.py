@@ -2,8 +2,8 @@
 the spanning forests and trees that graphs are walked along.
 
 A cokernel eliminates its unit pivots sparsely and reads the invariant
-factors of the dense residue from one Smith routine with no transforms,
-which works modulo a nonzero minor of the residue.
+factors of the dense residue from one local Smith pass per factor of a
+nonzero minor of the residue, with no transforms.
 
 Everything here works over Python's arbitrary-precision integers; no
 floating point is ever used.  All values are immutable and all functions
@@ -49,23 +49,6 @@ class IntMatrix(Record):
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-
-def _egcd(p: int, q: int) -> tuple[int, int, int]:
-    """g, x, y with x*p + y*q = g = gcd(p, q) >= 0.
-
-    Iterative Euclid with Python's floor quotients; the coefficients are
-    those of the recursion ``egcd(p, q) = (g, y, x - (p // q) * y)`` over
-    ``egcd(q, p % q)``, ending in ``(|p|, sign p, 0)`` at ``q == 0``.
-    """
-    x0, y0, x1, y1 = 1, 0, 0, 1  # p0 = x0*p + y0*q and q0 = x1*p + y1*q
-    while q:
-        k, r = divmod(p, q)
-        p, q = q, r
-        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
-    if p < 0:
-        return (-p, -x0, -y0)
-    return (p, x0, y0)
 
 
 def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -114,8 +97,8 @@ def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int
     column to the others clears the row; then the row is a generator
     killed by its column alone, so both are dropped and the rank grows
     by one.  A row without a unit when its turn comes stays in the
-    residue, whose invariant factors :func:`_smith_diagonal` reads
-    modulo a nonzero minor.
+    residue, whose invariant factors :func:`_smith_diagonal` reads one
+    factor of a nonzero minor at a time.
     """
     if isinstance(m, IntMatrix):
         c = m.cols
@@ -164,13 +147,14 @@ def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int
     return m.rows - rank, tuple(d for d in diagonal if d > 1)
 
 
-def _bareiss(a: list[list[int]]) -> tuple[int, int]:
-    """Rank r of ``a`` and a nonzero r x r minor (1 when r = 0).
+def _bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Rank r of ``rows`` and a nonzero r x r minor (1 when r = 0).
 
-    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) with the
-    least nonzero |entry| as pivot: each pivot is a leading minor of the
-    permuted matrix, so the last one is the minor.  ``a`` is overwritten.
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on a copy,
+    with the least nonzero |entry| as pivot: each pivot is a leading
+    minor of the permuted matrix, so the last one is the minor.
     """
+    a = [list(row) for row in rows]
     nr, nc = len(a), len(a[0]) if a else 0
     prev = 1
     for k in range(min(nr, nc)):
@@ -192,91 +176,90 @@ def _bareiss(a: list[list[int]]) -> tuple[int, int]:
     return min(nr, nc), prev
 
 
-def _echelon_mod(a: list[list[int]], n: int) -> None:
-    """Bring ``a``, with entries in [0, n), to row echelon form over Z/nZ
-    by row operations; ``a`` is overwritten.
+def _local_exponents(rows: list[list[int]], q: int, e: int) -> tuple[int, list[int]]:
+    """One Smith pass over Z/q^eZ, reading q as a prime: (1, the pivot
+    exponents), or (g, exponents so far) when a pivot's unit part u has
+    g = gcd(u, q) > 1.
 
-    Each column's pivot is its entry of least gcd with n among the rows
-    not yet pivots.  Rows below the pivot are zero left of its column,
-    so only the columns from the pivot on change.  A unit pivot p clears
-    each lower row by subtracting b * p^-1 times the pivot row; otherwise
-    a lower entry b that p divides is cleared the same way with b // p,
-    and any other b by the ``_egcd`` 2x2 block, which replaces p by
-    gcd(p, b) < p.
+    At level k the matrix left is q^k times one kept modulo q^(e-k).  Its
+    first entry u, in row-major order, that q does not divide is the
+    pivot: unless q splits, u is invertible, so row operations clear its
+    column, and column operations would clear its row without touching
+    the others; the row and column are dropped and k is recorded.  A row
+    with no such entry keeps none, so one sweep of the rows finishes a
+    level, and the exponents come out nondecreasing.  Then every entry is
+    divisible by q, and q is taken out of the matrix and the modulus; zero
+    rows are dropped for good.
     """
-    rows, t = len(a), 0
-    for j in range(len(a[0]) if a else 0):
-        best = None
-        for i in range(t, rows):
-            if a[i][j]:
-                g = gcd(a[i][j], n)
-                if best is None or g < best[0]:
-                    best = (g, i)
-                    if g == 1:
-                        break
-        if best is None:
-            continue
-        unit, i = best[0] == 1, best[1]
-        a[t], a[i] = a[i], a[t]
-        top = a[t]
-        inverse = pow(top[j], -1, n) if unit else 0
-        for row in a[t + 1:]:
-            b, p = row[j], top[j]
-            if not b:
+    n = q**e
+    a = [[x % n for x in row] for row in rows]
+    exponents: list[int] = []
+    for k in range(e):
+        i = 0
+        while i < len(a):
+            pivot_row = a[i]
+            j = next((j for j, x in enumerate(pivot_row) if x % q), None)
+            if j is None:
+                i += 1
                 continue
-            if unit or b % p == 0:
-                f = b * inverse % n if unit else b // p
-                row[j:] = [(x - f * y) % n for x, y in zip(row[j:], top[j:])]
-            else:
-                g, x, y = _egcd(p, b)
-                u, v = b // g, p // g  # det [[x, y], [-u, v]] = 1
-                pairs = list(zip(top[j:], row[j:]))
-                top[j:] = [(x * e + y * f) % n for e, f in pairs]
-                row[j:] = [(v * f - u * e) % n for e, f in pairs]
-        t += 1
-        if t == rows:
-            return
+            g = gcd(pivot_row[j], q)
+            if g > 1:
+                return g, exponents
+            del a[i]
+            inverse = pow(pivot_row[j], -1, n)
+            for row in a:
+                if row[j]:
+                    f = row[j] * inverse % n
+                    row[:] = [(x - f * y) % n for x, y in zip(row, pivot_row)]
+                del row[j]
+            exponents.append(k)
+        n //= q
+        a = [[x // q for x in row] for row in a if any(row)]
+    return 1, exponents
 
 
 def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The Smith diagonal of ``m`` (length min(rows, cols); each entry
-    divides the next, and zeros trail), computed modulo a minor.
+    divides the next, and zeros trail).
 
     :func:`_bareiss` gives the rank r and a nonzero r x r minor D.  The
-    first r invariant factors multiply to the gcd of the r x r minors,
-    so each divides D and equals its gcd with D (Domich-Kannan-Trotter,
-    Math. Oper. Res. 12, 1987).  So the matrix is reduced mod D, and
-    rounds of :func:`_echelon_mod`, on it and then on its transpose, make
-    it diagonal over Z/DZ with entries in [0, D).  The gcds of those
-    entries with D (D for a 0) become a divisibility chain by pairwise
-    gcd and lcm, which leaves the group they present unchanged; its
-    first r entries are the invariant factors.  The chain comes first:
-    a diagonal mod D can hold more than r nonzero entries.
-
-    The rounds end.  Row operations keep the ideal of Z/DZ that a
-    column's entries generate, so after each pass the first pivot
-    generates the ideal of its whole line before the pass, which holds
-    the pivot: the ideal grows, and D has finitely many divisors.  Once
-    it stops growing, every entry of the line lies in it, so the pivot
-    keeps its least gcd and its place (ties go to the first entry), and
-    each 2x2 block lowers its value in [1, D).  A pass without a block
-    clears the line without refilling the other; the first row and
-    column then stay clear, and the same holds for the rest.
+    first r invariant factors multiply to the gcd of the r x r minors, so
+    only the primes of D divide them.  D is not factored: each part q on
+    the work list, D at first, is read as a prime (dynamic evaluation,
+    Della Dora-Dicrescenzo-Duval, EUROCAL '85) by one local Smith pass,
+    the local step of the valence method (Dumas-Saunders-Villard, J.
+    Symb. Comp. 32, 2001).  If the pass ends, each pivot q^k u has u
+    prime to q, so for q = p^a s every prime p of q divides the invariant
+    factor of that step exactly a k times; the a k of the r steps sum to
+    at most v_p(D), so each k is at most v_q(D), and the pass runs modulo
+    q^e, e = v_q(D) + 1.  A non-unit pivot, or a cofactor D / q^(e-1)
+    sharing a factor g with q, splits q by gcd into two coprime parts
+    (only g when q has no prime outside g); the parts keep the primes of
+    D apart, so their powers multiply back by the CRT.
     """
-    rank, minor = _bareiss(m.to_rows())
-    n = abs(minor)
-    a = [[x % n for x in row] for row in m.to_rows()]
-    while True:
-        _echelon_mod(a, n)
-        if not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a)):
-            break
-        a = [list(column) for column in zip(*a)]
-    chain = [gcd(a[i][i], n) for i in range(min(m.rows, m.cols))]  # gcd(0, D) = D
-    for i in range(len(chain)):
-        for j in range(i + 1, len(chain)):
-            g = gcd(chain[i], chain[j])
-            chain[i], chain[j] = g, chain[i] // g * chain[j]
-    return tuple(chain[:rank]) + (0,) * (min(m.rows, m.cols) - rank)
+    rows = m.to_rows()
+    rank, minor = _bareiss(rows)
+    minor = abs(minor)
+    diagonal = [1] * rank
+    todo = [minor] if minor > 1 else []
+    while todo:
+        q = todo.pop()
+        e, rest = 1, minor
+        while rest % q == 0:
+            rest //= q
+            e += 1
+        g = gcd(rest, q)
+        if g == 1:
+            g, exponents = _local_exponents(rows, q, e)
+        if g > 1:
+            a, b = g, q // g
+            while (c := gcd(a, b)) > 1:
+                a, b = a * c, b // c
+            todo += (a, b) if b > 1 else (g,)
+            continue
+        for i, k in enumerate(exponents):
+            diagonal[i] *= q**k
+    return tuple(diagonal) + (0,) * (min(m.rows, m.cols) - rank)
 
 
 def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -79,8 +79,46 @@ class Fan(Record):
         return tuple(validate_fan(self))
 
     @cached_property
+    def local_violations(self) -> tuple[str, ...]:
+        """The violations of single rays and cones, which
+        :func:`validate_fan` reports first; the tables below raise
+        :class:`InvalidFan` unless there are none."""
+        report = []
+        seen: dict[Vec, int] = {}
+        not_3d = set()
+        for i, r in enumerate(self.rays):
+            if len(r) != 3:
+                report.append(f"ray {i} is not a 3-vector")
+                not_3d.add(i)
+                continue
+            if r == (0, 0, 0) or not _is_primitive(r):
+                report.append(f"ray {i} = {r} not primitive")
+            if r in seen:
+                report.append(f"ray {i} duplicates ray {seen[r]}")
+            else:
+                seen[r] = i
+        cone_sets: set[frozenset[int]] = set()
+        for ci, cone in enumerate(self.cones):
+            if len(cone) != 3 or len(set(cone)) != 3:
+                report.append(f"cone {ci} does not have three distinct rays")
+                continue
+            if any(i < 0 or i >= len(self.rays) for i in cone):
+                report.append(f"cone {ci} has an out-of-range ray index")
+                continue
+            if not_3d.intersection(cone):
+                continue  # the ray is already reported; it has no determinant
+            d = _det3(*(self.rays[i] for i in cone))
+            if abs(d) != 1:
+                report.append(f"non-unimodular cone {ci} (det = {d})")
+            if frozenset(cone) in cone_sets:
+                report.append(f"cone {ci} duplicates another cone")
+            cone_sets.add(frozenset(cone))
+        return tuple(report)
+
+    @cached_property
     def wall_table(self) -> dict[tuple[int, int], list[int]]:
         """wall (sorted ray pair) -> indices of maximal cones containing it."""
+        _require_well_formed(self)
         out: dict[tuple[int, int], list[int]] = {}
         for ci, cone in enumerate(self.cones):
             s = sorted(cone)
@@ -94,7 +132,8 @@ class Fan(Record):
         through it) in walk order and whether the link is a cycle; None when
         the link is neither one cycle nor one chain.  A chain is walked from
         its smaller end ray, a cycle from its smallest ray; a ray in no cone
-        has the empty chain.  Read only once the cones are well formed."""
+        has the empty chain."""
+        _require_well_formed(self)
         links: list[dict[int, list[int]]] = [{} for _ in self.rays]
         for a, b, c in self.cones:
             for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
@@ -143,36 +182,7 @@ def validate_fan(f: Fan) -> list[str]:
     checks is scanned for rays inside foreign cones, O(rays x cones), and
     then for crossing walls, O(boundary walls x walls); the scan is the
     only code that reports an improper intersection."""
-    report = []
-    seen: dict[Vec, int] = {}
-    not_3d = set()
-    for i, r in enumerate(f.rays):
-        if len(r) != 3:
-            report.append(f"ray {i} is not a 3-vector")
-            not_3d.add(i)
-            continue
-        if r == (0, 0, 0) or not _is_primitive(r):
-            report.append(f"ray {i} = {r} not primitive")
-        if r in seen:
-            report.append(f"ray {i} duplicates ray {seen[r]}")
-        else:
-            seen[r] = i
-    cone_sets: set[frozenset[int]] = set()
-    for ci, cone in enumerate(f.cones):
-        if len(cone) != 3 or len(set(cone)) != 3:
-            report.append(f"cone {ci} does not have three distinct rays")
-            continue
-        if any(i < 0 or i >= len(f.rays) for i in cone):
-            report.append(f"cone {ci} has an out-of-range ray index")
-            continue
-        if not_3d.intersection(cone):
-            continue  # the ray is already reported; it has no determinant
-        d = _det3(*(f.rays[i] for i in cone))
-        if abs(d) != 1:
-            report.append(f"non-unimodular cone {ci} (det = {d})")
-        if frozenset(cone) in cone_sets:
-            report.append(f"cone {ci} duplicates another cone")
-        cone_sets.add(frozenset(cone))
+    report = list(f.local_violations)
     if report:
         return report
 
@@ -273,6 +283,11 @@ def _covers_sphere_once(f: Fan) -> bool:
         if winding != 1:
             return False
     return True
+
+
+def _require_well_formed(f: Fan) -> None:
+    if f.local_violations:
+        raise InvalidFan(f.local_violations)
 
 
 def require_valid_fan(f: Fan) -> None:

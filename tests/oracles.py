@@ -28,7 +28,7 @@ from typing import Sequence
 
 from singlocus.descent import PicInvariants
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, oriented_form
-from singlocus.intlinalg import IntMatrix, _bfs_parents, _egcd, _spanning_tree
+from singlocus.intlinalg import IntMatrix, _bfs_parents, _spanning_tree
 from singlocus.record import Record
 from singlocus.toric import Fan
 
@@ -50,6 +50,23 @@ def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     ))
 
 
+def egcd(p: int, q: int) -> tuple[int, int, int]:
+    """g, x, y with x*p + y*q = g = gcd(p, q) >= 0.
+
+    Iterative Euclid with Python's floor quotients; the coefficients are
+    those of the recursion ``egcd(p, q) = (g, y, x - (p // q) * y)`` over
+    ``egcd(q, p % q)``, ending in ``(|p|, sign p, 0)`` at ``q == 0``.
+    """
+    x0, y0, x1, y1 = 1, 0, 0, 1  # p0 = x0*p + y0*q and q0 = x1*p + y1*q
+    while q:
+        k, r = divmod(p, q)
+        p, q = q, r
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    if p < 0:
+        return (-p, -x0, -y0)
+    return (p, x0, y0)
+
+
 class SmithForm(Record):
     """Diagonalization ``left * a * right == diag`` by unimodular transforms.
 
@@ -64,7 +81,7 @@ class SmithForm(Record):
 
 def _clear_below(a: list[list[int]], t: int, companion: list[list[int]]) -> bool:
     """Zero ``a[i][t]`` for i > t by row operations, which the rows of
-    ``companion`` undergo too.  Returns True when an ``_egcd`` 2x2 block
+    ``companion`` undergo too.  Returns True when an ``egcd`` 2x2 block
     was needed: then the pivot ``a[t][t]`` shrank to a proper divisor of
     itself and row t changed."""
     shrank = False
@@ -75,7 +92,7 @@ def _clear_below(a: list[list[int]], t: int, companion: list[list[int]]) -> bool
         if b % p == 0:
             x, y, u, v = 1, 0, -(b // p), 1
         else:
-            g, x, y = _egcd(p, b)
+            g, x, y = egcd(p, b)
             u, v = -(b // g), p // g  # det [[x, y], [u, v]] = 1
             shrank = True
         for mat in (a, companion):
@@ -694,8 +711,8 @@ def _basis_completion(v) -> tuple:
     """Two vectors completing the primitive v to a basis of Z^3 with
     det(v, w1, w2) = 1, from two extended-gcd steps."""
     a, b, c = v
-    g_ab, s, t = _egcd(a, b)  # s*a + t*b = g_ab
-    g, u, w = _egcd(g_ab, c)  # u*g_ab + w*c = 1
+    g_ab, s, t = egcd(a, b)  # s*a + t*b = g_ab
+    g, u, w = egcd(g_ab, c)  # u*g_ab + w*c = 1
     assert g == 1, f"{v} is not primitive"
     if g_ab == 0:
         w1, w2 = (1, 0, 0), (0, 1 if c > 0 else -1, 0)

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.errors import DisconnectedGraph
-from singlocus.intlinalg import IntMatrix, SparseColumns, _egcd, _smith_diagonal, cokernel_abelian_group
+from singlocus import intlinalg
+from singlocus.intlinalg import IntMatrix, SparseColumns, _smith_diagonal, cokernel_abelian_group
 
 from oracles import (
     cycle_basis,
     det_bareiss,
+    egcd,
     enumerate_cokernel,
     matmul,
     smith_diagonal_oracle,
@@ -170,16 +172,17 @@ def test_cokernel_matches_dense_snf_with_zero_rows_and_columns(m, data):
     assert cokernel_abelian_group(zeroed) == dense_cokernel(zeroed)
 
 
-def rank_deficient(max_side):
-    """A product of nr x k and k x nc matrices, k < min(nr, nc) when both
-    sides are positive, so the rank is below full."""
+def products(max_side, values, deficient=False):
+    """L R for L of size nr x k and R of size k x nc, entries from
+    ``values``; with ``deficient``, k < min(nr, nc) when both sides are
+    positive, so the rank is below full."""
 
     def build(nr, nc, data):
-        k = data.draw(st.integers(0, max(min(nr, nc) - 1, 0)))
-        left = [data.draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) for _ in range(nr)]
-        right = [data.draw(st.lists(st.integers(-4, 4), min_size=nc, max_size=nc)) for _ in range(k)]
-        rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] if k else [0] * nc for row in left]
-        return IntMatrix(nr, nc, tuple(x for r in rows for x in r))
+        k = data.draw(st.integers(0, max(min(nr, nc) - 1, 0) if deficient else max_side))
+        left = [data.draw(st.lists(values, min_size=k, max_size=k)) for _ in range(nr)]
+        right = [data.draw(st.lists(values, min_size=nc, max_size=nc)) for _ in range(k)]
+        cols = [[r[j] for r in right] for j in range(nc)]
+        return IntMatrix(nr, nc, tuple(sum(a * b for a, b in zip(row, col)) for row in left for col in cols))
 
     return st.tuples(st.integers(0, max_side), st.integers(0, max_side), st.data()).map(
         lambda args: build(*args)
@@ -199,22 +202,18 @@ def test_smith_diagonal_matches_snf_on_sparse_unit_heavy_matrices(m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rank_deficient(7))
+@given(products(7, st.integers(-4, 4), deficient=True))
 def test_smith_diagonal_matches_snf_on_rank_deficient_matrices(m):
     assert _smith_diagonal(m) == snf(m).diagonal
 
 
 def test_smith_diagonal_examples():
-    # D = 6 for diag(2, 3): diagonal mod D already, and the chain step
-    # turns (2, 3) into (gcd, lcm) = (1, 6).
+    # D = 6 for diag(2, 3): the pivot 2 splits 6 into 2 and 3.
     assert _smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
-    # D = 8.  Each pivot 2 divides the entries below it.  Without the
-    # b % p == 0 shortcut, the _egcd block of two equal entries swaps
-    # their rows, and the rounds never end.
+    # The first pivot 2 shrinks D = 8 to 2, and every pivot is 2 u.
     rows = [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 2, 2], [-2, 0, 0, 0]]
     assert _smith_diagonal(IntMatrix.from_rows(rows)) == (2, 2, 2, 0)
-    # Rank 4, but the diagonal mod D has five nonzero entries: cutting it
-    # to four before the chain step gives a wrong answer.
+    # Rank 4 in a 7 x 5 matrix.
     rows = [[23, 0, 38, 0, 0], [0, 0, 0, 0, 0], [-33, -38, -16, 0, 0], [0, 33, 0, -19, 26],
             [0, 0, 0, 0, 0], [-40, 0, 0, 0, 0], [0, 36, 0, 0, 0]]
     assert _smith_diagonal(IntMatrix.from_rows(rows)) == (1, 1, 2, 4, 0)
@@ -223,6 +222,54 @@ def test_smith_diagonal_examples():
     assert _smith_diagonal(IntMatrix.from_rows([[4, 6], [6, 9]])) == (1, 0)
     for nr, nc in ((0, 0), (0, 3), (3, 0)):
         assert _smith_diagonal(zero_matrix(nr, nc)) == ()
+
+
+P, Q = 10007, 10009
+
+
+@pytest.mark.parametrize(
+    "rows, diagonal, passes",
+    [
+        # The pass modulo D^2 meets the non-unit pivot P: D splits into P and Q.
+        pytest.param([[P, 0], [0, Q]], (1, P * Q), {(P * Q, 2, P), (P, 2, 1), (Q, 2, 1)}, id="split-in-pass"),
+        # The pivot P Q shrinks D = P^3 Q^2 to P Q (D has no prime outside
+        # P Q), and the cofactor D / (P Q)^2 = P splits P Q into P and Q
+        # before a pass runs on it.
+        pytest.param(
+            [[P * Q, 0], [0, P**2 * Q]], (P * Q, P**2 * Q),
+            {(P**3 * Q**2, 2, P * Q), (P, 4, 1), (Q, 3, 1)}, id="split-at-exponent",
+        ),
+        # D = P^2 Q^2 splits into P^2 and Q^2; Q^2 is read as a prime to the
+        # end, while the pivot P of unit part P shrinks P^2 to P.
+        pytest.param(
+            [[P, 0], [0, P * Q**2]], (P, P * Q**2),
+            {(P**2 * Q**2, 2, P), (Q**2, 2, 1), (P**2, 2, P), (P, 3, 1)}, id="prime-square-unsplit",
+        ),
+        # D = P^2 Q is read as a prime, and its only pivot is D itself.
+        pytest.param([[P**2 * Q]], (P**2 * Q,), {(P**2 * Q, 2, 1)}, id="minor-unsplit"),
+        pytest.param([[2, 3], [1, 2]], (1, 1), set(), id="unit-minor"),
+        pytest.param([[0, 0], [0, 0], [0, 0]], (0, 0), set(), id="rank-zero"),
+    ],
+)
+def test_smith_diagonal_branches(rows, diagonal, passes, monkeypatch):
+    seen = set()
+    local_exponents = intlinalg._local_exponents
+
+    def record(rows, q, e):
+        g, exponents = local_exponents(rows, q, e)
+        seen.add((q, e, g))
+        return g, exponents
+
+    monkeypatch.setattr(intlinalg, "_local_exponents", record)
+    m = IntMatrix.from_rows(rows)
+    assert _smith_diagonal(m) == snf(m).diagonal == diagonal
+    assert seen == passes
+
+
+@settings(max_examples=150, deadline=None)
+@given(products(5, st.sampled_from([0, 1, -1, 3, P, Q, 2 * P, Q**2])))
+def test_smith_diagonal_matches_snf_on_products_of_large_primes(m):
+    assert _smith_diagonal(m) == snf(m).diagonal
 
 
 def test_cokernel_reads_sparse_columns_in_row_order():
@@ -240,7 +287,7 @@ def test_cokernel_of_empty_and_zero_matrices():
 
 
 def _egcd_recursive(p, q):
-    """The recursion that ``_egcd`` runs as a loop; the reference."""
+    """The recursion that ``egcd`` runs as a loop; the reference."""
     if q == 0:
         return (abs(p), 1 if p >= 0 else -1, 0)
     g, x, y = _egcd_recursive(q, p % q)
@@ -266,7 +313,7 @@ def test_egcd_matches_the_recursion_on_large_arguments():
     finally:
         sys.setrecursionlimit(limit)
     for (p, q), want in zip(pairs, expected):
-        g, x, y = _egcd(p, q)
+        g, x, y = egcd(p, q)
         assert (g, x, y) == want
         assert g == math.gcd(p, q) and x * p + y * q == g
 

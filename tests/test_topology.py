@@ -261,6 +261,14 @@ def test_h1_matches_dense_snf(graph):
     assert (h1.free_rank, h1.torsion) == dense_h1(g)
 
 
+@pytest.mark.parametrize("steps", [10, 20])
+def test_h1_of_blowup_sweep_matches_dense_snf(steps):
+    for seed in range(1, 31):
+        g = boundary_graph(blowup_fan(random.Random(seed), steps)[0])
+        h1 = h1_graph_manifold(g)
+        assert (h1.free_rank, h1.torsion) == dense_h1(g), seed
+
+
 def _outcome(f, g):
     try:
         return f(g)

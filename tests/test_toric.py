@@ -70,12 +70,18 @@ def test_overlapping_cones_detected():
 E123 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
-# A cone with two rays, and a cone on a ray that does not exist.
+# Fans that fail a check of one ray or cone: a cone with two rays, a cone
+# on a ray that does not exist, a ray with two coordinates, and a cone of
+# determinant 2.
 INVALID_FANS = {
     "two-ray-cone": lambda: Fan.build(E123, [[0, 1]]),
     "out-of-range-ray": lambda: Fan.build(E123, [[0, 1, 5]]),
+    "short-ray": lambda: Fan.build([[1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]),
+    "non-unimodular": lambda: Fan.build([[1, 0, 0], [0, 1, 0], [1, 1, 2]], [[0, 1, 2]]),
 }
 FAN_ENTRIES = {
+    "wall_table": lambda f: f.wall_table,
+    "stars": lambda f: f.stars,
     "walls": walls,
     "wall_data": lambda f: wall_data(f, (0, 1)),
     "boundary_graph": boundary_graph,
