@@ -79,4 +79,4 @@ from .topology import (
     plumbing_presentation,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -76,57 +76,29 @@ def _bool(value: Any) -> bool:
     return value
 
 
-class CanonicalText:
-    """A value given as its canonical JSON text in parts, which
-    ``dumps_canonical`` splices in unchanged.  It may stand as a dict value
-    below dicts only; lists are encoded in one piece, and there it is a TypeError."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, *parts: str) -> None:
-        self.parts = parts
-
-
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
-_SPLICED = frozenset((dict, CanonicalText))
 
 
 def dumps_canonical(payload: Any) -> str:
     """``json.dumps`` with sorted keys, no spaces and no ASCII escapes,
-    writing each ``CanonicalText`` as its text and every int in full."""
-    parts: list[str] = []
-    _write(payload, parts)
-    return "".join(parts)
+    writing every int in full."""
+    try:
+        return _encode(payload)
+    except ValueError:  # an int past the int-to-str digit limit
+        return _in_full(payload)
 
 
-def _write(value: Any, parts: list[str]) -> None:
-    if type(value) is CanonicalText:
-        parts.extend(value.parts)
-        return
-    if type(value) is not dict or _SPLICED.isdisjoint(map(type, value.values())):
-        try:
-            parts.append(_encode(value))
-            return
-        except ValueError:  # an int past the int-to-str digit limit: take it apart
-            pass
+def _in_full(value: Any) -> str:
+    if type(value) is int:  # decimal applies no digit limit
+        from decimal import Decimal
+        return str(Decimal(value))
     if type(value) is dict:
         # json sorts the keys first and then turns each into a string (1 -> "1").
-        separator = "{"
-        for key in sorted(value):
-            parts.append(f"{separator}{_encode({key: 0})[1:-3]}:")
-            _write(value[key], parts)
-            separator = ","
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for k, item in enumerate(value):
-            if k:
-                parts.append(",")
-            _write(item, parts)
-        parts.append("]")
-    else:  # the int itself; decimal applies no digit limit
-        from decimal import Decimal
-        parts.append(str(Decimal(value)))
+        items = (f"{_encode({k: 0})[1:-3]}:{_in_full(value[k])}" for k in sorted(value))
+        return "{" + ",".join(items) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(map(_in_full, value)) + "]"
+    return _encode(value)
 
 
 # ---------------------------------------------------------------------------
@@ -287,34 +259,17 @@ def h1_to_json(h: H1Result) -> dict:
     return {"free": h.free_rank, "torsion": list(h.torsion)}
 
 
-# Annulus links 100c ... 100c + 99 for any c >= 1, each with its leading
-# comma: "#" stands for the decimal c, and the text stops before the last
-# item's c + 1.
-_LINK_BLOCK = "".join(f',{{"nodes":1,"pair":[#{d:02},#{d + 1:02}]}}' for d in range(99))
-_LINK_BLOCK += ',{"nodes":1,"pair":[#99,'
-
-
 def nodal_curve_to_json(r: NodalCurveReport) -> dict:
-    """The nodal curve with its incidence list as ``CanonicalText``.
-
-    The list is sorted by pair without sorting it: the pairs touching a
-    main piece (at least one per chain) come first, then one (s, s + 1)
-    per annulus link in increasing s, with its leading comma, written a
-    whole block of 100 links per piece where one fits.
-    """
-    main = ",".join(f'{{"nodes":{n},"pair":[{a},{b}]}}' for (a, b), n in r.main_pairs.items())
-    parts = ["[", main]
-    for _, lo, count, _ in r.chains:
-        hi = lo + count - 1  # the links s in [lo, hi), whole blocks c in [c0, c1)
-        c0 = max(-(-lo // 100), 1)
-        c1 = max(hi // 100, c0)
-        parts += [f',{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in range(lo, min(100 * c0, hi))]
-        parts += [_LINK_BLOCK.replace("#", str(c)) + f"{c + 1}00]}}" for c in range(c0, c1)]
-        parts += [f',{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in range(100 * c1, hi)]
+    """The nodal curve with one incidence item per cut edge: its n_e nodes
+    link main piece u, the annuli f ... f + n_e - 2 in order, and main
+    piece v, so the item is {"ends": [u, v], "firstAnnulus": f, "nodes": n_e}."""
     return {
         "components": [{"genus": g, "boundary": b} for g, b in r.components],
         "nodes": r.nodes,
-        "incidence": CanonicalText(*parts, "]"),
+        "incidence": [
+            {"ends": [u, v], "firstAnnulus": first, "nodes": count + 1}
+            for u, first, count, v in r.chains
+        ],
         "sphereComponents": r.sphere_components,
     }
 

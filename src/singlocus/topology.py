@@ -12,8 +12,6 @@ free summands through the connecting map.
 
 from __future__ import annotations
 
-import functools
-
 from .errors import NegativeDefect
 from .graphs import DecoratedGraph, orientation_gauge, require_valid
 from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
@@ -54,34 +52,6 @@ class NodalCurveReport(Record):
     nodes: int
     chains: tuple[tuple[int, int, int, int], ...]
     sphere_components: int
-
-    @functools.cached_property
-    def main_pairs(self) -> dict[tuple[int, int], int]:
-        """Node count per pair (a, b), a <= b, that touches a main piece,
-        in sorted order: at most two pairs per cut edge."""
-        counts: dict[tuple[int, int], int] = {}
-        for u, first, count, v in self.chains:
-            if count:
-                ends = ((u, first), (v, first + count - 1))
-            else:
-                ends = ((min(u, v), max(u, v)),)
-            for key in ends:
-                counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @functools.cached_property
-    def incidence(self) -> dict[tuple[int, int], int]:
-        """Node count per component pair (a, b), a <= b, in sorted order.
-
-        Pairs touching a main piece have a < len(components) and come
-        first; every other pair is (s, s + 1) with one node.  This holds
-        one entry per node, so build it only for small curves.
-        """
-        incidence = dict(self.main_pairs)
-        for _, first, count, _ in self.chains:
-            for s in range(first, first + count - 1):  # one node between annuli s and s + 1
-                incidence[(s, s + 1)] = 1
-        return incidence
 
 
 def _column(terms) -> dict[int, int]:

@@ -6,10 +6,11 @@ transforms that the tests multiply back, and the gcds of minors via
 fraction-free determinants, and
 the cokernel oracle enumerates the quotient group explicitly with a
 Hermite-style membership test, the pencil oracle builds the nodal
-curve one annulus at a time and the incidence text oracle writes it one
-node at a time, the fan oracle finds cone coordinates
-with rational Cramer's rule, the wall oracle reads each self-intersection
-off the 2D relation in a star fan (a basis completion per wall end), and
+curve one annulus at a time and the incidence expanders rebuild the same
+per-pair map from a report's chains or its JSON items one node at a
+time, the fan oracle finds cone coordinates with rational Cramer's rule,
+the wall oracle reads each self-intersection off the 2D relation in a
+star fan (a basis completion per wall end), and
 the w1 and Pic oracles multiply along the explicit cycles of
 ``cycle_basis``, one search per cycle (only the spanning tree is shared
 with the potentials they check).
@@ -448,14 +449,34 @@ def pencil_incidence_oracle(g) -> dict[tuple[int, int], int]:
     return incidence
 
 
-def incidence_text_oracle(report) -> str:
-    """The JSON text of a nodal curve's incidence list, one f-string per
-    node: the main pairs, then (s, s + 1) for each annulus link of each
-    chain in increasing s."""
-    items = [f'{{"nodes":{n},"pair":[{a},{b}]}}' for (a, b), n in report.main_pairs.items()]
-    for _, first, count, _ in report.chains:
-        items += [f'{{"nodes":1,"pair":[{s},{s + 1}]}}' for s in range(first, first + count - 1)]
-    return f"[{','.join(items)}]"
+def _chain_incidence(runs) -> dict[tuple[int, int], int]:
+    """Node count per pair (a, b), a <= b, in sorted order, of runs
+    (u, first annulus f, node count n, v): the chain u, f, ..., f + n - 2, v
+    of n nodes.  This holds one entry per node, so use it on small curves."""
+    counts: dict[tuple[int, int], int] = {}
+    for u, first, nodes, v in runs:
+        chain = [u, *range(first, first + nodes - 1), v]
+        for a, b in zip(chain, chain[1:]):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def incidence(report) -> dict[tuple[int, int], int]:
+    """The per-pair incidence of a ``NodalCurveReport``, from its chains."""
+    return _chain_incidence((u, first, count + 1, v) for u, first, count, v in report.chains)
+
+
+def expand_incidence(items) -> dict[tuple[int, int], int]:
+    """The per-pair incidence of a report's ``nodalCurve.incidence`` list,
+    one ``{"ends": [u, v], "firstAnnulus": f, "nodes": n}`` item per cut edge."""
+    return _chain_incidence((x["ends"][0], x["firstAnnulus"], x["nodes"], x["ends"][1]) for x in items)
+
+
+def per_pair_incidence(items) -> list[dict]:
+    """The ``nodalCurve.incidence`` list as written before it became
+    run-length: one ``{"nodes", "pair"}`` item per pair, sorted by pair."""
+    return [{"nodes": n, "pair": [a, b]} for (a, b), n in expand_incidence(items).items()]
 
 
 def w1_oracle(g) -> list[int]:

@@ -54,7 +54,7 @@ from singlocus.localmodels import (
 from singlocus.toric import quartic_mirror_fan, wall_data, walls
 from singlocus.topology import h1_graph_manifold, pencil_localization
 
-from oracles import det_bareiss, enumerate_cokernel, matmul, smith_diagonal_oracle, snf
+from oracles import det_bareiss, enumerate_cokernel, incidence, matmul, smith_diagonal_oracle, snf
 
 
 def criterion(number, label):
@@ -104,10 +104,10 @@ def test_criterion_2_quartic_pencil():
     assert report.components == ((3, 12),) * 4
     assert report.nodes == 24
     assert report.sphere_components == 0
-    assert sorted(report.incidence) == [
+    assert sorted(incidence(report)) == [
         (a, b) for a in range(4) for b in range(a + 1, 4)
     ]
-    assert all(n == 4 for n in report.incidence.values())
+    assert all(n == 4 for n in incidence(report).values())
     assert dual_surface(g).genus == 33
     assert dual_surface(g).boundary_circles == 0
 

@@ -4,17 +4,21 @@ import functools
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import singlocus
 from singlocus.cli import main
 from singlocus.descent import assemble_diagram, pic_invariants
 from singlocus.examples import circular_ladder_graph, conifold_fan, p3_fan, theta_graph
@@ -23,14 +27,16 @@ from singlocus.serialize import dumps_canonical, fan_to_json, graph_to_json
 from singlocus.topology import h1_graph_manifold
 
 import golden
+from oracles import per_pair_incidence
 
 
-def run_cli(args, stdin_text=None):
+def run_cli(args, stdin_text=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "singlocus", *args],
         input=stdin_text,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
     return proc
 
@@ -440,30 +446,82 @@ def test_unwritable_output_is_an_io_error(tmp_path, args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-# Taken from the per-annulus pencil and json.dumps of the whole report,
-# before the nodal curve became run-length.
-TWISTED_THETA_ALL_SHA256 = "88bc38009dab5b6c0488947b5259c6e0fdae025b8defd2caa233b0cb49724e18"
+def analyze_all_digests(graph):
+    """SHA-256 of ``analyze --all`` on ``graph``, as written and with its
+    nodal-curve incidence expanded back into one item per pair."""
+    raw = dumps_canonical(graph_to_json(graph)).encode("utf-8")
+    code, out, err = run_main(["analyze", "--all"], raw)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    curve = report["result"]["nodalCurve"]
+    curve["incidence"] = per_pair_incidence(curve["incidence"])
+    per_pair = dumps_canonical(report) + "\n"
+    return [hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, per_pair)]
+
+
+# The per-pair digests were taken from the per-annulus pencil and json.dumps
+# of the whole report, before the nodal curve became run-length.
+TWISTED_THETA_ALL_SHA256 = "fddc58cd3dfb218a47b4b183d1aef4ab014373d2f9f067225e2420f61d55b8d7"
+TWISTED_THETA_PER_PAIR_SHA256 = "88bc38009dab5b6c0488947b5259c6e0fdae025b8defd2caa233b0cb49724e18"
 
 
 def test_analyze_all_twisted_theta_golden():
     graph = theta_graph(twists=(7, 1, 0), holonomies=(2, 3, 5))
-    raw = dumps_canonical(graph_to_json(graph)).encode("utf-8")
-    code, out, err = run_main(["analyze", "--all"], raw)
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TWISTED_THETA_ALL_SHA256
+    assert analyze_all_digests(graph) == [TWISTED_THETA_ALL_SHA256, TWISTED_THETA_PER_PAIR_SHA256]
 
 
-# Taken at the per-node emitter: the first chain's links 2 .. 1233 fill
-# the 100-link blocks 1 .. 11 and cross 999 -> 1000.
-BLOCK_TWISTED_THETA_ALL_SHA256 = "27566ae3d8f1661585686ed7ecfc64b6fa9691b5e3131ce4024f3ab0fc63c333"
+# The per-pair digest was taken at the per-node emitter; the first chain's
+# links 2 .. 1233 cross 999 -> 1000.
+BLOCK_TWISTED_THETA_ALL_SHA256 = "ee67764de8bd793e9c281732d2a41af912b74fb2c20d1b1e9eb37c8994c9b0b4"
+BLOCK_TWISTED_THETA_PER_PAIR_SHA256 = "27566ae3d8f1661585686ed7ecfc64b6fa9691b5e3131ce4024f3ab0fc63c333"
 
 
 def test_analyze_all_block_twisted_theta_golden():
     graph = theta_graph(twists=(1234, 100, 99), holonomies=(2, 3, 5))
-    raw = dumps_canonical(graph_to_json(graph)).encode("utf-8")
-    code, out, err = run_main(["analyze", "--all"], raw)
+    expected = [BLOCK_TWISTED_THETA_ALL_SHA256, BLOCK_TWISTED_THETA_PER_PAIR_SHA256]
+    assert analyze_all_digests(graph) == expected
+
+
+@pytest.mark.parametrize("digits", [4000, 4300])
+def test_huge_twists_are_reported_in_full(digits):
+    # One item per cut edge: the report's size follows the digits of the
+    # twists, not their values.  Three twists of 4300 nines sum to 4301 digits.
+    n = 10**digits - 1
+    payload = dumps_canonical(graph_to_json(theta_graph(twists=(n, n, n))))
+    proc = run_cli(["analyze", "--all"], stdin_text=payload, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    curve = json.loads(proc.stdout, parse_int=Decimal)["result"]["nodalCurve"]  # no digit limit
+    assert curve["nodes"] == 3 * n
+    assert curve["sphereComponents"] == 3 * (n - 1)
+    assert curve["incidence"] == [
+        {"ends": [0, 1], "firstAnnulus": 2 + k * (n - 1), "nodes": n} for k in range(3)
+    ]
+    assert len(str(curve["nodes"])) == digits + 1
+
+
+# Measured at about 0.25 MB on a first call in a fresh process and 0.07 MB
+# after it; the per-node list this replaced needed ~1.5 MB at twists of 10**4.
+ANALYZE_HUGE_TWISTS_PEAK_BYTES = 1_000_000
+
+
+def test_analyze_of_huge_twists_is_small():
+    raw = dumps_canonical(graph_to_json(theta_graph(twists=(10**9, 10**9, 1)))).encode("utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(["analyze", "--all"], raw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == BLOCK_TWISTED_THETA_ALL_SHA256
+    assert len(out.encode("utf-8")) < 4096
+    assert peak < ANALYZE_HUGE_TWISTS_PEAK_BYTES
+    assert json.loads(out)["result"]["nodalCurve"]["nodes"] == 2 * 10**9 + 1
+
+
+def test_package_and_project_versions_agree():
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    version = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert version and version[1] == singlocus.__version__
 
 
 def test_golden_corpus_is_byte_identical():
@@ -472,7 +530,7 @@ def test_golden_corpus_is_byte_identical():
 
 
 def test_one_canonical_dump_per_report(monkeypatch):
-    # The report is encoded by one call; fragments are spliced below it.
+    # The report is encoded by one call.
     raw = dumps_canonical(graph_to_json(theta_graph(twists=(40, 3, 1)))).encode("utf-8")
     counts = count_calls(monkeypatch, ("dumps_canonical",))
     code, out, _ = run_main(["analyze", "--all"], raw)

@@ -37,7 +37,10 @@ from oracles import (
     blowup_fan,
     check_fp_ranks,
     dense_relations,
+    expand_incidence,
+    incidence,
     pencil_incidence_oracle,
+    per_pair_incidence,
     random_multigraph,
     snf,
     stored_direction_relations,
@@ -167,7 +170,7 @@ def test_pencil_theta_two_zero_zero():
     assert report.components == ((1, 2),)
     assert report.sphere_components == 1
     assert report.nodes == 2
-    assert report.incidence == {(0, 1): 2}
+    assert incidence(report) == {(0, 1): 2}
     assert euler_conservation(g, report)
 
 
@@ -177,8 +180,8 @@ def test_pencil_quartic():
     assert report.components == ((3, 12),) * 4
     assert report.nodes == 24
     assert report.sphere_components == 0
-    assert sorted(report.incidence) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    assert set(report.incidence.values()) == {4}
+    assert sorted(incidence(report)) == [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    assert set(incidence(report).values()) == {4}
     assert euler_conservation(g, report)
 
 
@@ -189,7 +192,7 @@ def test_pencil_node_total_and_conservation_randomized():
         g = theta_graph(twists=twists)
         report = pencil_localization(g)
         assert report.nodes == sum(twists)
-        assert sum(report.incidence.values()) == report.nodes
+        assert sum(incidence(report).values()) == report.nodes
         assert euler_conservation(g, report)
         spheres = sum(max(t - 1, 0) for t in twists)
         assert report.sphere_components == spheres
@@ -375,7 +378,7 @@ def test_pencil_multi_component_cuts():
         assert report.components == ((1, m), (1, m))
         assert report.nodes == m
         assert report.sphere_components == 0
-        assert report.incidence == {(0, 1): m}
+        assert incidence(report) == {(0, 1): m}
         assert euler_conservation(cut, report)
 
 
@@ -421,11 +424,17 @@ def twisted_shapes(draw):
 def test_pencil_incidence_matches_per_annulus_oracle(g):
     report = pencil_localization(g)
     expected = pencil_incidence_oracle(g)
-    assert report.incidence == expected
-    assert list(report.incidence) == sorted(expected)
+    assert incidence(report) == expected
     assert report.nodes == sum(expected.values())
-    assert len(report.chains) == sum(1 for _, e in g.compact_edges() if e.twist > 0)
-    # The schema before the run-length model: one dict per pair, sorted.
+    # The report's items are lossless: one per positive-twist edge, and
+    # expanding them gives the per-annulus incidence back.
+    payload = nodal_curve_to_json(report)
+    items = payload["incidence"]
+    assert expand_incidence(items) == expected
+    assert sum(x["nodes"] for x in items) == payload["nodes"] == report.nodes
+    assert len(items) == len(report.chains) == sum(1 for _, e in g.compact_edges() if e.twist > 0)
+    # The schema before the run-length items: one dict per pair, sorted;
+    # everything else is written as before.
     old = {
         "components": [{"genus": a, "boundary": b} for a, b in report.components],
         "nodes": report.nodes,
@@ -433,32 +442,28 @@ def test_pencil_incidence_matches_per_annulus_oracle(g):
         "sphereComponents": report.sphere_components,
     }
     canonical = json.dumps(old, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    assert dumps_canonical(nodal_curve_to_json(report)) == canonical
+    assert dumps_canonical({**payload, "incidence": per_pair_incidence(items)}) == canonical
 
 
 def test_pencil_merges_pairs_of_one_piece():
     # Cutting one of the two parallel edges keeps both its ends in piece 0.
     report = pencil_localization(with_twists(bigon_with_legs(), (2, 0)))
     assert report.chains == ((0, 1, 1, 0),)
-    assert report.incidence == {(0, 1): 2}
+    assert incidence(report) == {(0, 1): 2}
     report = pencil_localization(with_twists(bigon_with_legs(), (1, 0)))
-    assert report.incidence == {(0, 0): 1}
+    assert incidence(report) == {(0, 0): 1}
 
 
 PENCIL_OF_HUGE_TWISTS = """
 import json, time
 from singlocus.examples import theta_graph
+from singlocus.serialize import nodal_curve_to_json
 from singlocus.topology import pencil_localization
 
 start = time.perf_counter()
 report = pencil_localization(theta_graph(twists=(10**9, 10**9, 1)))
-print(json.dumps({
-    "seconds": time.perf_counter() - start,
-    "chains": report.chains,
-    "main_pairs": sorted(report.main_pairs.items()),
-    "nodes": report.nodes,
-    "spheres": report.sphere_components,
-}))
+curve = nodal_curve_to_json(report)
+print(json.dumps({"seconds": time.perf_counter() - start, "chains": report.chains, "curve": curve}))
 """
 
 
@@ -481,12 +486,12 @@ def test_pencil_cost_is_independent_of_twist_values():
     assert out["seconds"] < 1.0
     # Cutting all three edges leaves the two vertices as pieces 0 and 1.
     assert out["chains"] == [[0, 2, 10**9 - 1, 1], [0, 10**9 + 1, 10**9 - 1, 1], [0, 2 * 10**9, 0, 1]]
-    assert out["main_pairs"] == [
-        [[0, 1], 1],
-        [[0, 2], 1],
-        [[0, 10**9 + 1], 1],
-        [[1, 10**9], 1],
-        [[1, 2 * 10**9 - 1], 1],
+    curve = out["curve"]
+    assert curve["incidence"] == [
+        {"ends": [0, 1], "firstAnnulus": 2, "nodes": 10**9},
+        {"ends": [0, 1], "firstAnnulus": 10**9 + 1, "nodes": 10**9},
+        {"ends": [0, 1], "firstAnnulus": 2 * 10**9, "nodes": 1},
     ]
-    assert out["nodes"] == 2 * 10**9 + 1
-    assert out["spheres"] == 2 * (10**9 - 1)
+    assert curve["nodes"] == 2 * 10**9 + 1
+    assert curve["sphereComponents"] == 2 * (10**9 - 1)
+    assert curve["components"] == [{"genus": 0, "boundary": 3}] * 2
