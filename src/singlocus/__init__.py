@@ -28,6 +28,7 @@ from .errors import (
     NonOrientable,
     NotAWall,
     SingLocusError,
+    SplitStar,
     TriangleConstraintViolated,
     TwistMismatch,
 )

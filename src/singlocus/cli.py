@@ -22,7 +22,7 @@ import json
 import sys
 
 from .descent import assemble_diagram, pic_invariants
-from .errors import SingLocusError
+from .errors import SingLocusError, in_full
 from .examples import CLI_EXAMPLE_FANS, CLI_EXAMPLE_GRAPHS
 from .graphs import dual_surface
 from .serialize import (
@@ -128,7 +128,7 @@ def _cmd_toric_extract(args) -> int:
     ]
     defect_counts: dict[str, int] = {}
     for report in reports.values():
-        key = str(report.defect)
+        key = in_full(report.defect)
         defect_counts[key] = defect_counts.get(key, 0) + 1
     result = {
         "graph": graph_to_json(graph),

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and :func:`in_full` for the
+integers their messages quote."""
+
+from decimal import Decimal
+
+
+def in_full(n: int) -> str:
+    """``str(n)`` without the int-to-str digit limit, which decimal does
+    not apply."""
+    return str(Decimal(n))
 
 
 class SingLocusError(Exception):
@@ -39,6 +48,11 @@ class InvalidFan(SingLocusError):
     def __init__(self, report):
         self.report = list(report)
         super().__init__("invalid fan: " + "; ".join(self.report))
+
+
+class SplitStar(SingLocusError):
+    """The star of a ray of a valid fan is not one cycle or one chain, so
+    its divisor is not classified."""
 
 
 class NotAWall(SingLocusError):

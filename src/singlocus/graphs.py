@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .errors import InvalidGraph, NonOrientable, SingLocusError
+from .errors import InvalidGraph, NonOrientable, SingLocusError, in_full
 from .intlinalg import _bfs_parents, _spanning_tree
 from .localmodels import _nonzero
 from .record import Record
@@ -139,7 +139,7 @@ def validate_graph(g: DecoratedGraph) -> list[str]:
             expected = a + b + 2
             if e.twist != expected:
                 report.append(
-                    f"edge {ei}: triple point formula: expected n_e = {expected}, got {e.twist}"
+                    f"edge {ei}: triple point formula: expected n_e = {in_full(expected)}, got {e.twist}"
                 )
     return report
 

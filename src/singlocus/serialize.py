@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .descent import DescentDiagram, PicInvariants, assemble_diagram
-from .errors import SingLocusError
+from .errors import SingLocusError, in_full
 from .graphs import CompactEdge, DecoratedGraph, DualSurface, Leg
 from .localmodels import EdgeAut
 from .toric import Fan, WallReport
@@ -33,9 +33,8 @@ def format_rational(x: Fraction) -> str:
     f = x if type(x) is Fraction else Fraction(x)
     try:
         return f"{f.numerator}/{f.denominator}"
-    except ValueError:  # past the int-to-str digit limit, which decimal does not apply
-        from decimal import Decimal
-        return f"{Decimal(f.numerator)}/{Decimal(f.denominator)}"
+    except ValueError:  # past the int-to-str digit limit
+        return f"{in_full(f.numerator)}/{in_full(f.denominator)}"
 
 
 def parse_rational(text: Any) -> Fraction:
@@ -89,9 +88,8 @@ def dumps_canonical(payload: Any) -> str:
 
 
 def _in_full(value: Any) -> str:
-    if type(value) is int:  # decimal applies no digit limit
-        from decimal import Decimal
-        return str(Decimal(value))
+    if type(value) is int:
+        return in_full(value)
     if type(value) is dict:
         # json sorts the keys first and then turns each into a string (1 -> "1").
         items = (f"{_encode({k: 0})[1:-3]}:{_in_full(value[k])}" for k in sorted(value))

@@ -14,12 +14,17 @@ so the curve's self-intersections in the two divisors are (a, b) =
 anticanonical degree 2 - x - y.  The tests compare these numbers with an
 independent computation in each star fan.
 
+Each cone is oriented once, in :attr:`Fan.oriented_cones` (its rays in
+the order of determinant +1, the cyclic order of its walls at its vertex);
+the wall-side check, the star walks (counterclockwise around each ray),
+the sphere certificate, the ray scan and the boundary graph all read it.
+
 Validation (:func:`validate_fan`) is exact and integer-only, and its
 report is empty iff the fan is a smooth fan.  A smooth complete fan
-is certified in linear time: every wall in two cones, every star one cycle
-winding once around its ray, and Euler characteristic 2, so the cones
-cover the sphere of directions once.  Any other fan is scanned for rays
-inside foreign cones and for boundary walls that cross foreign walls.
+is certified in linear time: every star one cycle winding once around
+its ray, and Euler characteristic 2, so the cones cover the sphere of
+directions once.  Any other fan is scanned for rays inside foreign cones
+and for boundary walls that cross foreign walls.
 
 Sign conventions: in a smooth 2D fan, a ray w with cyclic neighbors u1,
 u2 satisfies u1 + u2 + s w = 0 where s is the self-intersection of the
@@ -33,7 +38,7 @@ from functools import cached_property
 from math import gcd
 from typing import Sequence
 
-from .errors import BoundaryWall, InvalidFan, NotAWall
+from .errors import BoundaryWall, InvalidFan, NotAWall, SplitStar, in_full
 from .graphs import CompactEdge, DecoratedGraph, Leg
 from .record import Record
 
@@ -109,7 +114,7 @@ class Fan(Record):
                 continue  # the ray is already reported; it has no determinant
             d = _det3(*(self.rays[i] for i in cone))
             if abs(d) != 1:
-                report.append(f"non-unimodular cone {ci} (det = {d})")
+                report.append(f"non-unimodular cone {ci} (det = {in_full(d)})")
             if frozenset(cone) in cone_sets:
                 report.append(f"cone {ci} duplicates another cone")
             cone_sets.add(frozenset(cone))
@@ -127,20 +132,32 @@ class Fan(Record):
         return out
 
     @cached_property
-    def stars(self) -> tuple[tuple[tuple[int, ...], bool] | None, ...]:
-        """Per ray, the link of its star (the neighbour rays of the cones
-        through it) in walk order and whether the link is a cycle; None when
-        the link is neither one cycle nor one chain.  A chain is walked from
-        its smaller end ray, a cycle from its smallest ray; a ray in no cone
-        has the empty chain."""
+    def oriented_cones(self) -> tuple[tuple[int, int, int], ...]:
+        """Each cone as a positive triple: its rays in the given order, or
+        with the last two swapped where that order has determinant -1."""
         _require_well_formed(self)
-        links: list[dict[int, list[int]]] = [{} for _ in self.rays]
-        for a, b, c in self.cones:
-            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+        rays = self.rays
+        return tuple(
+            (a, b, c) if _det3(rays[a], rays[b], rays[c]) > 0 else (a, c, b)
+            for a, b, c in self.cones
+        )
+
+    @cached_property
+    def stars(self) -> tuple[tuple[tuple[int, ...], bool] | None, ...]:
+        """Per ray v, the link of its star (the neighbour rays of the cones
+        through it) in walk order and whether the link is a cycle; None when
+        the link is neither one cycle nor one chain.  The walk steps from x
+        to y for each positive cone (v, x, y), so it runs counterclockwise
+        as seen from v: a cycle from its smallest ray, a chain from its
+        first end.  A ray in no cone has the empty chain."""
+        links: list[dict[int, int] | None] = [{} for _ in self.rays]
+        for a, b, c in self.oriented_cones:
+            for v, x, y in ((a, b, c), (b, c, a), (c, a, b)):
                 link = links[v]
-                link.setdefault(x, []).append(y)
-                link.setdefault(y, []).append(x)
-        return tuple(_walk_link(link) for link in links)
+                # Two successors of x: cones on one side of the wall (v, x).
+                if link is not None and link.setdefault(x, y) != y:
+                    links[v] = None
+        return tuple(None if link is None else _walk_link(link) for link in links)
 
     @cached_property
     def wall_reports(self) -> dict[tuple[int, int], "WallReport"]:
@@ -153,24 +170,21 @@ class Fan(Record):
         }
 
 
-def _walk_link(link: dict[int, list[int]]) -> tuple[tuple[int, ...], bool] | None:
-    """The walk of one star's link graph (neighbour ray -> linked rays)."""
-    if not link:
+def _walk_link(successor: dict[int, int]) -> tuple[tuple[int, ...], bool] | None:
+    """The walk of one star's link along its successor map."""
+    if not successor:
         return (), False
-    start = min((k for k, v in link.items() if len(v) == 1), default=None)
-    complete = start is None
-    if complete:
-        start = min(link)
+    heads = successor.keys() - successor.values()  # rays with no predecessor
+    complete = not heads
+    start = min(heads or successor)
+    size = len(successor) + (not complete)
     order = [start]
-    prev, here = None, start
-    while len(order) <= len(link):
-        step = next((x for x in link[here] if x != prev), None)
-        if step is None or (complete and step == start):
-            break
-        order.append(step)
-        prev, here = here, step
+    here = successor.get(start)
+    while here is not None and here != start and len(order) <= size:
+        order.append(here)
+        here = successor.get(here)
     # Too long: the walk repeats a ray; too short: it missed a component.
-    return (tuple(order), complete) if len(order) == len(link) else None
+    return (tuple(order), complete) if len(order) == size else None
 
 
 def validate_fan(f: Fan) -> list[str]:
@@ -187,31 +201,28 @@ def validate_fan(f: Fan) -> list[str]:
         return report
 
     # Face-intersection checks on the wall structure: a wall may belong to
-    # at most two cones, and when it belongs to two, the opposite rays must
-    # lie strictly on opposite sides of the wall's plane.
+    # at most two cones, and when it belongs to two, they must lie on
+    # opposite sides of it, as positive cones (i, j, x) and (j, i, y) do:
+    # their cyclic orders run through the wall in opposite directions.
+    oriented = f.oriented_cones
     for wall, cones in sorted(f.wall_table.items()):
         if len(cones) > 2:
             report.append(f"wall {wall} belongs to {len(cones)} cones")
             continue
         if len(cones) == 2:
-            vi, vj = (f.rays[k] for k in wall)
-            sides = []
-            for ci in cones:
-                (opp,) = set(f.cones[ci]) - set(wall)
-                sides.append(_det3(vi, vj, f.rays[opp]))
-            if sides[0] * sides[1] >= 0:
+            forward = [wall in ((a, b), (b, c), (c, a)) for a, b, c in (oriented[ci] for ci in cones)]
+            if forward[0] == forward[1]:
                 report.append(f"cones {cones[0]} and {cones[1]} overlap across wall {wall}")
     if not report and _covers_sphere_once(f):
         return report
     # No ray may meet the relative interior of a foreign cone or of one of
-    # its walls (two or more strictly positive cone coordinates).  Every cone
-    # is unimodular here, so its inverse is d * adj with d = +-1, and the
-    # coordinates of v are v . d(r2 x r3), v . d(r3 x r1), v . d(r1 x r2).
+    # its walls (two or more strictly positive cone coordinates).  The
+    # inverse of a positive unimodular cone (r1, r2, r3) is its adjugate, so
+    # the coordinates of v are v . (r2 x r3), v . (r3 x r1), v . (r1 x r2).
     inverses = []
-    for cone in f.cones:
+    for cone in oriented:
         r1, r2, r3 = (f.rays[i] for i in cone)
-        d = _det3(r1, r2, r3)
-        inverses.append([tuple(d * x for x in _cross(a, b)) for a, b in ((r2, r3), (r3, r1), (r1, r2))])
+        inverses.append([_cross(r2, r3), _cross(r3, r1), _cross(r1, r2)])
     for ri, (x, y, z) in enumerate(f.rays):
         for ci, cone in enumerate(f.cones):
             if ri in cone:
@@ -251,32 +262,27 @@ def validate_fan(f: Fan) -> list[str]:
 
 def _covers_sphere_once(f: Fan) -> bool:
     """Whether the cones of ``f`` cover R^3 exactly once, certified from
-    the wall table, the star walks and one Euler characteristic.
+    the star walks and one Euler characteristic.
 
     Only read after the checks before the ray scan of :func:`validate_fan`
     have passed: the cones are unimodular and every wall has at most two
-    cones, on opposite sides.  Then, when every wall has exactly two cones,
-    every link is one cycle and every star winds once around its ray, the
-    map from the cone complex to the sphere of directions is a local
-    homeomorphism of a closed surface, hence a covering of degree
-    chi / 2; rays - walls + cones = 2 leaves one sheet, so no ray meets a
-    foreign cone and no two walls cross.
+    cones, on opposite sides.  When every link is one cycle, every wall
+    (v, x) has two cones: x has a successor y and a predecessor z in the
+    link of v, from the distinct positive cones (v, x, y) and (v, z, x).
+    When moreover every star winds once around its ray, the map from the
+    cone complex to the sphere of directions is a local homeomorphism of a
+    closed surface, hence a covering of degree chi / 2; rays - walls +
+    cones = 2 leaves one sheet, so no ray meets a foreign cone and no two
+    walls cross.
     """
-    table = f.wall_table
-    if len(f.rays) - len(table) + len(f.cones) != 2:
-        return False
-    if any(len(cones) != 2 for cones in table.values()):
+    if len(f.rays) - len(f.wall_table) + len(f.cones) != 2:
         return False
     for v, star in zip(f.rays, f.stars):
         if star is None or not star[1]:
             return False
         order = star[0]
-        u0 = f.rays[order[0]]
-        # Signs of det(v, u, u0) relative to the star's orientation, which
-        # the opposite-sides check made common to all its cones.
-        m = _cross(u0, v)
-        if _det3(v, u0, f.rays[order[1]]) < 0:
-            m = (-m[0], -m[1], -m[2])
+        # det(v, u, u0) per link ray u; det(v, u0, u1) = +1 by the walk.
+        m = _cross(f.rays[order[0]], v)
         sides = [m[0] * x + m[1] * y + m[2] * z for x, y, z in (f.rays[k] for k in order)]
         # The half-open 2D cones [u_k, u_k+1) that contain u0: the winding.
         winding = sum(1 for k in range(len(sides)) if sides[k - 1] >= 0 > sides[k])
@@ -335,9 +341,9 @@ def _wall_report(f: Fan, key: tuple[int, int], cones: list[int]) -> WallReport:
     u1, u2 = (f.rays[k] for ci in cones for k in f.cones[ci] if k not in key)
     vi, vj = f.rays[i], f.rays[j]
     total = tuple(u1[k] + u2[k] for k in range(3))
-    # Solve total = x vi + y vj (+ 0 * u1); (vi, vj, u1) is a cone, so d = +-1.
-    if _det3(vi, vj, total) != 0:
-        raise InvalidFan([f"wall {key} has no integral wall relation"])
+    # In the basis (vi, vj, u1), u2 has u1-coefficient det(vi, vj, u2) /
+    # det(vi, vj, u1) = -1, as the unimodular cones lie on opposite sides
+    # of the wall; so total = x vi + y vj, by Cramer's rule with d = +-1.
     d = _det3(vi, vj, u1)
     x, y = d * _det3(total, vj, u1), d * _det3(vi, total, u1)
     defect = 2 - x - y
@@ -356,25 +362,12 @@ def boundary_graph(f: Fan) -> DecoratedGraph:
     require_valid_fan(f)
     table = f.wall_table
 
-    # Orient each cone positively, then list its walls opposite each ray.
-    cone_walls: list[list[tuple[int, int]]] = []
-    for cone in f.cones:
-        tri = list(cone)
-        if _det3(*(f.rays[i] for i in tri)) < 0:
-            tri[1], tri[2] = tri[2], tri[1]
-        opposite_walls = [
-            tuple(sorted((tri[1], tri[2]))),
-            tuple(sorted((tri[2], tri[0]))),
-            tuple(sorted((tri[0], tri[1]))),
-        ]
-        cone_walls.append(opposite_walls)
-
-    # Half-edge ids: 3 * cone + position.
+    # Half-edge ids: 3 * cone + k, at the wall opposite its k-th positive ray.
     vertices = tuple((3 * ci, 3 * ci + 1, 3 * ci + 2) for ci in range(len(f.cones)))
     half_edge_of: dict[tuple[tuple[int, int], int], int] = {}
-    for ci, wlist in enumerate(cone_walls):
-        for pos, wall in enumerate(wlist):
-            half_edge_of[(wall, ci)] = 3 * ci + pos
+    for ci, (a, b, c) in enumerate(f.oriented_cones):
+        for pos, (x, y) in enumerate(((b, c), (c, a), (a, b))):
+            half_edge_of[((x, y) if x < y else (y, x), ci)] = 3 * ci + pos
 
     edges: list = []
     for wall in sorted(table):
@@ -402,13 +395,15 @@ def divisor_classification(f: Fan) -> list[dict]:
     the boundary curves of the divisor, normalized up to rotation and
     reflection for a complete star (``kind = "cycle"``) and up to
     reflection for an incomplete one (``kind = "chain"``, interior walls
-    only).
+    only).  Raises :class:`SplitStar` for a star of two or more chains.
     """
     require_valid_fan(f)
     out = []
     for ri, star in enumerate(f.stars):
         if star is None:
-            raise InvalidFan([f"star of ray {ri} is not a cycle or chain"])
+            raise SplitStar(
+                f"star of ray {ri} is not one cycle or one chain; its divisor is not classified"
+            )
         order, complete = star
         values = []
         for w in order:

@@ -103,11 +103,14 @@ BAD_JSON = {
 
 def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
     """(case id, argv, stdin, source): with a source case id, the stdin is
-    that case's stdout, as in ``toric extract | analyze``."""
-    out = []
+    that case's stdout, as in ``toric extract | analyze``.  Each id is
+    added once."""
+    out = {}
 
     def add(case_id, argv, stdin=None, source=None):
-        out.append((case_id, argv, stdin, source))
+        if case_id in out:
+            raise ValueError(f"duplicate case id {case_id}")
+        out[case_id] = (case_id, argv, stdin, source)
 
     add("toric-quartic-mirror", ["toric", "quartic-mirror"])
     for name in sorted(set(CLI_EXAMPLE_GRAPHS) | set(CLI_EXAMPLE_FANS)):
@@ -119,6 +122,8 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
         add(f"analyze-example-{name}", ["analyze", "--example", name, "--all"])
         add(f"analyze-example-{name}-h1", ["analyze", "--example", name, "--h1"])
     for section in ANALYZE_SECTIONS:
+        if section == "h1":
+            continue  # analyze-example-theta-h1 is added above
         add(f"analyze-example-theta-{section}", ["analyze", "--example", "theta", f"--{section}"])
 
     rng = random.Random(16)
@@ -175,7 +180,7 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
         for command, argv in (("validate", ["validate"]), ("extract", ["toric", "extract"]),
                               ("analyze", ["analyze", "--all"])):
             add(f"{command}-json-{name}", argv, data)
-    return out
+    return list(out.values())
 
 
 def run_main(argv: list[str], stdin: bytes) -> tuple[int, bytes]:

@@ -115,7 +115,10 @@ def test_toric_extract_split_star():
     }
     code, out, err = run_main(["toric", "extract"], json.dumps(fan).encode("utf-8"))
     assert (code, err) == (1, "")
-    assert json.loads(out)["diagnostics"] == ["InvalidFan: invalid fan: star of ray 0 is not a cycle or chain"]
+    assert json.loads(out)["diagnostics"] == [
+        "SplitStar: star of ray 0 is not one cycle or one chain; its divisor is not classified"
+    ]
+    assert json.loads(out)["result"] == {}
 
 
 @pytest.mark.parametrize("command", [["validate"], ["toric", "extract"]])
@@ -277,6 +280,18 @@ HUGE_EXPONENT_THETA = graph_to_json(theta_graph())
 HUGE_EXPONENT_THETA["edges"][0]["holonomy"] = "1e10000000"
 # A 6.2 KB input whose H1 torsion has 6 001 digits.
 BIG_TORSION_THETA = theta_graph(twists=(10**3000, 10**3000 + 1, 1))
+# Inputs within the digit limit whose diagnostics or counts quote an
+# integer past it: a cone of determinant N^3 + 1, a triple point formula
+# expecting 2 M + 2, and the valid fan of F_a x P^1, whose walls (3, 4)
+# and (3, 5) have defect a + 2.
+BIG_N, BIG_M, BIG_A = int("9" * 4000), 10**4300 - 1, 10**4300 - 1
+BIG_DET_FAN = {"rays": [[BIG_N, 1, 0], [0, BIG_N, 1], [1, 0, BIG_N]], "cones": [[0, 1, 2]]}
+BIG_FORMULA_THETA = graph_to_json(theta_graph())
+BIG_FORMULA_THETA["edges"][0]["selfIntersections"] = [BIG_M, BIG_M]
+BIG_DEFECT_FAN = {
+    "rays": [[1, 0, 0], [0, 1, 0], [-1, BIG_A, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    "cones": [[i, (i + 1) % 4, k] for k in (4, 5) for i in range(4)],
+}
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -287,6 +302,9 @@ BIG_TORSION_THETA = theta_graph(twists=(10**3000, 10**3000 + 1, 1))
 @example(["analyze", "--all"], graph_to_json(BIG_HOLONOMY_THETA))
 @example(["analyze", "--all"], HUGE_EXPONENT_THETA)
 @example(["analyze", "--h1"], graph_to_json(BIG_TORSION_THETA))
+@example(["toric", "extract"], BIG_DET_FAN)
+@example(["validate"], BIG_FORMULA_THETA)
+@example(["toric", "extract"], BIG_DEFECT_FAN)
 def test_cli_fuzz_keeps_exit_code_contract(args, payload):
     code, _, err = run_main(args, json.dumps(payload).encode("utf-8"))
     assert code in (0, 1, 2)
@@ -314,6 +332,25 @@ def test_big_torsion_is_written_in_full():
     expected = h1_graph_manifold(BIG_TORSION_THETA)
     assert (int(h1["free"]), [int(d) for d in h1["torsion"]]) == (expected.free_rank, list(expected.torsion))
     assert len(str(max(h1["torsion"]))) > 4300
+
+
+@pytest.mark.parametrize(
+    "args, payload, code, quoted",
+    [
+        pytest.param(["validate"], BIG_DET_FAN, 1, BIG_N**3 + 1, id="det-validate"),
+        pytest.param(["toric", "extract"], BIG_DET_FAN, 1, BIG_N**3 + 1, id="det-extract"),
+        pytest.param(["validate"], BIG_FORMULA_THETA, 1, 2 * BIG_M + 2, id="formula-validate"),
+        pytest.param(["analyze", "--all"], BIG_FORMULA_THETA, 1, 2 * BIG_M + 2, id="formula-analyze"),
+        pytest.param(["toric", "extract"], BIG_DEFECT_FAN, 0, BIG_A + 2, id="defect-extract"),
+    ],
+)
+def test_integers_past_the_digit_limit_are_quoted_in_full(args, payload, code, quoted):
+    raw = json.dumps(payload)
+    digits = str(Decimal(quoted))
+    proc = run_cli(args, raw, timeout=60)
+    for got_code, out, err in (run_main(args, raw.encode("utf-8")), (proc.returncode, proc.stdout, proc.stderr)):
+        assert (got_code, err) == (code, "")
+        assert digits in out
 
 
 def test_huge_exponent_is_a_parse_error_before_it_is_expanded():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.errors import BoundaryWall, InvalidFan, NotAWall
+from singlocus.errors import BoundaryWall, InvalidFan, NotAWall, SplitStar
 from singlocus.examples import conifold_fan, p1p1p1_fan, p3_fan
 from singlocus.graphs import dual_surface, validate_graph
 from singlocus.toric import (
     Fan,
     _covers_sphere_once,
+    _walk_link,
     boundary_graph,
     divisor_classification,
     quartic_mirror_fan,
@@ -20,7 +21,7 @@ from singlocus.toric import (
     walls,
 )
 
-from oracles import blowup_fan, fan_violations_oracle, wall_self_intersections_oracle
+from oracles import _det3, blowup_fan, fan_violations_oracle, wall_self_intersections_oracle
 
 ALL_FIXTURE_FANS = {
     "p3": p3_fan,
@@ -67,6 +68,31 @@ def test_overlapping_cones_detected():
     assert any("overlap" in v for v in validate_fan(f))
 
 
+def test_star_folded_over_a_wall_is_not_walked():
+    # Both cones lie on one side of wall (0, 1): around ray 0, ray 1 has
+    # two successors, 2 and 3; around ray 1, ray 0 has two predecessors.
+    f = Fan.build([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 2], [0, 1, 3]])
+    assert f.stars[0] is None and f.stars[1] is None
+    assert f.stars[2] == ((0, 1), False)
+
+
+@pytest.mark.parametrize(
+    "successor, walk",
+    [
+        pytest.param({}, ((), False), id="empty"),
+        pytest.param({5: 2, 2: 7, 7: 5}, ((2, 7, 5), True), id="cycle"),
+        pytest.param({5: 2, 2: 7}, ((5, 2, 7), False), id="chain"),
+        pytest.param({1: 2, 3: 4}, None, id="two-chains"),
+        pytest.param({1: 2, 2: 1, 3: 4, 4: 3}, None, id="two-cycles"),
+        pytest.param({1: 2, 2: 1, 3: 4}, None, id="cycle-and-chain"),
+        pytest.param({0: 1, 1: 2, 2: 3, 3: 1}, None, id="chain-into-cycle"),
+        pytest.param({0: 2, 1: 2}, None, id="two-heads"),
+    ],
+)
+def test_walk_link_shapes(successor, walk):
+    assert _walk_link(successor) == walk
+
+
 E123 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -81,6 +107,7 @@ INVALID_FANS = {
 }
 FAN_ENTRIES = {
     "wall_table": lambda f: f.wall_table,
+    "oriented_cones": lambda f: f.oriented_cones,
     "stars": lambda f: f.stars,
     "walls": walls,
     "wall_data": lambda f: wall_data(f, (0, 1)),
@@ -172,14 +199,16 @@ def two_sheets(fan, draw):
 @st.composite
 def mutated_blowups(draw):
     """Blowups of 0-25 steps, valid, with one mutation, with some cones
-    dropped (incomplete) or doubled into two sheets."""
+    dropped (incomplete) or doubled into two sheets.  A fold replaces the
+    ray a of one cone opposite one of its walls by -a, so the cone moves
+    to the side of that wall where its neighbour across it lies."""
     fan, _ = blowup_fan(random.Random(draw(st.integers(0, 2**32))), draw(st.integers(0, 25)))
     rays = [list(r) for r in fan.rays]
     cones = [list(c) for c in fan.cones]
     cone = cones[draw(st.integers(0, len(cones) - 1))]
     kind = draw(
         st.sampled_from(
-            ["none", "ray", "index", "extra", "drop", "drop-some", "two-sheet", "duplicate", "permute"]
+            ["none", "ray", "index", "extra", "drop", "drop-some", "two-sheet", "duplicate", "permute", "fold"]
         )
     )
     if kind == "two-sheet":
@@ -202,6 +231,12 @@ def mutated_blowups(draw):
         cones.append(draw(st.permutations(cone)))
     elif kind == "permute":
         cone[:] = draw(st.permutations(cone))
+    elif kind == "fold":
+        k = draw(st.integers(0, 2))
+        folded = [-x for x in rays[cone[k]]]
+        if folded not in rays:
+            rays.append(folded)
+        cone[k] = rays.index(folded)
     return Fan.build(rays, cones)
 
 
@@ -222,6 +257,35 @@ def test_certificate_accepts_blowups_and_refuses_two_sheets(seed, steps, data):
         assert not _covers_sphere_once(doubled)
         report = validate_fan(doubled)
         assert report and report == fan_violations_oracle(doubled)
+
+
+def assert_oriented(f):
+    """Each oriented cone is its cone, or its cone with the last two rays
+    swapped, of determinant +1; each step x -> y of a star walk around v,
+    the closing step of a cycle too, has det(v, x, y) = +1."""
+    rays = f.rays
+    for (a, b, c), tri in zip(f.cones, f.oriented_cones):
+        assert tri in ((a, b, c), (a, c, b))
+        assert _det3(*(rays[i] for i in tri)) == 1
+    for v, (order, complete) in zip(rays, f.stars):
+        steps = zip(order, order[1:] + order[:1] if complete else order[1:])
+        assert all(_det3(v, rays[x], rays[y]) == 1 for x, y in steps)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURE_FANS)
+def test_fixture_fans_are_oriented_once(name):
+    f = ALL_FIXTURE_FANS[name]()
+    assert_oriented(f)
+    assert_oriented(f.replace(cones=f.cones[1:]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 80), st.booleans())
+def test_blowups_are_oriented_once(seed, steps, drop_first):
+    f, _ = blowup_fan(random.Random(seed), steps)
+    if drop_first:
+        f = f.replace(cones=f.cones[1:])
+    assert_oriented(f)
 
 
 def test_certificate_refuses_a_star_that_winds_twice():
@@ -445,5 +509,6 @@ def test_split_star_is_not_classified():
     # The walk along the star of ray 0 from boundary ray 1 ends at ray 5;
     # the chain 3-6-4 must not be dropped silently.
     assert validate_fan(SPLIT_STAR_FAN) == []
-    with pytest.raises(InvalidFan, match="star of ray 0 is not a cycle or chain"):
+    with pytest.raises(SplitStar) as info:
         divisor_classification(SPLIT_STAR_FAN)
+    assert str(info.value) == "star of ray 0 is not one cycle or one chain; its divisor is not classified"
