@@ -11,7 +11,6 @@ source of such graphs.
 from .descent import (
     DescentDiagram,
     PicInvariants,
-    VertexChart,
     assemble_diagram,
     diagrams_equivalent,
     gauge,
@@ -73,7 +72,6 @@ from .toric import (
 from .topology import (
     H1Result,
     NodalCurveReport,
-    PlumbingPresentation,
     dehn_twist_record,
     h1_graph_manifold,
     pencil_localization,

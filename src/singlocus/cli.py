@@ -48,14 +48,10 @@ ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil",
 def _read_payload(args) -> tuple[dict, bytes]:
     if getattr(args, "example", None):
         name = args.example
-        if args.command == "validate" and name == "theta":
-            obj = graph_to_json(CLI_EXAMPLE_GRAPHS["theta"]())
-        elif args.command == "validate":
+        if args.command != "analyze" and name in CLI_EXAMPLE_FANS:
             obj = fan_to_json(CLI_EXAMPLE_FANS[name]())
-        elif args.command == "analyze":
+        else:
             obj = graph_to_json(CLI_EXAMPLE_GRAPHS[name]())
-        else:  # toric extract
-            obj = fan_to_json(CLI_EXAMPLE_FANS[name]())
         raw = dumps_canonical(obj).encode("utf-8")
         return obj, raw
     path = getattr(args, "path", None)

@@ -12,6 +12,7 @@ degree vector together with the cycle holonomies.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import GraphMismatch, TwistMismatch
@@ -20,22 +21,40 @@ from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
 from .record import Record
 
 
-class VertexChart(Record):
-    """Cyclic order (from the ribbon data) plus a trivialization scalar."""
+class DescentDiagram(Record):
+    """A chart scalar per vertex and a transition per compact edge, stored
+    against :attr:`directions`.
 
-    cyclic_order: tuple[int, int, int]
-    trivialization: Fraction = Fraction(1)
+    The constructor refuses any other free data: a chart count other than
+    the vertex count or a zero chart, a transition count other than the
+    compact-edge count (``ValueError``), or a transition without eps = -1,
+    shift = 1 and n = twist (:class:`TwistMismatch`).
+    """
+
+    graph: DecoratedGraph
+    charts: tuple[Fraction, ...]
+    transitions: tuple[EdgeAut, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trivialization", _nonzero(self.trivialization, "trivialization"))
-        object.__setattr__(self, "cyclic_order", tuple(self.cyclic_order))
+        if len(self.charts) != len(self.graph.vertices):
+            raise ValueError("need one chart scalar per vertex")
+        object.__setattr__(self, "charts", tuple(_nonzero(c, "trivialization") for c in self.charts))
+        compact = self.graph.compact_edges()
+        if len(self.transitions) != len(compact):
+            raise ValueError("need one transition per compact edge")
+        for (ei, e), aut in zip(compact, self.transitions):
+            if aut.eps != -1:
+                raise TwistMismatch(f"edge {ei}: transition must have eps = -1")
+            if aut.shift != 1:
+                raise TwistMismatch(f"edge {ei}: transition must involve the shift")
+            if aut.n != e.twist:
+                raise TwistMismatch(f"edge {ei}: transition twist {aut.n} != edge defect {e.twist}")
+        object.__setattr__(self, "transitions", tuple(self.transitions))
 
-
-class DescentDiagram(Record):
-    graph: DecoratedGraph
-    charts: tuple[VertexChart, ...]
-    transitions: tuple[EdgeAut, ...]  # one per compact edge, canonical direction
-    directions: tuple[tuple[int, int], ...]  # canonical (source, target) per compact edge
+    @cached_property
+    def directions(self) -> tuple[tuple[int, int], ...]:
+        """The stored (source, target) of each compact edge."""
+        return tuple(canonical_directions(self.graph))
 
 
 class PicInvariants(Record):
@@ -72,55 +91,29 @@ def assemble_diagram(
 ) -> DescentDiagram:
     """Build the diagram for a valid, connected, orientable graph.
 
-    Without explicit ``transitions`` the autoequivalences come from the
-    edge decorations: eps = -1, shift = 1, n = twist, lam_x = base scalar,
-    lam_u = holonomy.  Explicit transitions are given as
-    ``((source, target), EdgeAut)`` per compact edge; a transition stored
-    against the reversed direction is replaced by its inverse.  The
-    discrete constraints (eps = -1, shift = 1, n = twist) are enforced.
+    Charts default to 1.  Without explicit ``transitions`` the
+    autoequivalences come from the edge decorations: eps = -1, shift = 1,
+    n = twist, lam_x = base scalar, lam_u = holonomy.  Explicit transitions
+    are given as ``((source, target), EdgeAut)`` per compact edge; one
+    given against :func:`canonical_directions` is replaced by its inverse,
+    which keeps eps, shift and (for eps = -1) n.  :class:`DescentDiagram`
+    checks the rest.
     """
     orientation_gauge(g)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
-    if charts is None:
-        chart_scalars = [Fraction(1)] * len(g.vertices)
-    else:
-        chart_scalars = [Fraction(c) for c in charts]
-        if len(chart_scalars) != len(g.vertices):
-            raise ValueError("need one chart scalar per vertex")
-    chart_objs = tuple(
-        VertexChart(tuple(g.vertices[v]), chart_scalars[v])
-        for v in range(len(g.vertices))
-    )
-
     compact = g.compact_edges()
-    directions = canonical_directions(g)
     if transitions is None:
-        built = [
-            EdgeAut(-1, e.twist, e.base_scalar, e.holonomy, 1) for _, e in compact
-        ]
+        built = [EdgeAut(-1, e.twist, e.base_scalar, e.holonomy, 1) for _, e in compact]
     else:
-        if len(transitions) != len(compact):
-            raise ValueError("need one transition per compact edge")
-        built = []
-        for (ei, e), pair, (direction, aut), canon in zip(
-            compact, g.compact_pairs, transitions, directions
-        ):
+        built = [aut for _, aut in transitions]
+        given = zip(compact, canonical_directions(g), transitions)
+        for k, ((ei, _), canon, (direction, aut)) in enumerate(given):
             direction = (int(direction[0]), int(direction[1]))
-            if set(direction) != set(pair):
-                raise TwistMismatch(
-                    f"edge {ei}: direction {direction} does not join its endpoints"
-                )
-            if aut.eps != -1:
-                raise TwistMismatch(f"edge {ei}: transition must have eps = -1")
-            if aut.shift != 1:
-                raise TwistMismatch(f"edge {ei}: transition must involve the shift")
-            if aut.n != e.twist:
-                raise TwistMismatch(
-                    f"edge {ei}: transition twist {aut.n} != edge defect {e.twist}"
-                )
+            if set(direction) != set(canon):
+                raise TwistMismatch(f"edge {ei}: direction {direction} does not join its endpoints")
             if direction != canon:
-                aut = edge_aut_inverse(aut)
-            built.append(aut)
-    return DescentDiagram(g, chart_objs, tuple(built), tuple(directions))
+                built[k] = edge_aut_inverse(aut)
+    charts = (Fraction(1),) * len(g.vertices) if charts is None else tuple(charts)
+    return DescentDiagram(g, charts, tuple(built))
 
 
 def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagram:
@@ -134,16 +127,12 @@ def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagr
         raise ValueError("need one gauge scalar per vertex")
     if any(s == 0 for s in scalars):
         raise ValueError("gauge scalars must be nonzero")
-    charts = tuple(
-        VertexChart(c.cyclic_order, scalars[v] * c.trivialization)
-        for v, c in enumerate(d.charts)
+    charts = tuple(s * c for s, c in zip(scalars, d.charts))
+    transitions = tuple(
+        EdgeAut(aut.eps, aut.n, aut.lam_x, scalars[src] * aut.lam_u / scalars[tgt], aut.shift)
+        for aut, (src, tgt) in zip(d.transitions, d.directions)
     )
-    transitions = []
-    for aut, (src, tgt) in zip(d.transitions, d.directions):
-        transitions.append(
-            EdgeAut(aut.eps, aut.n, aut.lam_x, scalars[src] * aut.lam_u / scalars[tgt], aut.shift)
-        )
-    return DescentDiagram(d.graph, charts, tuple(transitions), d.directions)
+    return DescentDiagram(d.graph, charts, transitions)
 
 
 def _holonomies(d: DescentDiagram) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:

@@ -179,9 +179,7 @@ def fan_from_json(payload: dict) -> Fan:
 
 def diagram_to_json(d: DescentDiagram) -> dict:
     payload = graph_to_json(d.graph)
-    payload["charts"] = [
-        {"trivialization": format_rational(c.trivialization)} for c in d.charts
-    ]
+    payload["charts"] = [{"trivialization": format_rational(c)} for c in d.charts]
     transitions = []
     compact = d.graph.compact_edges()
     for (ei, _), aut, direction in zip(compact, d.transitions, d.directions):

@@ -18,19 +18,6 @@ from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
 from .record import Record
 
 
-class PlumbingPresentation(Record):
-    """Relations of H1 on the fibers and the cuff classes.
-
-    The rows are the fiber f_v of each vertex and one cuff class per edge
-    or leg; the columns are one relation per vertex and one per compact
-    edge, so the matrix is V + E + L by V + E.  No row or column depends
-    on the cyclic order at a vertex.  Rows and columns are numbered in
-    the elimination order of :func:`plumbing_presentation`.
-    """
-
-    relation_matrix: SparseColumns
-
-
 class H1Result(Record):
     free_rank: int
     torsion: tuple[int, ...]
@@ -62,8 +49,12 @@ def _column(terms) -> dict[int, int]:
     return {r: c for r, c in column.items() if c}
 
 
-def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
-    """Vertex-edge presentation of H1 of the glued 3-manifold.
+def plumbing_presentation(g: DecoratedGraph) -> SparseColumns:
+    """Vertex-edge presentation of H1 of the glued 3-manifold: the
+    relations on the fiber f_v of each vertex and one cuff class per edge
+    or leg, so V + E + L rows and V + E columns (one relation per vertex
+    and one per compact edge).  No row or column depends on the cyclic
+    order at a vertex.
 
     Requires a valid, connected, orientable graph; the reversing flags
     are gauged away, which leaves the edges' ends in place.  A compact
@@ -108,13 +99,12 @@ def plumbing_presentation(g: DecoratedGraph) -> PlumbingPresentation:
     others = sorted(set(range(len(edge_relations))).difference(in_tree))
     columns = [edge_relations[ci] for ci in in_tree] + vertex_relations
     columns += [edge_relations[ci] for ci in others]
-    return PlumbingPresentation(SparseColumns(rows, tuple(columns)))
+    return SparseColumns(rows, tuple(columns))
 
 
 def h1_graph_manifold(g: DecoratedGraph) -> H1Result:
     """H1 of the glued manifold: cokernel of the relations plus Z^{b1(G)}."""
-    pres = plumbing_presentation(g)
-    free, torsion = cokernel_abelian_group(pres.relation_matrix)
+    free, torsion = cokernel_abelian_group(plumbing_presentation(g))
     cycle_rank = len(g.compact_pairs) - len(g.vertices) + 1
     return H1Result(free + cycle_rank, torsion)
 

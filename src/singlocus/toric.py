@@ -340,12 +340,14 @@ def _wall_report(f: Fan, key: tuple[int, int], cones: list[int]) -> WallReport:
     i, j = key
     u1, u2 = (f.rays[k] for ci in cones for k in f.cones[ci] if k not in key)
     vi, vj = f.rays[i], f.rays[j]
-    total = tuple(u1[k] + u2[k] for k in range(3))
     # In the basis (vi, vj, u1), u2 has u1-coefficient det(vi, vj, u2) /
     # det(vi, vj, u1) = -1, as the unimodular cones lie on opposite sides
-    # of the wall; so total = x vi + y vj, by Cramer's rule with d = +-1.
-    d = _det3(vi, vj, u1)
-    x, y = d * _det3(total, vj, u1), d * _det3(vi, total, u1)
+    # of the wall; so u1 + u2 = x vi + y vj, by Cramer's rule with
+    # d = det(vi, vj, u1), which is +1 iff (i, j) runs forward in the
+    # positive triple of the first cone.
+    a, b, c = f.oriented_cones[cones[0]]
+    d = 1 if (i, j) in ((a, b), (b, c), (c, a)) else -1
+    x, y = d * _det3(u2, vj, u1), d * _det3(vi, u2, u1)
     defect = 2 - x - y
     # Modulo vi the relation is u1 + u2 + (-y) vj = 0, the star relation of vi.
     return WallReport(key, tuple(cones), (-y, -x), defect, defect)

@@ -232,10 +232,9 @@ def smith_diagonal_oracle(rows: list[list[int]]) -> list[int]:
     return out
 
 
-def dense_relations(presentation) -> IntMatrix:
-    """The relation matrix of a ``PlumbingPresentation``, dense, with
+def dense_relations(m) -> IntMatrix:
+    """The relation columns of ``plumbing_presentation``, dense, with
     the rows in the presentation's numbering."""
-    m = presentation.relation_matrix
     return IntMatrix(m.rows, m.cols, tuple(c.get(i, 0) for i in range(m.rows) for c in m.columns))
 
 

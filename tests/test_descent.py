@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.descent import (
+    DescentDiagram,
     assemble_diagram,
     canonical_directions,
     compose_cycle,
@@ -20,7 +21,8 @@ from singlocus.errors import GraphMismatch, NonOrientable, TwistMismatch
 from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, oriented_form
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
-from oracles import cycle_basis, pic_invariants_oracle, random_multigraph
+from singlocus.serialize import diagram_from_json, diagram_to_json
+from oracles import _rational, cycle_basis, pic_invariants_oracle, random_multigraph
 
 
 def rand_scalar(rng):
@@ -69,6 +71,53 @@ def test_assemble_rejects_bad_transitions():
     bad_twist[2] = (dirs[2], EdgeAut(-1, 5, 1, 1, 1))
     with pytest.raises(TwistMismatch):
         assemble_diagram(g, None, bad_twist)
+
+
+@pytest.mark.parametrize(
+    "aut, message",
+    [
+        (EdgeAut(-1, 5, 1, 1, 1), "edge 1: transition twist 5 != edge defect 2"),
+        (EdgeAut(1, 2, 1, 1, 1), "edge 1: transition must have eps = -1"),
+        (EdgeAut(-1, 2, 1, 1, 0), "edge 1: transition must involve the shift"),
+    ],
+)
+def test_constructor_refuses_a_bad_transition(aut, message):
+    g = theta_graph(twists=(0, 2, -1))
+    transitions = list(assemble_diagram(g).transitions)
+    transitions[1] = aut
+    with pytest.raises(TwistMismatch) as info:
+        DescentDiagram(g, (1, 1), tuple(transitions))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "charts, count, message",
+    [
+        ((1,), 3, "need one chart scalar per vertex"),
+        ((1, 1, 1), 3, "need one chart scalar per vertex"),
+        ((1, 1), 2, "need one transition per compact edge"),
+        ((1, 1), 4, "need one transition per compact edge"),
+        ((1, 0), 3, "trivialization must be nonzero"),
+    ],
+)
+def test_constructor_refuses_bad_counts_and_zero_charts(charts, count, message):
+    g = theta_graph()
+    transitions = assemble_diagram(g).transitions
+    with pytest.raises(ValueError) as info:
+        DescentDiagram(g, charts, (transitions * 2)[:count])
+    assert str(info.value) == message
+
+
+def test_constructor_keeps_scalar_charts_and_derives_directions():
+    g = theta_graph(holonomies=(2, 3, 5))
+    d = DescentDiagram(g, (2, Fraction(1, 3)), assemble_diagram(g).transitions)
+    assert d.charts == (Fraction(2), Fraction(1, 3))
+    assert all(type(c) is Fraction for c in d.charts)
+    assert d.directions == tuple(canonical_directions(g)) == ((0, 1),) * 3
+    assert d == assemble_diagram(g, [2, Fraction(1, 3)])
+    with pytest.raises(TypeError):  # directions are the graph's, not data
+        DescentDiagram(g, d.charts, d.transitions, ((1, 0),) * 3)
+    assert pic_invariants(d).beta_holonomies == (Fraction(2, 3), Fraction(2, 5))
 
 
 def test_assemble_rejects_non_orientable():
@@ -236,6 +285,25 @@ def test_pic_and_trivializing_gauge_match_cycle_oracle(seed, vertices, unit, gau
     if found is not None:
         assert found[0] == 1
         assert all(aut.lam_u == 1 for aut in gauge(d, found).transitions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 8))
+def test_transitions_given_against_random_directions(seed, vertices):
+    # Each transition is given along or against its stored direction at
+    # random; the diagram stores the same transitions either way.
+    rng = random.Random(seed)
+    g = random_multigraph(rng, vertices, orientable=True)
+    stored = [EdgeAut(-1, e.twist, _rational(rng), _rational(rng), 1) for _, e in g.compact_edges()]
+    supplied = [
+        ((t, s), edge_aut_inverse(aut)) if s != t and rng.random() < 0.5 else ((s, t), aut)
+        for (s, t), aut in zip(canonical_directions(g), stored)
+    ]
+    charts = [_rational(rng) for _ in range(vertices)]
+    d = assemble_diagram(g, charts, supplied)
+    assert d.transitions == tuple(stored) and d.charts == tuple(charts)
+    assert pic_invariants(d) == pic_invariants_oracle(d)
+    assert diagram_from_json(diagram_to_json(d)) == d
 
 
 def test_ladder_512_oriented_form_and_pic_are_fast():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.descent import DescentDiagram, PicInvariants, VertexChart
+from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram
 from singlocus.errors import TriangleConstraintViolated
 from singlocus.examples import theta_graph
 from singlocus.graphs import (
@@ -33,17 +33,17 @@ from singlocus.localmodels import (
 )
 from singlocus.record import FrozenInstanceError, Record
 from singlocus.toric import Fan, WallReport
-from singlocus.topology import H1Result, NodalCurveReport, PlumbingPresentation
+from singlocus.topology import H1Result, NodalCurveReport
 
 from oracles import SmithForm
 
 RECORDS = (
-    VertexChart, DescentDiagram, PicInvariants,
+    DescentDiagram, PicInvariants,
     CompactEdge, Leg, DecoratedGraph, Incidence, DualSurface, FiniteCategory,
     IntMatrix, SmithForm, SparseColumns,  # SmithForm: the snf oracle's record
     Monomial, TwoPerE, EdgeAut, TwoPerV, VertexAut, PantsPresentation,
     Fan, WallReport,
-    PlumbingPresentation, H1Result, NodalCurveReport,
+    H1Result, NodalCurveReport,
 )
 UNCOMPARED = {FiniteCategory: {"arrows", "identities", "compose"}}
 
@@ -52,15 +52,19 @@ SAMPLES = {
     CompactEdge: [CompactEdge((0, 3)), CompactEdge((1, 4), twist=2, holonomy=Fraction(1, 2))],
     Leg: [Leg(5)],
     DecoratedGraph: [theta_graph(), theta_graph(twists=(1, 0, 2))],
-    VertexChart: [VertexChart((0, 1, 2)), VertexChart((2, 1, 0), Fraction(3))],
     EdgeAut: [EdgeAut(-1, 2, Fraction(1, 2), 3, 1)],
     IntMatrix: [IntMatrix(2, 2, (1, 0, 0, 1)), IntMatrix(1, 0, ())],
     SparseColumns: [SparseColumns(2, ({0: 1},)), SparseColumns(0, ())],
 }
 # Fields whose valid values a type does not describe.
 NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+# A diagram's transitions must match its graph's twists, so they are drawn
+# from diagrams assembled on the sample graphs.
+DIAGRAMS = [assemble_diagram(g) for g in SAMPLES[DecoratedGraph]]
 OVERRIDES = {
     (VertexAut, "perm"): st.permutations((0, 1, 2)).map(tuple),
+    (DescentDiagram, "charts"): st.tuples(NONZERO, NONZERO),
+    (DescentDiagram, "transitions"): st.sampled_from([d.transitions for d in DIAGRAMS]),
     (PantsPresentation, "scalars"): st.tuples(NONZERO, NONZERO, NONZERO, NONZERO).map(
         lambda c: (c[0], c[1], 1 / (c[0] * c[1]), c[2], c[3], 1 / (c[2] * c[3]))
     ),
@@ -131,7 +135,7 @@ def hash_or_error(x):
 
 def test_every_record_type_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -194,7 +198,7 @@ def test_post_init_messages_are_unchanged():
         (lambda: PantsPresentation((1, 1, 2, 1, 1, 1)), TriangleConstraintViolated,
          "each triangle's scalars must multiply to 1"),
         (lambda: PantsPresentation((1, 1, 0, 1, 1, 1)), ValueError, "generator scalar must be nonzero"),
-        (lambda: VertexChart((0, 1, 2), 0), ValueError, "trivialization must be nonzero"),
+        (lambda: assemble_diagram(theta_graph(), [1, 0]), ValueError, "trivialization must be nonzero"),
         # replace() runs the checks again.
         (lambda: CompactEdge((0, 1)).replace(holonomy=0), ValueError, "holonomy must be nonzero"),
     ]

@@ -398,6 +398,23 @@ def test_blowup_walls_and_exceptional_divisor(seed, steps):
         assert last["selfIntersections"] == (-k, 0, k, 0)
 
 
+def test_wall_reports_take_two_determinants_per_interior_wall(monkeypatch):
+    # The sign of det(v_i, v_j, u1) is read off the first cone's positive
+    # triple, so only x and y take a determinant.
+    from singlocus import toric
+
+    for fan in (quartic_mirror_fan(), blowup_fan(random.Random(3), 40)[0], SPLIT_STAR_FAN):
+        f = Fan(fan.rays, fan.cones)  # a copy whose tables are not cached yet
+        assert f.violations == () and f.oriented_cones  # validated and oriented first
+        calls = []
+        det3 = toric._det3
+        monkeypatch.setattr(toric, "_det3", lambda *vs: calls.append(vs) or det3(*vs))
+        interior = f.wall_reports
+        monkeypatch.undo()
+        assert len(interior) == sum(len(cones) == 2 for cones in f.wall_table.values()) > 0
+        assert len(calls) == 2 * len(interior)
+
+
 # --- boundary graphs ---------------------------------------------------
 
 
