@@ -381,122 +381,88 @@ class FiniteCategory(Record, uncompared=("arrows", "identities", "compose")):
     compose: dict[tuple[str, str], str]
 
     def check(self) -> None:
+        """Raise :class:`SingLocusError` unless the tables satisfy the
+        category axioms; a missing identity or composite fails them."""
+        arrows, compose = self.arrows, self.compose
         for obj, ident in self.identities.items():
-            src, tgt = self.arrows[ident]
-            if src != obj or tgt != obj:
+            if arrows.get(ident) != (obj, obj):
                 raise SingLocusError(f"identity of {obj} is not an endo-arrow")
-        names = list(self.arrows)
+        names = list(arrows)
         for f in names:
-            fs, ft = self.arrows[f]
-            if self.compose[(self.identities[ft], f)] != f:
+            fs, ft = arrows[f]
+            if compose.get((self.identities.get(ft), f)) != f:
                 raise SingLocusError(f"left unit fails for {f}")
-            if self.compose[(f, self.identities[fs])] != f:
+            if compose.get((f, self.identities.get(fs))) != f:
                 raise SingLocusError(f"right unit fails for {f}")
         for f in names:
-            fs, ft = self.arrows[f]
+            fs, ft = arrows[f]
             for h in names:
-                hs, ht = self.arrows[h]
+                hs, ht = arrows[h]
                 if hs != ft:
                     continue
-                hf = self.compose[(h, f)]
-                if self.arrows[hf] != (fs, ht):
+                hf = compose.get((h, f))
+                if arrows.get(hf) != (fs, ht):
                     raise SingLocusError(f"composite {h} o {f} has wrong endpoints")
                 for k in names:
-                    ks, kt = self.arrows[k]
+                    ks, kt = arrows[k]
                     if ks != ht:
                         continue
-                    if self.compose[(k, hf)] != self.compose[(self.compose[(k, h)], f)]:
+                    if compose.get((k, hf)) != compose.get((compose.get((k, h)), f)):
                         raise SingLocusError(
                             f"associativity fails on ({k}, {h}, {f})"
                         )
 
 
-def build_j(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
+def _category(
+    objects: list[str], arrows: dict[str, tuple[str, str]], compose: dict[tuple[str, str], str]
+) -> FiniteCategory:
+    """Add an identity ``id:<obj>`` per object and the unit composites to
+    the non-unit ``arrows`` and ``compose``."""
+    identities = {obj: f"id:{obj}" for obj in objects}
+    arrows = {**{i: (obj, obj) for obj, i in identities.items()}, **arrows}
+    for f, (fs, ft) in arrows.items():
+        compose[(identities[ft], f)] = f
+        compose[(f, identities[fs])] = f
+    return FiniteCategory(tuple(objects), arrows, identities, compose)
+
+
+def build_j(g: DecoratedGraph) -> FiniteCategory:
     """The category with objects = vertices and edges, one arrow per flag."""
     inc = g.incidence
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"e{ei}" for ei in range(len(g.edges))]
-    arrows: dict[str, tuple[str, str]] = {}
-    identities: dict[str, str] = {}
-    for obj in objects:
-        name = f"id:{obj}"
-        arrows[name] = (obj, obj)
-        identities[obj] = name
-    for h in sorted(inc.vertex_of):
-        arrows[f"flag:h{h}"] = (f"v{inc.vertex_of[h]}", f"e{inc.edge_of[h]}")
-    compose: dict[tuple[str, str], str] = {}
-    for f, (fs, ft) in arrows.items():
-        compose[(identities[ft], f)] = f
-        compose[(f, identities[fs])] = f
-    cat = FiniteCategory(tuple(objects), arrows, identities, compose)
-    if check:
-        cat.check()
-    return cat
+    arrows = {
+        f"flag:h{h}": (f"v{inc.vertex_of[h]}", f"e{inc.edge_of[h]}") for h in sorted(inc.vertex_of)
+    }
+    return _category(objects, arrows, {})
 
 
-def build_i(g: DecoratedGraph, check: bool = True) -> FiniteCategory:
+def build_i(g: DecoratedGraph) -> FiniteCategory:
     """The flag-duplicated category: the edge object split into its flags.
 
     Objects are the vertices and the flags (one per half-edge); there is
     an arrow per flag and a two-sided isomorphism pair per compact edge.
-    Arrows are reduced words in these generators, where the two isos of
-    an edge cancel; the only nonidentity words are the flags, the isos
-    and flag-then-iso, so V + 2H + 4C arrows in all.
+    The only nonidentity arrows are the flags, the isos and flag-then-iso
+    (named ``flag:h<h>*<iso>``), so V + 2H + 4C arrows in all.  A flag
+    object has one non-unit arrow out of it, the iso of its edge, so the
+    non-unit composites are three per iso: iso o flag, inverse o iso and
+    inverse o (flag-then-iso).
     """
     inc = g.incidence
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"f{h}" for h in sorted(inc.vertex_of)]
-
-    # word -> (source, target); identity words are () tagged by object.
-    words: dict[tuple, tuple[str, str]] = {("id", obj): (obj, obj) for obj in objects}
-    inverse_of: dict[str, str] = {}
-    for h in sorted(inc.vertex_of):
-        words[("w", (f"flag:h{h}",))] = (f"v{inc.vertex_of[h]}", f"f{h}")
-    isos = []
-    for ei, e in g.compact_edges():
-        h1, h2 = e.ends
-        fwd, rev = f"iso:e{ei}:fwd", f"iso:e{ei}:rev"
-        words[("w", (fwd,))] = (f"f{h1}", f"f{h2}")
-        words[("w", (rev,))] = (f"f{h2}", f"f{h1}")
-        inverse_of[fwd], inverse_of[rev] = rev, fwd
-        isos += [(h1, fwd, h2), (h2, rev, h1)]
-    for h, iso, h_out in isos:
-        words[("w", (f"flag:h{h}", iso))] = (f"v{inc.vertex_of[h]}", f"f{h_out}")
-
-    def reduce_word(word: tuple[str, ...]) -> tuple[str, ...]:
-        out: list[str] = []
-        for gname in word:
-            if out and inverse_of.get(out[-1]) == gname:
-                out.pop()
-            else:
-                out.append(gname)
-        return tuple(out)
-
-    def name(key) -> str:
-        if key[0] == "id":
-            return f"id:{key[1]}"
-        return "*".join(key[1])
-
-    arrows = {name(k): st for k, st in words.items()}
-    identities = {obj: f"id:{obj}" for obj in objects}
-    out_of: dict[str, list[tuple]] = {obj: [] for obj in objects}
-    for key, (src, _) in words.items():
-        out_of[src].append(key)
+    arrows = {f"flag:h{h}": (f"v{inc.vertex_of[h]}", f"f{h}") for h in sorted(inc.vertex_of)}
     compose: dict[tuple[str, str], str] = {}
-    for f_key, (fs, ft) in words.items():
-        for g_key in out_of[ft]:
-            if f_key[0] == "id":
-                result = g_key
-            elif g_key[0] == "id":
-                result = f_key
-            else:
-                word = reduce_word(f_key[1] + g_key[1])
-                result = ("id", fs) if not word else ("w", word)
-            compose[(name(g_key), name(f_key))] = name(result)
-    cat = FiniteCategory(tuple(objects), arrows, identities, compose)
-    if check:
-        cat.check()
-    return cat
+    for ei, e in g.compact_edges():
+        fwd, rev = f"iso:e{ei}:fwd", f"iso:e{ei}:rev"
+        for (h, h_out), iso, inverse in ((e.ends, fwd, rev), (e.ends[::-1], rev, fwd)):
+            flag, word = f"flag:h{h}", f"flag:h{h}*{iso}"
+            arrows[iso] = (f"f{h}", f"f{h_out}")
+            arrows[word] = (f"v{inc.vertex_of[h]}", f"f{h_out}")
+            compose[(iso, flag)] = word
+            compose[(inverse, iso)] = f"id:f{h}"
+            compose[(inverse, word)] = flag
+    return _category(objects, arrows, compose)
 
 
 def collapse_functor(g: DecoratedGraph) -> dict[str, str]:

@@ -321,12 +321,12 @@ class WallReport(Record):
 def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
     """Defect and intersection data of one wall.
 
-    Raises :class:`NotAWall` if the ray pair spans no 2-face, and
-    :class:`BoundaryWall` (carrying the single cone index) for a wall that
-    lies in only one maximal cone, where no defect is defined.
+    Raises :class:`NotAWall` unless ``wall`` is a ray pair spanning a
+    2-face, and :class:`BoundaryWall` (carrying the single cone index) for
+    a wall that lies in only one maximal cone, where no defect is defined.
     """
     require_valid_fan(f)
-    key = (min(wall), max(wall))
+    key = tuple(sorted(wall))
     if key not in f.wall_table:
         raise NotAWall(f"{wall} is not a wall of the fan")
     cones = f.wall_table[key]

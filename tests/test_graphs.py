@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.descent import assemble_diagram
-from singlocus.errors import DisconnectedGraph, InvalidGraph, NonOrientable
+from singlocus.errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
 from singlocus.examples import (
     circular_ladder_graph,
     conifold_graph,
@@ -16,6 +17,7 @@ from singlocus.examples import (
 from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
+    FiniteCategory,
     Leg,
     build_i,
     build_j,
@@ -129,12 +131,14 @@ def test_every_graph_entry_refuses_an_invalid_graph(graph, entry):
 def test_theta_j_counts():
     # direct enumeration: objects = V + E, arrows = identities + flags
     cat = build_j(theta_graph())
+    cat.check()
     assert len(cat.objects) == 5
     assert len(cat.arrows) == 11
 
 
 def test_theta_i_counts():
     cat = build_i(theta_graph())
+    cat.check()
     assert len(cat.objects) == 8
     assert len(cat.arrows) == 26
 
@@ -142,6 +146,8 @@ def test_theta_i_counts():
 def test_pants_j_equals_i():
     J = build_j(pants_graph())
     I = build_i(pants_graph())
+    J.check()
+    I.check()
     assert len(J.objects) == 4 and len(J.arrows) == 7
     assert len(I.objects) == 4 and len(I.arrows) == 7
 
@@ -157,6 +163,12 @@ def enumeration_counts(g):
     return j, i
 
 
+def assert_counts_match_enumeration(graph, J, I):
+    (j_obj, j_arr), (i_obj, i_arr) = enumeration_counts(graph)
+    assert (len(J.objects), len(J.arrows)) == (j_obj, j_arr)
+    assert (len(I.objects), len(I.arrows)) == (i_obj, i_arr)
+
+
 @pytest.mark.parametrize(
     "graph",
     [
@@ -170,10 +182,10 @@ def enumeration_counts(g):
     ids=["theta", "pants", "ladder2", "ladder3", "p3", "conifold"],
 )
 def test_category_counts_match_enumeration(graph):
-    (j_obj, j_arr), (i_obj, i_arr) = enumeration_counts(graph)
     J, I = build_j(graph), build_i(graph)
-    assert (len(J.objects), len(J.arrows)) == (j_obj, j_arr)
-    assert (len(I.objects), len(I.arrows)) == (i_obj, i_arr)
+    J.check()
+    I.check()
+    assert_counts_match_enumeration(graph, J, I)
 
 
 def self_loop_graph():
@@ -186,12 +198,27 @@ def self_loop_graph():
 
 def test_categories_scale_to_extracted_graphs():
     g = quartic_mirror_graph()
-    J = build_j(g, check=False)
-    I = build_i(g, check=False)
+    J = build_j(g)
+    I = build_i(g)
+    J.check()
+    I.check()
     assert len(J.objects) == 64 + 96
     assert len(J.arrows) == 160 + 192
     assert len(I.objects) == 64 + 192
     assert len(I.arrows) == 256 + 192 + 192 + 192
+
+
+def assert_collapse_is_equivalence(graph, J, I):
+    # Collapsing each flag object to its edge object is an equivalence:
+    # surjective on objects with fibers exactly the flag classes, and
+    # bijective on every hom-set.
+    obj_map = collapse_functor(graph)
+    assert set(obj_map) == set(I.objects)
+    assert set(obj_map.values()) == set(J.objects)
+    hom_i, hom_j = Counter(I.arrows.values()), Counter(J.arrows.values())
+    for x in I.objects:
+        for y in I.objects:
+            assert hom_i[(x, y)] == hom_j[(obj_map[x], obj_map[y])], (x, y)
 
 
 @pytest.mark.parametrize(
@@ -206,19 +233,66 @@ def test_categories_scale_to_extracted_graphs():
     ids=["theta", "pants", "ladder2", "ladder3", "selfloop"],
 )
 def test_collapse_functor_is_equivalence(graph):
-    # Collapsing each flag object to its edge object is an equivalence:
-    # surjective on objects with fibers exactly the flag classes, and
-    # bijective on every hom-set.
     J, I = build_j(graph), build_i(graph)
-    obj_map = collapse_functor(graph)
-    assert set(obj_map) == set(I.objects)
-    assert set(obj_map.values()) == set(J.objects)
-    for x in I.objects:
-        for y in I.objects:
-            hom_i = sum(1 for (s, t) in I.arrows.values() if (s, t) == (x, y))
-            fx, fy = obj_map[x], obj_map[y]
-            hom_j = sum(1 for (s, t) in J.arrows.values() if (s, t) == (fx, fy))
-            assert hom_i == hom_j, (x, y, hom_i, hom_j)
+    J.check()
+    I.check()
+    assert_collapse_is_equivalence(graph, J, I)
+
+
+def reduced_word(*names):
+    """The arrow names split on ``*`` and concatenated, with each adjacent
+    ``iso:eK:fwd``/``iso:eK:rev`` pair cancelled."""
+    out = []
+    for letter in (x for name in names for x in name.split("*")):
+        inverse = letter[:-3] + {"fwd": "rev", "rev": "fwd"}.get(letter[-3:], "")
+        if out and letter.startswith("iso:") and out[-1] == inverse:
+            out.pop()
+        else:
+            out.append(letter)
+    return "*".join(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 12))
+def test_categories_of_random_multigraphs(seed, vertices):
+    # self-loops, parallel edges and legs: both categories satisfy the
+    # axioms, have the enumerated sizes and collapse to an equivalence, and
+    # each non-unit composite of build_i is its reduced word (the identity
+    # of its source when the word cancels to nothing)
+    g = random_multigraph(random.Random(seed), vertices)
+    J, I = build_j(g), build_i(g)
+    J.check()
+    I.check()
+    assert_counts_match_enumeration(g, J, I)
+    assert_collapse_is_equivalence(g, J, I)
+    units = set(I.identities.values())
+    for (h, f), hf in I.compose.items():
+        if h not in units and f not in units:
+            assert hf == (reduced_word(f, h) or I.identities[I.arrows[f][0]]), (h, f)
+
+
+# A one-object table missing one entry: each fails check() by its message.
+MISSING_ENTRIES = {
+    "identity-arrow": (
+        {"f": ("a", "a")}, {("f", "f"): "f"}, "identity of a is not an endo-arrow"
+    ),
+    "unit-composite": (
+        {"ia": ("a", "a"), "f": ("a", "a")}, {("ia", "ia"): "ia"}, "left unit fails for f"
+    ),
+    "composite": (
+        {"ia": ("a", "a"), "f": ("a", "a")},
+        {("ia", "ia"): "ia", ("ia", "f"): "f", ("f", "ia"): "f"},
+        "composite f o f has wrong endpoints",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MISSING_ENTRIES)
+def test_check_refuses_a_missing_entry(case):
+    arrows, compose, message = MISSING_ENTRIES[case]
+    cat = FiniteCategory(("a",), arrows, {"a": "ia"}, compose)
+    with pytest.raises(SingLocusError, match=message):
+        cat.check()
 
 
 # --- dual surface ------------------------------------------------------

@@ -349,6 +349,9 @@ def test_conifold_boundary_wall():
 def test_not_a_wall():
     with pytest.raises(NotAWall):
         wall_data(conifold_fan(), (0, 3))
+    # Three rays are no wall, though their least and greatest (0, 3) are.
+    with pytest.raises(NotAWall):
+        wall_data(p3_fan(), (0, 3, 1))
 
 
 def test_p1p1p1_walls():
