@@ -14,7 +14,6 @@ from .descent import (
     assemble_diagram,
     diagrams_equivalent,
     gauge,
-    is_two_periodic,
     pic_invariants,
 )
 from .errors import (
@@ -23,6 +22,7 @@ from .errors import (
     GraphMismatch,
     InvalidFan,
     InvalidGraph,
+    InvalidValue,
     NegativeDefect,
     NonOrientable,
     NotAWall,

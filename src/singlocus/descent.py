@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import GraphMismatch, TwistMismatch
+from .errors import GraphMismatch, InvalidValue, TwistMismatch, items, nonzero, pair
 from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientation_gauge
-from .localmodels import EdgeAut, _nonzero, compose_edge_aut, edge_aut_inverse
+from .localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
 from .record import Record
 
 
@@ -27,8 +27,8 @@ class DescentDiagram(Record):
 
     The constructor refuses any other free data: a chart count other than
     the vertex count or a zero chart, a transition count other than the
-    compact-edge count (``ValueError``), or a transition without eps = -1,
-    shift = 1 and n = twist (:class:`TwistMismatch`).
+    compact-edge count (:class:`InvalidValue`), or a transition without
+    eps = -1, shift = 1 and n = twist (:class:`TwistMismatch`).
     """
 
     graph: DecoratedGraph
@@ -36,20 +36,25 @@ class DescentDiagram(Record):
     transitions: tuple[EdgeAut, ...]
 
     def __post_init__(self):
-        if len(self.charts) != len(self.graph.vertices):
-            raise ValueError("need one chart scalar per vertex")
-        object.__setattr__(self, "charts", tuple(_nonzero(c, "trivialization") for c in self.charts))
+        if not isinstance(self.graph, DecoratedGraph):
+            raise InvalidValue(f"expected a DecoratedGraph, got {self.graph!r}")
+        charts, transitions = items(self.charts), items(self.transitions)
+        if len(charts) != len(self.graph.vertices):
+            raise InvalidValue("need one chart scalar per vertex")
+        object.__setattr__(self, "charts", tuple(nonzero(c, "trivialization") for c in charts))
         compact = self.graph.compact_edges()
-        if len(self.transitions) != len(compact):
-            raise ValueError("need one transition per compact edge")
-        for (ei, e), aut in zip(compact, self.transitions):
+        if len(transitions) != len(compact):
+            raise InvalidValue("need one transition per compact edge")
+        for (ei, e), aut in zip(compact, transitions):
+            if not isinstance(aut, EdgeAut):
+                raise InvalidValue(f"expected an EdgeAut, got {aut!r}")
             if aut.eps != -1:
                 raise TwistMismatch(f"edge {ei}: transition must have eps = -1")
             if aut.shift != 1:
                 raise TwistMismatch(f"edge {ei}: transition must involve the shift")
             if aut.n != e.twist:
                 raise TwistMismatch(f"edge {ei}: transition twist {aut.n} != edge defect {e.twist}")
-        object.__setattr__(self, "transitions", tuple(self.transitions))
+        object.__setattr__(self, "transitions", transitions)
 
     @cached_property
     def directions(self) -> tuple[tuple[int, int], ...]:
@@ -71,9 +76,10 @@ class PicInvariants(Record):
     alpha_holonomies: tuple[Fraction, ...]
 
     def is_trivial(self) -> bool:
-        return all(n == 0 for n in self.degree_vector) and all(
-            h == 1 for h in self.beta_holonomies
-        )
+        """True iff the constructed line bundle is trivial.  Only the degree
+        vector and the beta holonomies matter; the alpha holonomies are
+        moduli of the curve itself and do not obstruct."""
+        return all(n == 0 for n in self.degree_vector) and all(h == 1 for h in self.beta_holonomies)
 
 
 def canonical_directions(g: DecoratedGraph) -> list[tuple[int, int]]:
@@ -107,13 +113,13 @@ def assemble_diagram(
         built = [aut for _, aut in transitions]
         given = zip(compact, canonical_directions(g), transitions)
         for k, ((ei, _), canon, (direction, aut)) in enumerate(given):
-            direction = (int(direction[0]), int(direction[1]))
+            direction = pair(direction)
             if set(direction) != set(canon):
                 raise TwistMismatch(f"edge {ei}: direction {direction} does not join its endpoints")
             if direction != canon:
                 built[k] = edge_aut_inverse(aut)
-    charts = (Fraction(1),) * len(g.vertices) if charts is None else tuple(charts)
-    return DescentDiagram(g, charts, tuple(built))
+    charts = (Fraction(1),) * len(g.vertices) if charts is None else charts
+    return DescentDiagram(g, charts, built)
 
 
 def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagram:
@@ -122,11 +128,10 @@ def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagr
     Each stored transition picks up g_source * lam_u * g_target^-1; the
     discrete data and lam_x are untouched.
     """
-    scalars = [Fraction(s) for s in vertex_scalars]
+    scalars = items(vertex_scalars)
     if len(scalars) != len(d.graph.vertices):
-        raise ValueError("need one gauge scalar per vertex")
-    if any(s == 0 for s in scalars):
-        raise ValueError("gauge scalars must be nonzero")
+        raise InvalidValue("need one gauge scalar per vertex")
+    scalars = [nonzero(s, "gauge scalars") for s in scalars]
     charts = tuple(s * c for s, c in zip(scalars, d.charts))
     transitions = tuple(
         EdgeAut(aut.eps, aut.n, aut.lam_x, scalars[src] * aut.lam_u / scalars[tgt], aut.shift)
@@ -161,15 +166,6 @@ def _holonomies(d: DescentDiagram) -> tuple[list[Fraction], list[Fraction], list
 def pic_invariants(d: DescentDiagram) -> PicInvariants:
     _, betas, alphas = _holonomies(d)
     return PicInvariants(tuple(aut.n for aut in d.transitions), tuple(betas), tuple(alphas))
-
-
-def is_two_periodic(d: DescentDiagram) -> bool:
-    """True iff the constructed line bundle is trivial.
-
-    Only the degree vector and the beta holonomies matter; the alpha
-    holonomies are moduli of the curve itself and do not obstruct.
-    """
-    return pic_invariants(d).is_trivial()
 
 
 def _graph_shape(g: DecoratedGraph):
@@ -221,5 +217,5 @@ def compose_cycle(d: DescentDiagram, cycle: Sequence[tuple[int, int]]) -> EdgeAu
             aut = edge_aut_inverse(aut)
         result = aut if result is None else compose_edge_aut(result, aut)
     if result is None:
-        raise ValueError("empty cycle")
+        raise InvalidValue("empty cycle")
     return result

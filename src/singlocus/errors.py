@@ -1,7 +1,9 @@
-"""Exception hierarchy shared by all modules, and :func:`in_full` for the
-integers their messages quote."""
+"""Exception hierarchy shared by all modules, :func:`in_full` for the integers
+their messages quote, and the field checks of the input records."""
 
+import operator
 from decimal import Decimal
+from fractions import Fraction
 
 
 def in_full(n: int) -> str:
@@ -12,6 +14,45 @@ def in_full(n: int) -> str:
 
 class SingLocusError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class InvalidValue(SingLocusError, ValueError):
+    """An argument of the wrong type, shape or value."""
+
+
+def integer(value) -> int:
+    """``value`` as an exact ``int``; a bool is refused, not read as 0 or 1."""
+    if type(value) is bool or not hasattr(value, "__index__"):
+        raise InvalidValue(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def items(value, count=None) -> tuple:
+    """``value``, a list or tuple of ``count`` items when given, as a tuple."""
+    if isinstance(value, (list, tuple)) and count in (None, len(value)):
+        return tuple(value)
+    raise InvalidValue(f"expected a list{f' of {count} items' if count else ''}, got {value!r}")
+
+
+def integers(value) -> tuple[int, ...]:
+    """``value``, a list or tuple of integers, as a tuple."""
+    return tuple(map(integer, items(value)))
+
+
+def pair(value) -> tuple[int, int]:
+    """``value``, a list or tuple of two integers, as a tuple."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return integer(value[0]), integer(value[1])
+    raise InvalidValue(f"expected a pair of integers, got {value!r}")
+
+
+def nonzero(value, what: str) -> Fraction:
+    """``value``, a nonzero ``int`` or ``Fraction``, as a ``Fraction``."""
+    if type(value) is not Fraction and type(value) is not int:
+        raise InvalidValue(f"{what} must be an int or Fraction, got {value!r}")
+    if not value:
+        raise InvalidValue(f"{what} must be nonzero")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class DisconnectedGraph(SingLocusError):

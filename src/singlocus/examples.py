@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from .errors import InvalidValue, integer
 from .graphs import CompactEdge, DecoratedGraph
 from .toric import Fan, boundary_graph, quartic_mirror_fan
 
@@ -15,16 +14,9 @@ def theta_graph(
     reversing=(False, False, False),
 ) -> DecoratedGraph:
     """Two vertices joined by three parallel edges."""
-    edges = tuple(
-        CompactEdge(
-            (i, 3 + i),
-            twist=twists[i],
-            holonomy=Fraction(holonomies[i]),
-            base_scalar=Fraction(base_scalars[i]),
-            reversing=reversing[i],
-        )
-        for i in range(3)
-    )
+    edges = [
+        CompactEdge((i, 3 + i), twists[i], holonomies[i], base_scalars[i], reversing[i]) for i in range(3)
+    ]
     return DecoratedGraph(((0, 1, 2), (3, 4, 5)), edges)
 
 
@@ -34,11 +26,11 @@ def circular_ladder_graph(rungs: int) -> DecoratedGraph:
 
     For rungs = 1 this degenerates to the theta graph.
     """
-    if rungs < 1:
-        raise ValueError("need at least one rung")
-    if rungs == 1:
+    m = integer(rungs)
+    if m < 1:
+        raise InvalidValue("need at least one rung")
+    if m == 1:
         return theta_graph()
-    m = rungs
     # Vertices 0..m-1 on the outer cycle, m..2m-1 on the inner cycle.
     # Half-edges: vertex v gets (3v, 3v+1, 3v+2) = (to next, to prev, rung).
     vertices = tuple((3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * m))
@@ -51,12 +43,12 @@ def circular_ladder_graph(rungs: int) -> DecoratedGraph:
         edges.append(CompactEdge((3 * (m + i), 3 * (m + j) + 1)))
     for i in range(m):
         edges.append(CompactEdge((3 * i + 2, 3 * (m + i) + 2)))
-    return DecoratedGraph(vertices, tuple(edges))
+    return DecoratedGraph(vertices, edges)
 
 
 def p3_fan() -> Fan:
     """The fan of P^3: four rays, all four ray triples as cones."""
-    return Fan.build(
+    return Fan(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
     )
@@ -64,7 +56,7 @@ def p3_fan() -> Fan:
 
 def conifold_fan() -> Fan:
     """The resolved conifold: cone over the unit square, split in two."""
-    return Fan.build(
+    return Fan(
         [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
         [[0, 1, 2], [1, 2, 3]],
     )
@@ -74,7 +66,7 @@ def p1p1p1_fan() -> Fan:
     """The fan of P^1 x P^1 x P^1: the eight coordinate octants."""
     rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     cones = [[i, j, k] for i in (0, 1) for j in (2, 3) for k in (4, 5)]
-    return Fan.build(rays, cones)
+    return Fan(rays, cones)
 
 
 def k4_graph() -> DecoratedGraph:

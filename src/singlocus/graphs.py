@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Union
 
-from .errors import InvalidGraph, NonOrientable, SingLocusError, in_full
+from .errors import InvalidGraph, InvalidValue, NonOrientable, SingLocusError
+from .errors import in_full, integer, integers, items, nonzero, pair
 from .intlinalg import _bfs_parents, _spanning_tree
-from .localmodels import _nonzero
 from .record import Record
 
 
@@ -36,13 +36,14 @@ class CompactEdge(Record):
     self_intersections: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ends", (int(self.ends[0]), int(self.ends[1])))
-        object.__setattr__(self, "twist", int(self.twist))
-        object.__setattr__(self, "holonomy", _nonzero(self.holonomy, "holonomy"))
-        object.__setattr__(self, "base_scalar", _nonzero(self.base_scalar, "base scalar"))
+        object.__setattr__(self, "ends", pair(self.ends))
+        object.__setattr__(self, "twist", integer(self.twist))
+        object.__setattr__(self, "holonomy", nonzero(self.holonomy, "holonomy"))
+        object.__setattr__(self, "base_scalar", nonzero(self.base_scalar, "base scalar"))
+        if type(self.reversing) is not bool:
+            raise InvalidValue(f"expected true or false, got {self.reversing!r}")
         if self.self_intersections is not None:
-            a, b = self.self_intersections
-            object.__setattr__(self, "self_intersections", (int(a), int(b)))
+            object.__setattr__(self, "self_intersections", pair(self.self_intersections))
 
 
 class Leg(Record):
@@ -50,12 +51,15 @@ class Leg(Record):
 
     end: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "end", integer(self.end))
+
 
 Edge = Union[CompactEdge, Leg]
 
 
 class DecoratedGraph(Record):
-    """Vertices (cyclic half-edge triples) and edges.
+    """Vertices (cyclic half-edge triples) and edges, as lists or tuples.
 
     The derived data below is computed on first use and kept on the
     value (treat it as read-only), so each graph is validated, indexed
@@ -65,6 +69,13 @@ class DecoratedGraph(Record):
 
     vertices: tuple[tuple[int, ...], ...]
     edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(map(integers, items(self.vertices))))
+        object.__setattr__(self, "edges", items(self.edges))
+        for e in self.edges:
+            if not isinstance(e, (CompactEdge, Leg)):
+                raise InvalidValue(f"expected a CompactEdge or Leg, got {e!r}")
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -185,13 +196,13 @@ class Incidence(Record):
 def _non_tree_edges(g: DecoratedGraph) -> list[tuple[int, tuple[int, int]]]:
     """``(index, endpoints)`` of each compact edge outside ``g.tree``: one per cycle."""
     in_tree = {idx for _, idx, _ in g.tree.values()}
-    return [(i, pair) for i, pair in enumerate(g.compact_pairs) if i not in in_tree]
+    return [(i, ends) for i, ends in enumerate(g.compact_pairs) if i not in in_tree]
 
 
 def _flag_parity(g: DecoratedGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Reversing-flag parity of each vertex along ``g.tree``, and
     ``(index, w1)`` for each compact edge of :func:`_non_tree_edges`."""
-    rev = [int(e.reversing) for _, e in g.compact_edges()]
+    rev = [e.reversing for _, e in g.compact_edges()]
     parity = [0] * len(g.vertices)
     for v, (u, idx, _) in g.tree.items():
         parity[v] = parity[u] ^ rev[idx]
@@ -234,6 +245,9 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
 
     A self-loop at the vertex is toggled twice, i.e. left unchanged.
     """
+    vertex = integer(vertex)
+    if not 0 <= vertex < len(g.vertices):
+        raise InvalidValue(f"no vertex {vertex}")
     vertices = list(g.vertices)
     vertices[vertex] = tuple(reversed(vertices[vertex]))
     at_vertex = set(g.vertices[vertex])
@@ -244,7 +258,7 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
             if touches == 1:
                 e = e.replace(reversing=not e.reversing)
         edges.append(e)
-    return DecoratedGraph(tuple(vertices), tuple(edges))
+    return DecoratedGraph(vertices, edges)
 
 
 def oriented_form(g: DecoratedGraph) -> DecoratedGraph:
@@ -260,7 +274,7 @@ def oriented_form(g: DecoratedGraph) -> DecoratedGraph:
         u, v = endpoints[ei]
         if flips[u] ^ flips[v]:
             edges[ei] = e.replace(reversing=not e.reversing)
-    out = DecoratedGraph(vertices, tuple(edges))
+    out = DecoratedGraph(vertices, edges)
     assert all(not e.reversing for _, e in out.compact_edges())
     return out
 

@@ -16,7 +16,7 @@ from collections import deque
 from math import gcd
 from typing import Sequence
 
-from .errors import DisconnectedGraph
+from .errors import DisconnectedGraph, InvalidValue, integer, integers, items
 from .record import Record
 
 
@@ -28,20 +28,19 @@ class IntMatrix(Record):
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+        object.__setattr__(self, "entries", integers(self.entries))
+        if integer(self.rows) < 0 or integer(self.cols) < 0:
+            raise InvalidValue("matrix dimensions must be non-negative")
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+            raise InvalidValue(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
+            raise InvalidValue("ragged rows")
+        return cls(nrows, ncols, [x for r in rows for x in r])
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -77,6 +76,18 @@ class SparseColumns(Record):
 
     rows: int
     columns: tuple[dict[int, int], ...]
+
+    def __post_init__(self):
+        if integer(self.rows) < 0:
+            raise InvalidValue("matrix dimensions must be non-negative")
+        object.__setattr__(self, "columns", items(self.columns))
+        for column in self.columns:
+            if not isinstance(column, dict):
+                raise InvalidValue(f"expected a column {{row: entry}}, got {column!r}")
+            for i, x in column.items():
+                integer(x)
+                if not 0 <= integer(i) < self.rows:
+                    raise InvalidValue(f"row {i} is out of range for {self.rows} rows")
 
     @property
     def cols(self) -> int:

@@ -12,15 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TriangleConstraintViolated
+from .errors import InvalidValue, TriangleConstraintViolated, integer, integers, items, nonzero
 from .record import Record
-
-
-def _nonzero(value, what: str) -> Fraction:
-    f = value if type(value) is Fraction else Fraction(value)
-    if f == 0:
-        raise ValueError(f"{what} must be nonzero")
-    return f
 
 
 class Monomial(Record):
@@ -31,9 +24,9 @@ class Monomial(Record):
     u_exp: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", _nonzero(self.coeff, "coefficient"))
-        object.__setattr__(self, "x_exp", int(self.x_exp))
-        object.__setattr__(self, "u_exp", int(self.u_exp))
+        object.__setattr__(self, "coeff", nonzero(self.coeff, "coefficient"))
+        object.__setattr__(self, "x_exp", integer(self.x_exp))
+        object.__setattr__(self, "u_exp", integer(self.u_exp))
 
     @property
     def degree(self) -> int:
@@ -47,8 +40,8 @@ class TwoPerE(Record):
     x_exp: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", _nonzero(self.coeff, "coefficient"))
-        object.__setattr__(self, "x_exp", int(self.x_exp))
+        object.__setattr__(self, "coeff", nonzero(self.coeff, "coefficient"))
+        object.__setattr__(self, "x_exp", integer(self.x_exp))
 
 
 class EdgeAut(Record):
@@ -65,12 +58,13 @@ class EdgeAut(Record):
     shift: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "eps", integer(self.eps))
         if self.eps not in (-1, 1):
-            raise ValueError("eps must be +1 or -1")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "lam_x", _nonzero(self.lam_x, "lam_x"))
-        object.__setattr__(self, "lam_u", _nonzero(self.lam_u, "lam_u"))
-        object.__setattr__(self, "shift", int(self.shift) % 2)
+            raise InvalidValue("eps must be +1 or -1")
+        object.__setattr__(self, "n", integer(self.n))
+        object.__setattr__(self, "lam_x", nonzero(self.lam_x, "lam_x"))
+        object.__setattr__(self, "lam_u", nonzero(self.lam_u, "lam_u"))
+        object.__setattr__(self, "shift", integer(self.shift) % 2)
 
     def discrete_part(self) -> tuple[int, int]:
         return (self.eps, self.n)
@@ -126,7 +120,7 @@ class TwoPerV(Record):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _nonzero(self.value, "2-periodic structure"))
+        object.__setattr__(self, "value", nonzero(self.value, "2-periodic structure"))
 
 
 class VertexAut(Record):
@@ -142,13 +136,11 @@ class VertexAut(Record):
     shift: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "lams", tuple(_nonzero(x, "lambda") for x in self.lams)
-        )
+        object.__setattr__(self, "lams", tuple(nonzero(x, "lambda") for x in items(self.lams, 3)))
+        object.__setattr__(self, "perm", integers(self.perm))
         if sorted(self.perm) != [0, 1, 2]:
-            raise ValueError("perm must be a permutation of (0, 1, 2)")
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
-        object.__setattr__(self, "shift", int(self.shift) % 2)
+            raise InvalidValue("perm must be a permutation of (0, 1, 2)")
+        object.__setattr__(self, "shift", integer(self.shift) % 2)
 
 
 VERTEX_IDENTITY = VertexAut((Fraction(1), Fraction(1), Fraction(1)))
@@ -174,7 +166,7 @@ def vertex_aut_inverse(a: VertexAut) -> VertexAut:
     for i in range(3):
         inv_perm[a.perm[i]] = i
     lams = tuple(1 / x for x in _permute(tuple(inv_perm), a.lams))
-    return VertexAut(lams, tuple(inv_perm), a.shift)
+    return VertexAut(lams, inv_perm, a.shift)
 
 
 def act_on_two_per_v(a: VertexAut, t: TwoPerV) -> TwoPerV:
@@ -204,9 +196,8 @@ class PantsPresentation(Record):
     scalars: tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "scalars", tuple(_nonzero(c, "generator scalar") for c in self.scalars)
-        )
+        scalars = items(self.scalars, 6)
+        object.__setattr__(self, "scalars", tuple(nonzero(c, "generator scalar") for c in scalars))
         c = self.scalars
         if c[0] * c[1] * c[2] != 1 or c[3] * c[4] * c[5] != 1:
             raise TriangleConstraintViolated(
@@ -233,15 +224,8 @@ def pants_inner_rescale(
     A generator from object i to object j picks up d_j / d_i; with the
     triangle layout 1->2->3->1 and its reverse this is the action below.
     """
-    d1, d2, d3 = (Fraction(x) for x in d)
+    d1, d2, d3 = (nonzero(x, "identity multiple") for x in items(d, 3))
     c = p.scalars
     return PantsPresentation(
-        (
-            c[0] * d2 / d1,
-            c[1] * d3 / d2,
-            c[2] * d1 / d3,
-            c[3] * d1 / d2,
-            c[4] * d2 / d3,
-            c[5] * d3 / d1,
-        )
+        (c[0] * d2 / d1, c[1] * d3 / d2, c[2] * d1 / d3, c[3] * d1 / d2, c[4] * d2 / d3, c[5] * d3 / d1)
     )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .descent import DescentDiagram, PicInvariants, assemble_diagram
-from .errors import SingLocusError, in_full
+from .errors import InvalidValue, SingLocusError, in_full, integer
 from .graphs import CompactEdge, DecoratedGraph, DualSurface, Leg
 from .localmodels import EdgeAut
 from .toric import Fan, WallReport
@@ -30,11 +30,10 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
 def format_rational(x: Fraction) -> str:
-    f = x if type(x) is Fraction else Fraction(x)
     try:
-        return f"{f.numerator}/{f.denominator}"
+        return f"{x.numerator}/{x.denominator}"
     except ValueError:  # past the int-to-str digit limit
-        return f"{in_full(f.numerator)}/{in_full(f.denominator)}"
+        return f"{in_full(x.numerator)}/{in_full(x.denominator)}"
 
 
 def parse_rational(text: Any) -> Fraction:
@@ -46,33 +45,13 @@ def parse_rational(text: Any) -> Fraction:
                 # digits of the two together before building either.
                 digits = sum(map(str.isdigit, text[: exponent.start()]))
                 if digits + abs(int(exponent[1])) > _MAX_DIGITS:
-                    raise ValueError(f"more than {_MAX_DIGITS} digits")
+                    raise InvalidValue(f"more than {_MAX_DIGITS} digits")
             return Fraction(text.strip())
         if type(text) is int:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}") from None
     raise ParseError(f"bad rational {text!r}")
-
-
-def _int(value: Any) -> int:
-    # JSON integers only: bool is an int subclass, and a float would be truncated.
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _pair(value: Any) -> tuple[int, int]:
-    # A list of any other length is malformed; it is never cut to two entries.
-    if type(value) is not list or len(value) != 2:
-        raise TypeError(f"expected a pair of integers, got {value!r}")
-    return _int(value[0]), _int(value[1])
-
-
-def _bool(value: Any) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
@@ -129,29 +108,23 @@ def graph_to_json(g: DecoratedGraph) -> dict:
 
 def graph_from_json(payload: dict) -> DecoratedGraph:
     try:
-        vertices = [tuple(_int(h) for h in v["halfEdges"]) for v in payload["vertices"]]
+        vertices = [v["halfEdges"] for v in payload["vertices"]]
         edges = []
         for e in payload["edges"]:
             if e["kind"] == "compact":
-                si = e.get("selfIntersections")
                 # All six fields in order: a record binds positional arguments fastest.
-                edges.append(
-                    CompactEdge(
-                        _pair(e["ends"]),
-                        _int(e.get("twist", 0)),
-                        parse_rational(e.get("holonomy", 1)),
-                        parse_rational(e.get("baseScalar", 1)),
-                        _bool(e.get("reversing", False)),
-                        None if si is None else _pair(si),
-                    )
-                )
+                edges.append(CompactEdge(
+                    e["ends"], e.get("twist", 0),
+                    parse_rational(e.get("holonomy", 1)), parse_rational(e.get("baseScalar", 1)),
+                    e.get("reversing", False), e.get("selfIntersections"),
+                ))
             elif e["kind"] == "leg":
-                edges.append(Leg(_int(e["end"])))
+                edges.append(Leg(e["end"]))
             else:
                 raise ParseError(f"unknown edge kind {e['kind']!r}")
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        return DecoratedGraph(vertices, edges)
+    except (KeyError, TypeError, InvalidValue) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from None
-    return DecoratedGraph(tuple(vertices), tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +138,9 @@ def fan_to_json(f: Fan) -> dict:
 
 def fan_from_json(payload: dict) -> Fan:
     try:
-        rays = tuple(tuple(_int(x) for x in r) for r in payload["rays"])
-        cones = tuple(tuple(_int(i) for i in c) for c in payload["cones"])
-    except (KeyError, TypeError) as exc:
+        return Fan(payload["rays"], payload["cones"])
+    except (KeyError, TypeError, InvalidValue) as exc:
         raise ParseError(f"malformed fan JSON: {exc}") from None
-    return Fan(rays, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -200,33 +171,24 @@ def diagram_to_json(d: DescentDiagram) -> dict:
 
 def diagram_from_json(payload: dict) -> DescentDiagram:
     g = graph_from_json(payload)
-    charts = None
-    if "charts" in payload:
-        try:
+    charts = transitions = None
+    try:
+        if "charts" in payload:
             charts = [parse_rational(c["trivialization"]) for c in payload["charts"]]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed charts: {exc}") from None
-    transitions = None
-    if "transitions" in payload:
-        compact = g.compact_edges()
-        by_edge = {}
-        try:
+        if "transitions" in payload:
+            by_edge = {}
             for t in payload["transitions"]:
                 aut = EdgeAut(
-                    _int(t["eps"]),
-                    _int(t["n"]),
-                    parse_rational(t["lamX"]),
-                    parse_rational(t["lamU"]),
-                    _int(t["shift"]),
+                    t["eps"], t["n"], parse_rational(t["lamX"]), parse_rational(t["lamU"]), t["shift"]
                 )
-                by_edge[_int(t["edge"])] = (_pair(t["direction"]), aut)
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            raise ParseError(f"malformed transitions: {exc}") from None
-        try:
-            transitions = [by_edge[ei] for ei, _ in compact]
-        except KeyError as exc:
-            raise ParseError(f"missing transition for edge {exc}") from None
-    return assemble_diagram(g, charts, transitions)
+                by_edge[integer(t["edge"])] = (t["direction"], aut)
+            try:
+                transitions = [by_edge[ei] for ei, _ in g.compact_edges()]
+            except KeyError as exc:
+                raise ParseError(f"missing transition for edge {exc}") from None
+        return assemble_diagram(g, charts, transitions)
+    except (KeyError, TypeError, InvalidValue) as exc:
+        raise ParseError(f"malformed diagram JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

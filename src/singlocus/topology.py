@@ -99,7 +99,7 @@ def plumbing_presentation(g: DecoratedGraph) -> SparseColumns:
     others = sorted(set(range(len(edge_relations))).difference(in_tree))
     columns = [edge_relations[ci] for ci in in_tree] + vertex_relations
     columns += [edge_relations[ci] for ci in others]
-    return SparseColumns(rows, tuple(columns))
+    return SparseColumns(rows, columns)
 
 
 def h1_graph_manifold(g: DecoratedGraph) -> H1Result:

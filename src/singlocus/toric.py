@@ -36,9 +36,9 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd
-from typing import Sequence
 
-from .errors import BoundaryWall, InvalidFan, NotAWall, SplitStar, in_full
+from .errors import BoundaryWall, InvalidFan, InvalidValue, NotAWall, SplitStar, in_full
+from .errors import integers, items, pair
 from .graphs import CompactEdge, DecoratedGraph, Leg
 from .record import Record
 
@@ -71,12 +71,9 @@ class Fan(Record):
     rays: tuple[Vec, ...]
     cones: tuple[tuple[int, int, int], ...]
 
-    @classmethod
-    def build(cls, rays: Sequence[Sequence[int]], cones: Sequence[Sequence[int]]) -> "Fan":
-        return cls(
-            tuple(tuple(int(x) for x in r) for r in rays),
-            tuple(tuple(int(i) for i in c) for c in cones),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "rays", tuple(map(integers, items(self.rays))))
+        object.__setattr__(self, "cones", tuple(map(integers, items(self.cones))))
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -326,7 +323,10 @@ def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
     a wall that lies in only one maximal cone, where no defect is defined.
     """
     require_valid_fan(f)
-    key = tuple(sorted(wall))
+    try:
+        key = tuple(sorted(pair(wall)))
+    except InvalidValue:
+        key = None
     if key not in f.wall_table:
         raise NotAWall(f"{wall} is not a wall of the fan")
     cones = f.wall_table[key]
@@ -386,7 +386,7 @@ def boundary_graph(f: Fan) -> DecoratedGraph:
             )
         else:
             edges.append(Leg(half_edge_of[(wall, cones[0])]))
-    return DecoratedGraph(vertices, tuple(edges))
+    return DecoratedGraph(vertices, edges)
 
 
 def divisor_classification(f: Fan) -> list[dict]:

@@ -587,7 +587,7 @@ def blowup_fan(rng, steps):
         cones[ci], cones[other] = [i, n, a], [i, n, b]
         cones += [[j, n, a], [j, n, b]]
         wall = (min(i, j), max(i, j))
-    return Fan.build(rays, cones), wall
+    return Fan(rays, cones), wall
 
 
 def _det3(a, b, c) -> int:

@@ -19,7 +19,6 @@ from singlocus.descent import (
     canonical_directions,
     diagrams_equivalent,
     gauge,
-    is_two_periodic,
     pic_invariants,
 )
 from singlocus.errors import BoundaryWall, TwistMismatch
@@ -224,11 +223,11 @@ def test_criterion_5_descent_invariance():
     for g in fixtures:
         d = assemble_diagram(g)
         base_pic = pic_invariants(d)
-        base_periodic = is_two_periodic(d)
+        base_periodic = pic_invariants(d).is_trivial()
         for _ in range(100):
             gauged = gauge(d, [scalar() for _ in g.vertices])
             assert pic_invariants(gauged) == base_pic
-            assert is_two_periodic(gauged) == base_periodic
+            assert pic_invariants(gauged).is_trivial() == base_periodic
             assert diagrams_equivalent(d, gauged)
 
     g = theta_graph()

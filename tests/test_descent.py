@@ -13,7 +13,6 @@ from singlocus.descent import (
     compose_cycle,
     diagrams_equivalent,
     gauge,
-    is_two_periodic,
     pic_invariants,
     trivializing_gauge,
 )
@@ -51,7 +50,7 @@ def test_assemble_quartic():
     degrees = pic_invariants(d).degree_vector
     assert sorted(degrees).count(1) == 24
     assert sorted(degrees).count(0) == 72
-    assert not is_two_periodic(d)
+    assert not pic_invariants(d).is_trivial()
 
 
 def test_assemble_rejects_bad_transitions():
@@ -164,15 +163,15 @@ def test_pic_invariants_tree():
 
 
 def test_two_periodicity():
-    assert is_two_periodic(assemble_diagram(theta_graph()))
-    assert not is_two_periodic(assemble_diagram(theta_graph(holonomies=(2, 1, 1))))
-    assert not is_two_periodic(assemble_diagram(quartic_mirror_graph()))
+    assert pic_invariants(assemble_diagram(theta_graph())).is_trivial()
+    assert not pic_invariants(assemble_diagram(theta_graph(holonomies=(2, 1, 1)))).is_trivial()
+    assert not pic_invariants(assemble_diagram(quartic_mirror_graph())).is_trivial()
 
 
 def test_pic_triviality_matches_two_periodicity():
     graphs = (theta_graph(), theta_graph(holonomies=(2, 3, 5)), k4_graph())
     trivial = [pic_invariants(assemble_diagram(g)).is_trivial() for g in graphs]
-    assert trivial == [is_two_periodic(assemble_diagram(g)) for g in graphs]
+    assert trivial == [pic_invariants(assemble_diagram(g)).is_trivial() for g in graphs]
     assert trivial == [True, False, False]
 
 
@@ -206,12 +205,12 @@ def test_gauge_invariance_randomized():
     for g in (theta_graph(holonomies=(2, 3, 5)), k4_graph()):
         d = assemble_diagram(g)
         base = pic_invariants(d)
-        base_p = is_two_periodic(d)
+        base_p = pic_invariants(d).is_trivial()
         for _ in range(120):
             scalars = [rand_scalar(rng) for _ in g.vertices]
             gauged = gauge(d, scalars)
             assert pic_invariants(gauged) == base
-            assert is_two_periodic(gauged) == base_p
+            assert pic_invariants(gauged).is_trivial() == base_p
             assert diagrams_equivalent(d, gauged)
 
 
@@ -239,7 +238,7 @@ def test_two_periodicity_constructive_on_small_graphs():
         trivial = assemble_diagram(g)
         for _ in range(25):
             gauged = gauge(trivial, [rand_scalar(rng) for _ in g.vertices])
-            assert is_two_periodic(gauged)
+            assert pic_invariants(gauged).is_trivial()
             found = trivializing_gauge(gauged)
             assert found is not None
             assert all(

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram
-from singlocus.errors import TriangleConstraintViolated
-from singlocus.examples import theta_graph
+from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram, gauge
+from singlocus.errors import InvalidValue, SingLocusError, TriangleConstraintViolated
+from singlocus.examples import circular_ladder_graph, theta_graph
 from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
@@ -21,8 +21,9 @@ from singlocus.graphs import (
     FiniteCategory,
     Incidence,
     Leg,
+    flip_vertex,
 )
-from singlocus.intlinalg import IntMatrix, SparseColumns
+from singlocus.intlinalg import IntMatrix, SparseColumns, cokernel_abelian_group
 from singlocus.localmodels import (
     EdgeAut,
     Monomial,
@@ -46,6 +47,11 @@ RECORDS = (
     H1Result, NodalCurveReport,
 )
 UNCOMPARED = {FiniteCategory: {"arrows", "identities", "compose"}}
+# The records that callers build; the library builds the others.
+INPUT_RECORDS = (
+    CompactEdge, Leg, DecoratedGraph, Fan, IntMatrix, SparseColumns, DescentDiagram,
+    EdgeAut, Monomial, TwoPerE, TwoPerV, VertexAut, PantsPresentation,
+)
 
 # Field values of record type are drawn from these instances.
 SAMPLES = {
@@ -71,6 +77,11 @@ OVERRIDES = {
 }
 # Values of the wrong shape, so that the ``__post_init__`` checks fail too.
 JUNK = st.sampled_from([0, -1, None, "x", (), (0,), (0, 0, 1), Fraction(0)])
+# Values that no integer field holds, and that no scalar field holds but a
+# non-integral Fraction.
+WRONG_TYPE = st.sampled_from(
+    [1.5, -1.0, 0.0, Fraction(1, 2), Fraction(-7, 3), "7", "x", None, True, False]
+)
 
 
 def values(tp) -> st.SearchStrategy:
@@ -93,6 +104,44 @@ def values(tp) -> st.SearchStrategy:
         Fraction: st.fractions(min_value=-3, max_value=3, max_denominator=4),
         type(None): st.none(),
     }[tp]
+
+
+def holds(value, tp) -> bool:
+    """Whether ``value`` is exactly of the annotated type ``tp``: a bool is
+    no int, and an int no Fraction."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Union:
+        return any(holds(value, arg) for arg in args)
+    if origin is tuple:
+        if type(value) is not tuple:
+            return False
+        if args[-1] is Ellipsis:
+            return all(holds(x, args[0]) for x in value)
+        return len(value) == len(args) and all(map(holds, value, args))
+    if origin is dict:
+        return type(value) is dict and all(holds(k, args[0]) and holds(v, args[1]) for k, v in value.items())
+    return isinstance(value, tp) if issubclass(tp, Record) else type(value) is tp
+
+
+def with_one_leaf(value, leaves) -> st.SearchStrategy:
+    """``value`` with itself, or one item or key at any depth of its
+    tuples, lists and dicts, drawn from ``leaves``."""
+    if isinstance(value, (tuple, list)) and value:
+        def swap(i):
+            return with_one_leaf(value[i], leaves).map(
+                lambda x: type(value)([*value[:i], x, *value[i + 1:]])
+            )
+        return leaves | st.integers(0, len(value) - 1).flatmap(swap)
+    if isinstance(value, dict) and value:
+        keys = sorted(value)
+        new_key = st.tuples(st.sampled_from(keys), leaves).map(
+            lambda kx: {**{k: v for k, v in value.items() if k != kx[0]}, kx[1]: value[kx[0]]}
+        )
+        new_value = st.sampled_from(keys).flatmap(
+            lambda k: with_one_leaf(value[k], leaves).map(lambda x: {**value, k: x})
+        )
+        return leaves | new_key | new_value
+    return leaves
 
 
 def field_strategies(cls) -> dict:
@@ -182,6 +231,7 @@ def test_record_matches_frozen_dataclass(cls, data):
 
 
 def test_post_init_messages_are_unchanged():
+    g = theta_graph()
     cases = [
         (lambda: IntMatrix(-1, 0, ()), ValueError, "matrix dimensions must be non-negative"),
         (lambda: IntMatrix(1, 2, (1,)), ValueError, "expected 2 entries, got 1"),
@@ -201,15 +251,72 @@ def test_post_init_messages_are_unchanged():
         (lambda: assemble_diagram(theta_graph(), [1, 0]), ValueError, "trivialization must be nonzero"),
         # replace() runs the checks again.
         (lambda: CompactEdge((0, 1)).replace(holonomy=0), ValueError, "holonomy must be nonzero"),
+        # Values that were truncated, parsed or read as 0 or 1, or ended in a TypeError.
+        (lambda: CompactEdge((0, 3), twist=True), InvalidValue, "expected an integer, got True"),
+        (lambda: CompactEdge((0, 3), twist=1.9), InvalidValue, "expected an integer, got 1.9"),
+        (lambda: CompactEdge((0, 3), twist="7"), InvalidValue, "expected an integer, got '7'"),
+        (lambda: CompactEdge((0.9, 3)), InvalidValue, "expected an integer, got 0.9"),
+        (lambda: CompactEdge((0, 3), reversing="no"), InvalidValue, "expected true or false, got 'no'"),
+        (lambda: CompactEdge((0, 3), holonomy=0.1), InvalidValue,
+         "holonomy must be an int or Fraction, got 0.1"),
+        (lambda: Leg(0.5), InvalidValue, "expected an integer, got 0.5"),
+        (lambda: DecoratedGraph([(0, "1", 2)], []), InvalidValue, "expected an integer, got '1'"),
+        (lambda: DecoratedGraph([(0, 1, 2)], [Leg(0), (1, 2)]), InvalidValue,
+         "expected a CompactEdge or Leg, got (1, 2)"),
+        (lambda: theta_graph(twists=(Fraction(1, 2), 0, 0)), InvalidValue,
+         "expected an integer, got Fraction(1, 2)"),
+        (lambda: IntMatrix.from_rows([[Fraction(5, 2)]]), InvalidValue,
+         "expected an integer, got Fraction(5, 2)"),
+        (lambda: cokernel_abelian_group(SparseColumns(1, ({0: 2.5},))), InvalidValue,
+         "expected an integer, got 2.5"),
+        (lambda: SparseColumns(1, ({1: 1},)), InvalidValue, "row 1 is out of range for 1 rows"),
+        (lambda: Fan([[1.7, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]), InvalidValue,
+         "expected an integer, got 1.7"),
+        (lambda: Fan([[Fraction(1), 0, 0]], []), InvalidValue, "expected an integer, got Fraction(1, 1)"),
+        (lambda: Fan([["1", 0, 0]], []), InvalidValue, "expected an integer, got '1'"),
+        (lambda: Fan([5], []), InvalidValue, "expected a list, got 5"),
+        (lambda: EdgeAut(-1.0, 2, 3, 5, 1), InvalidValue, "expected an integer, got -1.0"),
+        (lambda: EdgeAut(True, 2, 3, 5, 1), InvalidValue, "expected an integer, got True"),
+        (lambda: VertexAut((1, 1)), InvalidValue, "expected a list of 3 items, got (1, 1)"),
+        (lambda: DescentDiagram(None, (), ()), InvalidValue, "expected a DecoratedGraph, got None"),
+        (lambda: flip_vertex(g, True), InvalidValue, "expected an integer, got True"),
+        (lambda: flip_vertex(g, -1), InvalidValue, "no vertex -1"),
+        (lambda: gauge(assemble_diagram(g), [1]), InvalidValue, "need one gauge scalar per vertex"),
+        (lambda: gauge(assemble_diagram(g), [1, 0]), InvalidValue, "gauge scalars must be nonzero"),
+        (lambda: gauge(assemble_diagram(g), [1, 0.5]), InvalidValue,
+         "gauge scalars must be an int or Fraction, got 0.5"),
+        (lambda: assemble_diagram(g, None, [((0.0, 1), t) for t in assemble_diagram(g).transitions]),
+         InvalidValue, "expected an integer, got 0.0"),
+        (lambda: circular_ladder_graph(2.0), InvalidValue, "expected an integer, got 2.0"),
     ]
     for make, error, message in cases:
         with pytest.raises(error) as info:
             make()
         assert str(info.value) == message
+        assert isinstance(info.value, SingLocusError)
+
+
+@pytest.mark.parametrize("cls", INPUT_RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_input_records_hold_exact_values_or_refuse(cls, data):
+    # One field, or one item inside it, gets a value of the wrong type.
+    fields = {name: data.draw(strategy) for name, strategy in field_strategies(cls).items()}
+    name = data.draw(st.sampled_from(list(fields)))
+    fields[name] = data.draw(with_one_leaf(fields[name], WRONG_TYPE))
+    try:
+        made = cls(**fields)
+    except SingLocusError:
+        return
+    # Accepted: a bool flag, an absent optional pair or a non-integral
+    # scalar, kept as given.
+    hints = typing.get_type_hints(cls)
+    assert all(holds(getattr(made, field), hints[field]) for field in fields)
+    assert getattr(made, name) == fields[name]
 
 
 def test_post_init_normalizes_fields():
-    e = CompactEdge([0, 1], twist=True, holonomy=2)
+    e = CompactEdge([0, 1], twist=1, holonomy=2)
     assert repr(e) == (
         "CompactEdge(ends=(0, 1), twist=1, holonomy=Fraction(2, 1), "
         "base_scalar=Fraction(1, 1), reversing=False, self_intersections=None)"

@@ -31,7 +31,7 @@ ALL_FIXTURE_FANS = {
 }
 
 # A valid fan whose ray 0 has a star of two separate chains, 1-2-5 and 3-6-4.
-SPLIT_STAR_FAN = Fan.build(
+SPLIT_STAR_FAN = Fan(
     [[0, 0, 1], [1, 0, 0], [0, 1, 0], [0, -1, 0], [-1, -1, 0], [-1, 1, 0], [-1, -2, 0]],
     [[0, 1, 2], [0, 2, 5], [0, 3, 6], [0, 6, 4]],
 )
@@ -48,12 +48,12 @@ def test_fixture_fans_valid():
 
 
 def test_non_unimodular_cone():
-    f = Fan.build([[1, 0, 0], [0, 1, 0], [1, 1, 2]], [[0, 1, 2]])
+    f = Fan([[1, 0, 0], [0, 1, 0], [1, 1, 2]], [[0, 1, 2]])
     assert any("non-unimodular" in v for v in validate_fan(f))
 
 
 def test_duplicate_and_nonprimitive_ray():
-    f = Fan.build([[1, 0, 0], [1, 0, 0], [0, 2, 0]], [[0, 1, 2]])
+    f = Fan([[1, 0, 0], [1, 0, 0], [0, 2, 0]], [[0, 1, 2]])
     report = validate_fan(f)
     assert any("duplicates" in v for v in report)
     assert any("not primitive" in v for v in report)
@@ -61,7 +61,7 @@ def test_duplicate_and_nonprimitive_ray():
 
 def test_overlapping_cones_detected():
     # two unimodular cones on the same side of their shared wall
-    f = Fan.build(
+    f = Fan(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
         [[0, 1, 2], [0, 1, 3]],
     )
@@ -71,7 +71,7 @@ def test_overlapping_cones_detected():
 def test_star_folded_over_a_wall_is_not_walked():
     # Both cones lie on one side of wall (0, 1): around ray 0, ray 1 has
     # two successors, 2 and 3; around ray 1, ray 0 has two predecessors.
-    f = Fan.build([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 2], [0, 1, 3]])
+    f = Fan([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], [[0, 1, 2], [0, 1, 3]])
     assert f.stars[0] is None and f.stars[1] is None
     assert f.stars[2] == ((0, 1), False)
 
@@ -100,10 +100,10 @@ E123 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 # on a ray that does not exist, a ray with two coordinates, and a cone of
 # determinant 2.
 INVALID_FANS = {
-    "two-ray-cone": lambda: Fan.build(E123, [[0, 1]]),
-    "out-of-range-ray": lambda: Fan.build(E123, [[0, 1, 5]]),
-    "short-ray": lambda: Fan.build([[1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]),
-    "non-unimodular": lambda: Fan.build([[1, 0, 0], [0, 1, 0], [1, 1, 2]], [[0, 1, 2]]),
+    "two-ray-cone": lambda: Fan(E123, [[0, 1]]),
+    "out-of-range-ray": lambda: Fan(E123, [[0, 1, 5]]),
+    "short-ray": lambda: Fan([[1, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]),
+    "non-unimodular": lambda: Fan([[1, 0, 0], [0, 1, 0], [1, 1, 2]], [[0, 1, 2]]),
 }
 FAN_ENTRIES = {
     "wall_table": lambda f: f.wall_table,
@@ -165,7 +165,7 @@ def test_every_fan_entry_refuses_an_invalid_fan(fan, entry):
     ],
 )
 def test_fan_diagnostics(rays, cones, expected):
-    f = Fan.build(rays, cones)
+    f = Fan(rays, cones)
     assert validate_fan(f) == expected
     assert fan_violations_oracle(f) == expected
 
@@ -193,7 +193,7 @@ def two_sheets(fan, draw):
     rays = [list(r) for r in fan.rays] + [image(r) for r in fan.rays]
     n = len(fan.rays)
     cones = [list(c) for c in fan.cones] + [[i + n for i in c] for c in fan.cones]
-    return Fan.build(rays, cones)
+    return Fan(rays, cones)
 
 
 @st.composite
@@ -237,7 +237,7 @@ def mutated_blowups(draw):
         if folded not in rays:
             rays.append(folded)
         cone[k] = rays.index(folded)
-    return Fan.build(rays, cones)
+    return Fan(rays, cones)
 
 
 @settings(max_examples=300, deadline=None)
@@ -294,7 +294,7 @@ def test_certificate_refuses_a_star_that_winds_twice():
     # on opposite sides, but the map to directions is a double cover
     # branched at the poles.
     laps = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
-    f = Fan.build([[0, 0, 1], [0, 0, -1]] + laps, [[p, 2 + k, 2 + (k + 1) % 8] for p in (0, 1) for k in range(8)])
+    f = Fan([[0, 0, 1], [0, 0, -1]] + laps, [[p, 2 + k, 2 + (k + 1) % 8] for p in (0, 1) for k in range(8)])
     assert len(f.rays) - len(f.wall_table) + len(f.cones) == 2
     assert not _covers_sphere_once(f)
     report = validate_fan(f)
@@ -352,6 +352,10 @@ def test_not_a_wall():
     # Three rays are no wall, though their least and greatest (0, 3) are.
     with pytest.raises(NotAWall):
         wall_data(p3_fan(), (0, 3, 1))
+    # Nor is what is not a pair of integers.
+    for wall in (None, 5, (0, "a"), (0, 1.0), (True, 2)):
+        with pytest.raises(NotAWall):
+            wall_data(p3_fan(), wall)
 
 
 def test_p1p1p1_walls():
