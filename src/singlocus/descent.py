@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import GraphMismatch, InvalidValue, TwistMismatch, items, nonzero, pair
+from .errors import GraphMismatch, InvalidValue, TwistMismatch, items, nonzero
 from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientation_gauge
 from .localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
 from .record import Record
@@ -25,10 +25,13 @@ class DescentDiagram(Record):
     """A chart scalar per vertex and a transition per compact edge, stored
     against :attr:`directions`.
 
-    The constructor refuses any other free data: a chart count other than
-    the vertex count or a zero chart, a transition count other than the
-    compact-edge count (:class:`InvalidValue`), or a transition without
-    eps = -1, shift = 1 and n = twist (:class:`TwistMismatch`).
+    The constructor is the one gate: it refuses a graph that
+    :func:`orientation_gauge` refuses (invalid, disconnected or
+    non-orientable), a chart count other than the vertex count or a zero
+    chart, a transition count other than the compact-edge count
+    (:class:`InvalidValue`), and a transition without eps = -1, shift = 1
+    and n = twist (:class:`TwistMismatch`).  A transition known against
+    its stored direction is given as its :func:`edge_aut_inverse`.
     """
 
     graph: DecoratedGraph
@@ -38,6 +41,7 @@ class DescentDiagram(Record):
     def __post_init__(self):
         if not isinstance(self.graph, DecoratedGraph):
             raise InvalidValue(f"expected a DecoratedGraph, got {self.graph!r}")
+        orientation_gauge(self.graph)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
         charts, transitions = items(self.charts), items(self.transitions)
         if len(charts) != len(self.graph.vertices):
             raise InvalidValue("need one chart scalar per vertex")
@@ -90,36 +94,12 @@ def canonical_directions(g: DecoratedGraph) -> list[tuple[int, int]]:
     return [(v1, v2) if v1 <= v2 else (v2, v1) for v1, v2 in g.compact_pairs]
 
 
-def assemble_diagram(
-    g: DecoratedGraph,
-    charts: Optional[Sequence[Fraction]] = None,
-    transitions: Optional[Sequence[tuple[tuple[int, int], EdgeAut]]] = None,
-) -> DescentDiagram:
-    """Build the diagram for a valid, connected, orientable graph.
-
-    Charts default to 1.  Without explicit ``transitions`` the
-    autoequivalences come from the edge decorations: eps = -1, shift = 1,
-    n = twist, lam_x = base scalar, lam_u = holonomy.  Explicit transitions
-    are given as ``((source, target), EdgeAut)`` per compact edge; one
-    given against :func:`canonical_directions` is replaced by its inverse,
-    which keeps eps, shift and (for eps = -1) n.  :class:`DescentDiagram`
-    checks the rest.
-    """
-    orientation_gauge(g)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
-    compact = g.compact_edges()
-    if transitions is None:
-        built = [EdgeAut(-1, e.twist, e.base_scalar, e.holonomy, 1) for _, e in compact]
-    else:
-        built = [aut for _, aut in transitions]
-        given = zip(compact, canonical_directions(g), transitions)
-        for k, ((ei, _), canon, (direction, aut)) in enumerate(given):
-            direction = pair(direction)
-            if set(direction) != set(canon):
-                raise TwistMismatch(f"edge {ei}: direction {direction} does not join its endpoints")
-            if direction != canon:
-                built[k] = edge_aut_inverse(aut)
-    charts = (Fraction(1),) * len(g.vertices) if charts is None else charts
-    return DescentDiagram(g, charts, built)
+def assemble_diagram(g: DecoratedGraph) -> DescentDiagram:
+    """The canonical diagram of a graph: charts 1 and, per compact edge,
+    eps = -1, shift = 1, n = twist, lam_x = base scalar and lam_u =
+    holonomy, stored along :func:`canonical_directions`."""
+    transitions = [EdgeAut(-1, e.twist, e.base_scalar, e.holonomy, 1) for _, e in g.compact_edges()]
+    return DescentDiagram(g, (Fraction(1),) * len(g.vertices), transitions)
 
 
 def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagram:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import InvalidValue, integer
+from .errors import InvalidValue, integer, items
 from .graphs import CompactEdge, DecoratedGraph
 from .toric import Fan, boundary_graph, quartic_mirror_fan
 
@@ -13,10 +13,10 @@ def theta_graph(
     base_scalars=(1, 1, 1),
     reversing=(False, False, False),
 ) -> DecoratedGraph:
-    """Two vertices joined by three parallel edges."""
-    edges = [
-        CompactEdge((i, 3 + i), twists[i], holonomies[i], base_scalars[i], reversing[i]) for i in range(3)
-    ]
+    """Two vertices joined by three parallel edges; each decoration is a
+    list of three values, one per edge."""
+    decorations = (items(x, 3) for x in (twists, holonomies, base_scalars, reversing))
+    edges = [CompactEdge((i, 3 + i), *per_edge) for i, per_edge in enumerate(zip(*decorations))]
     return DecoratedGraph(((0, 1, 2), (3, 4, 5)), edges)
 
 

@@ -261,24 +261,6 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
     return DecoratedGraph(vertices, edges)
 
 
-def oriented_form(g: DecoratedGraph) -> DecoratedGraph:
-    """Apply :func:`orientation_gauge`, producing all-False reversing flags.
-
-    Equals :func:`flip_vertex` at each flipped vertex in turn, in one pass.
-    """
-    flips = orientation_gauge(g)
-    vertices = tuple(t[::-1] if f else t for t, f in zip(g.vertices, flips))
-    endpoints = g.incidence.endpoints
-    edges = list(g.edges)
-    for ei, e in g.compact_edges():
-        u, v = endpoints[ei]
-        if flips[u] ^ flips[v]:
-            edges[ei] = e.replace(reversing=not e.reversing)
-    out = DecoratedGraph(vertices, edges)
-    assert all(not e.reversing for _, e in out.compact_edges())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Dual surface
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ class IntMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        rows = [items(r) for r in items(rows)]
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
@@ -111,6 +112,8 @@ def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int
     residue, whose invariant factors :func:`_smith_diagonal` reads one
     factor of a nonzero minor at a time.
     """
+    if not isinstance(m, (IntMatrix, SparseColumns)):
+        raise InvalidValue(f"expected an IntMatrix or SparseColumns, got {m!r}")
     if isinstance(m, IntMatrix):
         c = m.cols
         m = SparseColumns(m.rows, tuple(

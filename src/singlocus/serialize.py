@@ -1,4 +1,5 @@
-"""JSON codecs for graphs, fans, diagrams, and analysis reports.
+"""JSON codecs for graphs and fans, and the emitters of diagrams and
+analysis reports.
 
 Rationals travel as "p/q" strings to keep everything exact, and every
 emitter sorts keys so that identical inputs produce byte-identical
@@ -12,10 +13,9 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .descent import DescentDiagram, PicInvariants, assemble_diagram
-from .errors import InvalidValue, SingLocusError, in_full, integer
+from .descent import DescentDiagram, PicInvariants
+from .errors import InvalidValue, SingLocusError, in_full
 from .graphs import CompactEdge, DecoratedGraph, DualSurface, Leg
-from .localmodels import EdgeAut
 from .toric import Fan, WallReport
 from .topology import H1Result, NodalCurveReport
 
@@ -167,28 +167,6 @@ def diagram_to_json(d: DescentDiagram) -> dict:
         )
     payload["transitions"] = transitions
     return payload
-
-
-def diagram_from_json(payload: dict) -> DescentDiagram:
-    g = graph_from_json(payload)
-    charts = transitions = None
-    try:
-        if "charts" in payload:
-            charts = [parse_rational(c["trivialization"]) for c in payload["charts"]]
-        if "transitions" in payload:
-            by_edge = {}
-            for t in payload["transitions"]:
-                aut = EdgeAut(
-                    t["eps"], t["n"], parse_rational(t["lamX"]), parse_rational(t["lamU"]), t["shift"]
-                )
-                by_edge[integer(t["edge"])] = (t["direction"], aut)
-            try:
-                transitions = [by_edge[ei] for ei, _ in g.compact_edges()]
-            except KeyError as exc:
-                raise ParseError(f"missing transition for edge {exc}") from None
-        return assemble_diagram(g, charts, transitions)
-    except (KeyError, TypeError, InvalidValue) as exc:
-        raise ParseError(f"malformed diagram JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

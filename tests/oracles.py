@@ -28,7 +28,7 @@ from math import gcd
 from typing import Sequence
 
 from singlocus.descent import PicInvariants
-from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, oriented_form
+from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, orientation_gauge
 from singlocus.intlinalg import IntMatrix, _bfs_parents, _spanning_tree
 from singlocus.record import Record
 from singlocus.toric import Fan
@@ -249,7 +249,7 @@ def stored_direction_relations(g) -> IntMatrix:
     Mayer-Vietoris form, built from the cyclic positions, that the
     vertex-edge presentation of ``plumbing_presentation`` is checked
     against."""
-    g = oriented_form(g)
+    g = flip_each(g, orientation_gauge(g))
     vertex_of = {h: v for v, halves in enumerate(g.vertices) for h in halves}
     position_of = {h: p for halves in g.vertices for p, h in enumerate(halves)}
 

@@ -393,11 +393,10 @@ def test_each_value_is_validated_and_derived_once(tmp_path, monkeypatch):
     graph = flip_vertex(flip_vertex(circular_ladder_graph(4), 0), 5)
     path = tmp_path / "ladder.json"
     path.write_text(dumps_canonical(graph_to_json(graph)))
-    names = ("validate_graph", "assemble_diagram", "oriented_form", "_flag_parity")
+    names = ("validate_graph", "assemble_diagram", "_flag_parity")
     counts = count_calls(monkeypatch, names)
     assert main(["analyze", str(path), "--all"]) == 0
-    # One flag-parity walk serves every section; no section builds the
-    # gauged graph (oriented_form 0).
+    # One flag-parity walk serves every section.
     assert counts == {"validate_graph": 1, "assemble_diagram": 1, "_flag_parity": 1}
 
     path = tmp_path / "fan.json"

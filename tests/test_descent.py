@@ -16,11 +16,10 @@ from singlocus.descent import (
     pic_invariants,
     trivializing_gauge,
 )
-from singlocus.errors import GraphMismatch, NonOrientable, TwistMismatch
+from singlocus.errors import DisconnectedGraph, GraphMismatch, NonOrientable, TwistMismatch
 from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
-from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, oriented_form
+from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
-from singlocus.serialize import diagram_from_json, diagram_to_json
 from oracles import _rational, cycle_basis, pic_invariants_oracle, random_multigraph
 
 
@@ -55,21 +54,14 @@ def test_assemble_quartic():
 
 def test_assemble_rejects_bad_transitions():
     g = theta_graph()
-    dirs = canonical_directions(g)
-    good = [(dirs[i], EdgeAut(-1, 0, 1, 1, 1)) for i in range(3)]
-    assemble_diagram(g, None, good)
-    bad_eps = list(good)
-    bad_eps[0] = (dirs[0], EdgeAut(1, 0, 1, 1, 1))
-    with pytest.raises(TwistMismatch):
-        assemble_diagram(g, None, bad_eps)
-    bad_shift = list(good)
-    bad_shift[1] = (dirs[1], EdgeAut(-1, 0, 1, 1, 0))
-    with pytest.raises(TwistMismatch):
-        assemble_diagram(g, None, bad_shift)
-    bad_twist = list(good)
-    bad_twist[2] = (dirs[2], EdgeAut(-1, 5, 1, 1, 1))
-    with pytest.raises(TwistMismatch):
-        assemble_diagram(g, None, bad_twist)
+    good = [EdgeAut(-1, 0, 1, 1, 1)] * 3
+    DescentDiagram(g, (1, 1), good)
+    bad = (EdgeAut(1, 0, 1, 1, 1), EdgeAut(-1, 0, 1, 1, 0), EdgeAut(-1, 5, 1, 1, 1))
+    for k, aut in enumerate(bad):  # eps, shift and twist, on edges 0, 1 and 2
+        transitions = list(good)
+        transitions[k] = aut
+        with pytest.raises(TwistMismatch):
+            DescentDiagram(g, (1, 1), transitions)
 
 
 @pytest.mark.parametrize(
@@ -113,7 +105,7 @@ def test_constructor_keeps_scalar_charts_and_derives_directions():
     assert d.charts == (Fraction(2), Fraction(1, 3))
     assert all(type(c) is Fraction for c in d.charts)
     assert d.directions == tuple(canonical_directions(g)) == ((0, 1),) * 3
-    assert d == assemble_diagram(g, [2, Fraction(1, 3)])
+    assert d.replace(charts=(1, 1)) == assemble_diagram(g)
     with pytest.raises(TypeError):  # directions are the graph's, not data
         DescentDiagram(g, d.charts, d.transitions, ((1, 0),) * 3)
     assert pic_invariants(d).beta_holonomies == (Fraction(2, 3), Fraction(2, 5))
@@ -123,20 +115,18 @@ def test_assemble_rejects_non_orientable():
     g = theta_graph(reversing=(True, False, False))
     with pytest.raises(NonOrientable):
         assemble_diagram(g)
+    with pytest.raises(NonOrientable):
+        DescentDiagram(g, (1, 1), assemble_diagram(theta_graph()).transitions)
 
 
-def test_direction_reversal_is_normalized_away():
-    rng = random.Random(11)
-    g = theta_graph(twists=(0, 2, -1), holonomies=(2, 3, 5), base_scalars=(7, 1, 2))
-    base = assemble_diagram(g)
-    dirs = canonical_directions(g)
-    reversed_supply = [
-        ((dirs[i][1], dirs[i][0]), edge_aut_inverse(base.transitions[i]))
-        for i in range(3)
-    ]
-    again = assemble_diagram(g, None, reversed_supply)
-    assert again.transitions == base.transitions
-    assert pic_invariants(again) == pic_invariants(base)
+def test_constructor_refuses_a_disconnected_graph():
+    # Two theta graphs side by side; the counts of charts and transitions fit.
+    g = DecoratedGraph(
+        ((0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)),
+        tuple(CompactEdge((h, h + 3)) for h in (0, 1, 2, 6, 7, 8)),
+    )
+    with pytest.raises(DisconnectedGraph):
+        DescentDiagram(g, (1,) * 4, (EdgeAut(-1, 0, 1, 1, 1),) * 6)
 
 
 def test_gauge_examples():
@@ -186,13 +176,8 @@ def test_diagrams_equivalent():
     trivial = assemble_diagram(theta_graph())
     assert not diagrams_equivalent(d, trivial)
     # scalars supplied directly rather than via decorations
-    different = assemble_diagram(
-        g,
-        None,
-        [
-            (dir_, EdgeAut(-1, e.twist, e.base_scalar, Fraction(1), 1))
-            for (dir_, (ei, e)) in zip(canonical_directions(g), g.compact_edges())
-        ],
+    different = DescentDiagram(
+        g, (1, 1), [EdgeAut(-1, e.twist, e.base_scalar, Fraction(1), 1) for _, e in g.compact_edges()]
     )
     assert not diagrams_equivalent(d, different)
     # genuinely different graphs are rejected
@@ -289,23 +274,26 @@ def test_pic_and_trivializing_gauge_match_cycle_oracle(seed, vertices, unit, gau
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_transitions_given_against_random_directions(seed, vertices):
-    # Each transition is given along or against its stored direction at
-    # random; the diagram stores the same transitions either way.
+    # Each transition is known along or against its stored direction at
+    # random; one known against it is given as its inverse.
     rng = random.Random(seed)
     g = random_multigraph(rng, vertices, orientable=True)
     stored = [EdgeAut(-1, e.twist, _rational(rng), _rational(rng), 1) for _, e in g.compact_edges()]
-    supplied = [
+    known = [
         ((t, s), edge_aut_inverse(aut)) if s != t and rng.random() < 0.5 else ((s, t), aut)
         for (s, t), aut in zip(canonical_directions(g), stored)
     ]
+    transitions = [
+        aut if direction == canon else edge_aut_inverse(aut)
+        for (direction, aut), canon in zip(known, canonical_directions(g))
+    ]
     charts = [_rational(rng) for _ in range(vertices)]
-    d = assemble_diagram(g, charts, supplied)
+    d = DescentDiagram(g, charts, transitions)
     assert d.transitions == tuple(stored) and d.charts == tuple(charts)
     assert pic_invariants(d) == pic_invariants_oracle(d)
-    assert diagram_from_json(diagram_to_json(d)) == d
 
 
-def test_ladder_512_oriented_form_and_pic_are_fast():
+def test_ladder_512_pic_is_fast():
     # reversing flags from a 2-colouring, so the graph is orientable but
     # half the vertices need flipping
     rng = random.Random(512)
@@ -317,9 +305,9 @@ def test_ladder_512_oriented_form_and_pic_are_fast():
     )
     g = DecoratedGraph(g.vertices, edges)
     start = time.perf_counter()
-    flipped = oriented_form(g)
+    flips = orientation_gauge(g)
     pic = pic_invariants(assemble_diagram(g))
     seconds = time.perf_counter() - start
-    assert flipped.vertices != g.vertices
+    assert any(flips)
     assert len(pic.beta_holonomies) == 513
     assert seconds < 1.5

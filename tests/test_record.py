@@ -248,7 +248,7 @@ def test_post_init_messages_are_unchanged():
         (lambda: PantsPresentation((1, 1, 2, 1, 1, 1)), TriangleConstraintViolated,
          "each triangle's scalars must multiply to 1"),
         (lambda: PantsPresentation((1, 1, 0, 1, 1, 1)), ValueError, "generator scalar must be nonzero"),
-        (lambda: assemble_diagram(theta_graph(), [1, 0]), ValueError, "trivialization must be nonzero"),
+        (lambda: DescentDiagram(g, [1, 0], DIAGRAMS[0].transitions), ValueError, "trivialization must be nonzero"),
         # replace() runs the checks again.
         (lambda: CompactEdge((0, 1)).replace(holonomy=0), ValueError, "holonomy must be nonzero"),
         # Values that were truncated, parsed or read as 0 or 1, or ended in a TypeError.
@@ -285,8 +285,15 @@ def test_post_init_messages_are_unchanged():
         (lambda: gauge(assemble_diagram(g), [1, 0]), InvalidValue, "gauge scalars must be nonzero"),
         (lambda: gauge(assemble_diagram(g), [1, 0.5]), InvalidValue,
          "gauge scalars must be an int or Fraction, got 0.5"),
-        (lambda: assemble_diagram(g, None, [((0.0, 1), t) for t in assemble_diagram(g).transitions]),
-         InvalidValue, "expected an integer, got 0.0"),
+        (lambda: theta_graph(twists=(1,)), InvalidValue, "expected a list of 3 items, got (1,)"),
+        (lambda: theta_graph(twists=(1, 2, 3, 4)), InvalidValue, "expected a list of 3 items, got (1, 2, 3, 4)"),
+        (lambda: theta_graph(holonomies=5), InvalidValue, "expected a list of 3 items, got 5"),
+        (lambda: theta_graph(base_scalars=[1, 1]), InvalidValue, "expected a list of 3 items, got [1, 1]"),
+        (lambda: theta_graph(reversing=None), InvalidValue, "expected a list of 3 items, got None"),
+        (lambda: IntMatrix.from_rows(5), InvalidValue, "expected a list, got 5"),
+        (lambda: IntMatrix.from_rows([[1], 5]), InvalidValue, "expected a list, got 5"),
+        (lambda: cokernel_abelian_group("x"), InvalidValue, "expected an IntMatrix or SparseColumns, got 'x'"),
+        (lambda: cokernel_abelian_group(None), InvalidValue, "expected an IntMatrix or SparseColumns, got None"),
         (lambda: circular_ladder_graph(2.0), InvalidValue, "expected an integer, got 2.0"),
     ]
     for make, error, message in cases:
