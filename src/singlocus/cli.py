@@ -17,9 +17,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
+
+try:  # the builtin SHA-256 (3.12+, then 3.10-3.11) does not load OpenSSL, as hashlib does
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .descent import assemble_diagram, pic_invariants
 from .errors import SingLocusError, in_full
@@ -81,7 +88,7 @@ def _emit(args, text: str, code: int) -> int:
 def _report(args, command: str, raw: bytes, result: dict, diagnostics: list[str], code: int) -> int:
     report = {
         "command": command,
-        "inputDigest": hashlib.sha256(raw).hexdigest(),
+        "inputDigest": sha256(raw).hexdigest(),
         "result": result,
         "diagnostics": diagnostics,
     }

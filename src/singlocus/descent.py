@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import GraphMismatch, InvalidValue, TwistMismatch, items, nonzero
 from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientation_gauge
-from .localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
+from .localmodels import EdgeAut
 from .record import Record
 
 
@@ -120,9 +120,9 @@ def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagr
     return DescentDiagram(d.graph, charts, transitions)
 
 
-def _holonomies(d: DescentDiagram) -> tuple[list[Fraction], list[Fraction], list[Fraction]]:
-    """Potentials P_u of lam_u along ``d.graph.tree`` from P_u(0) = 1, and
-    the beta and alpha holonomies of the cycles, in edge order.
+def pic_invariants(d: DescentDiagram) -> PicInvariants:
+    """The degree vector, and the beta and alpha holonomies read off the
+    potentials P of lam_u and lam_x along ``d.graph.tree``, P(0) = 1.
 
     P(child) is P(parent) * lam when ``d.directions`` stores the edge
     parent -> child and P(parent) / lam otherwise, so the cycle that edge
@@ -140,11 +140,6 @@ def _holonomies(d: DescentDiagram) -> tuple[list[Fraction], list[Fraction], list
         (s, t), aut = d.directions[idx], d.transitions[idx]
         betas.append(pot_u[t] / pot_u[s] / aut.lam_u)
         alphas.append(pot_x[t] / pot_x[s] / aut.lam_x)
-    return pot_u, betas, alphas
-
-
-def pic_invariants(d: DescentDiagram) -> PicInvariants:
-    _, betas, alphas = _holonomies(d)
     return PicInvariants(tuple(aut.n for aut in d.transitions), tuple(betas), tuple(alphas))
 
 
@@ -169,33 +164,3 @@ def diagrams_equivalent(d1: DescentDiagram, d2: DescentDiagram) -> bool:
         raise GraphMismatch("diagrams live on different graphs")
     return pic_invariants(d1) == pic_invariants(d2)
 
-
-def trivializing_gauge(d: DescentDiagram) -> Optional[list[Fraction]]:
-    """A gauge sending every lam_u to 1, or None when no such gauge exists.
-
-    The gauge is the lam_u potential along the spanning tree, the unique
-    solution of g_src * lam_u = g_tgt on the tree edges with g[0] = 1; it
-    trivializes every edge iff every beta holonomy is 1 (a self-loop's is
-    1 / lam_u).  Twists are untouched by gauging, so this does not by
-    itself decide 2-periodicity.
-    """
-    pot_u, betas, _ = _holonomies(d)
-    return pot_u if all(b == 1 for b in betas) else None
-
-
-def compose_cycle(d: DescentDiagram, cycle: Sequence[tuple[int, int]]) -> EdgeAut:
-    """Composite of edge transitions along a cycle, earliest edge outermost.
-
-    Traversal against the stored direction uses the inverse transition.
-    The discrete part of the result is ((-1)^length, signed twist sum);
-    in particular even cycles land back in the eps = +1 component.
-    """
-    result = None
-    for edge_idx, sign in cycle:
-        aut = d.transitions[edge_idx]
-        if sign < 0:
-            aut = edge_aut_inverse(aut)
-        result = aut if result is None else compose_edge_aut(result, aut)
-    if result is None:
-        raise InvalidValue("empty cycle")
-    return result

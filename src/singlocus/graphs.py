@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .errors import InvalidGraph, InvalidValue, NonOrientable, SingLocusError
+from .errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, SingLocusError
 from .errors import in_full, integer, integers, items, nonzero, pair
-from .intlinalg import _bfs_parents, _spanning_tree
 from .record import Record
 
 
@@ -97,8 +96,26 @@ class DecoratedGraph(Record):
     def tree(self) -> dict[int, tuple[int, int, int]]:
         """The lowest-edge-index spanning tree of the compact edges, as
         ``{vertex: (parent, compact edge index, sign)}`` breadth-first from
-        vertex 0; sign +1 means the edge is stored parent -> child."""
-        return _bfs_parents(_spanning_tree(len(self.vertices), self.compact_pairs), 0)
+        vertex 0, each vertex's children in edge order; sign +1 means the
+        edge is stored parent -> child.  Raises :class:`DisconnectedGraph`
+        unless the compact edges connect the vertices."""
+        pairs, n = self.compact_pairs, len(self.vertices)
+        _, tree = _spanning_forest(n, pairs)
+        if len(tree) != n - 1:  # also the empty graph: 0 != -1
+            raise DisconnectedGraph("graph is not connected")
+        links: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(n)}
+        for idx in tree:
+            u, v = pairs[idx]
+            links[u].append((v, idx, +1))
+            links[v].append((u, idx, -1))
+        parents: dict[int, tuple[int, int, int]] = {}
+        queue = [0]
+        for x in queue:  # grows as it is read: first in, first out
+            for y, idx, sign in links[x]:
+                if y != 0 and y not in parents:
+                    parents[y] = (x, idx, sign)
+                    queue.append(y)
+        return parents
 
     @cached_property
     def flag_parity(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -186,6 +203,31 @@ class Incidence(Record):
             else:
                 edge_of[e.end] = ei
         return cls(vertex_of, position_of, partner, edge_of, endpoints)
+
+
+def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Union-find over ``pairs`` taken in order.
+
+    Returns the component label of each vertex (labels numbered by their
+    smallest vertex) and the indices of the pairs that joined two
+    components, i.e. the lowest-index-first spanning forest.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = []
+    for idx, (u, v) in enumerate(pairs):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree.append(idx)
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(v), len(labels)) for v in range(n)], tree
 
 
 # ---------------------------------------------------------------------------

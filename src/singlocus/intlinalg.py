@@ -1,5 +1,4 @@
-"""Exact integer linear algebra: the cokernel of an integer matrix, and
-the spanning forests and trees that graphs are walked along.
+"""Exact integer linear algebra: the cokernel of an integer matrix.
 
 A cokernel eliminates its unit pivots sparsely and reads the invariant
 factors of the dense residue from one local Smith pass per factor of a
@@ -12,11 +11,10 @@ are pure, so the module is safe to use from multiple threads.
 
 from __future__ import annotations
 
-from collections import deque
 from math import gcd
 from typing import Sequence
 
-from .errors import DisconnectedGraph, InvalidValue, integer, integers, items
+from .errors import InvalidValue, integer, integers, items
 from .record import Record
 
 
@@ -149,13 +147,8 @@ def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int
         row_cols[i] = set()
         rank += 1
 
-    rest_rows = [i for i in range(m.rows) if row_cols[i]]
     rest_cols = [col for col in cols if col]
-    residue = IntMatrix(
-        len(rest_rows),
-        len(rest_cols),
-        tuple(col.get(i, 0) for i in rest_rows for col in rest_cols),
-    )
+    residue = [[col.get(i, 0) for col in rest_cols] for i in range(m.rows) if row_cols[i]]
     diagonal = _smith_diagonal(residue)
     rank += sum(1 for d in diagonal if d != 0)
     return m.rows - rank, tuple(d for d in diagonal if d > 1)
@@ -232,9 +225,9 @@ def _local_exponents(rows: list[list[int]], q: int, e: int) -> tuple[int, list[i
     return 1, exponents
 
 
-def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
-    """The Smith diagonal of ``m`` (length min(rows, cols); each entry
-    divides the next, and zeros trail).
+def _smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
+    """The Smith diagonal of the matrix with these rows (length
+    min(rows, cols); each entry divides the next, and zeros trail).
 
     :func:`_bareiss` gives the rank r and a nonzero r x r minor D.  The
     first r invariant factors multiply to the gcd of the r x r minors, so
@@ -251,7 +244,6 @@ def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     (only g when q has no prime outside g); the parts keep the primes of
     D apart, so their powers multiply back by the CRT.
     """
-    rows = m.to_rows()
     rank, minor = _bareiss(rows)
     minor = abs(minor)
     diagonal = [1] * rank
@@ -273,68 +265,5 @@ def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
             continue
         for i, k in enumerate(exponents):
             diagonal[i] *= q**k
-    return tuple(diagonal) + (0,) * (min(m.rows, m.cols) - rank)
+    return tuple(diagonal) + (0,) * (min(len(rows), len(rows[0]) if rows else 0) - rank)
 
-
-def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """Union-find over ``pairs`` taken in order.
-
-    Returns the component label of each vertex (labels numbered by their
-    smallest vertex) and the indices of the pairs that joined two
-    components, i.e. the lowest-index-first spanning forest.
-    """
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for idx, (u, v) in enumerate(pairs):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree.append(idx)
-    labels: dict[int, int] = {}
-    return [labels.setdefault(find(v), len(labels)) for v in range(n)], tree
-
-
-def _bfs_parents(adjacency: dict[int, list[tuple]], root: int) -> dict[int, tuple]:
-    """Breadth-first search from ``root`` over ``adjacency[x] = [(y, *link)]``.
-
-    Returns ``{y: (x, *link)}`` for every vertex reached other than the
-    root, in visiting order (so each parent comes before its children).
-    """
-    prev: dict[int, tuple] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y, *link in adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                prev[y] = (x, *link)
-                queue.append(y)
-    return prev
-
-
-def _spanning_tree(
-    num_vertices: int, edges: Sequence[tuple[int, int]]
-) -> dict[int, list[tuple[int, int, int]]]:
-    """Signed adjacency of the lowest-edge-index spanning tree.
-
-    ``adjacency[x]`` lists ``(y, edge index, sign)`` for each tree edge at
-    ``x``, with sign +1 when the edge is stored ``(x, y)``.  Raises
-    :class:`DisconnectedGraph` unless the multigraph is connected.
-    """
-    _, tree = _spanning_forest(num_vertices, edges)
-    if len(tree) != num_vertices - 1:  # also the empty graph: 0 != -1
-        raise DisconnectedGraph("graph is not connected")
-    adjacency: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(num_vertices)}
-    for idx in tree:
-        u, v = edges[idx]
-        adjacency[u].append((v, idx, +1))
-        adjacency[v].append((u, idx, -1))
-    return adjacency

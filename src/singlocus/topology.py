@@ -13,8 +13,8 @@ free summands through the connecting map.
 from __future__ import annotations
 
 from .errors import NegativeDefect
-from .graphs import DecoratedGraph, orientation_gauge, require_valid
-from .intlinalg import SparseColumns, _spanning_forest, cokernel_abelian_group
+from .graphs import DecoratedGraph, _spanning_forest, orientation_gauge, require_valid
+from .intlinalg import SparseColumns, cokernel_abelian_group
 from .record import Record
 
 

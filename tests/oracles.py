@@ -12,8 +12,9 @@ time, the fan oracle finds cone coordinates with rational Cramer's rule,
 the wall oracle reads each self-intersection off the 2D relation in a
 star fan (a basis completion per wall end), and
 the w1 and Pic oracles multiply along the explicit cycles of
-``cycle_basis``, one search per cycle (only the spanning tree is shared
-with the potentials they check).
+``cycle_basis``, read off ``spanning_tree``, which builds the same
+lowest-edge-index tree by relabelling components and walks it level by
+level; ``trivializing_gauge`` takes its potentials along that tree too.
 The presentation oracle builds the H1 relations from each edge's stored
 direction with generators numbered per vertex, and the F_p-rank oracle
 eliminates rows modulo p.  ``blowup_fan`` and ``random_multigraph``
@@ -25,11 +26,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
 from singlocus.descent import PicInvariants
+from singlocus.errors import DisconnectedGraph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, orientation_gauge
-from singlocus.intlinalg import IntMatrix, _bfs_parents, _spanning_tree
+from singlocus.intlinalg import IntMatrix
+from singlocus.localmodels import compose_edge_aut, edge_aut_inverse
 from singlocus.record import Record
 from singlocus.toric import Fan
 
@@ -151,34 +154,78 @@ def snf(m: IntMatrix) -> SmithForm:
     )
 
 
+def spanning_tree(
+    num_vertices: int, edges: Sequence[tuple[int, int]]
+) -> dict[int, tuple[int, int, int]]:
+    """The lowest-edge-index spanning tree of a connected multigraph, as
+    ``{vertex: (parent, edge index, sign)}`` breadth-first from vertex 0,
+    each vertex's children in edge order; sign +1 means the edge is
+    stored parent -> child.
+
+    Each edge in index order joins the tree when its ends carry different
+    component labels, and then one label replaces the other everywhere.
+    The tree is walked one level at a time, scanning its edges in order.
+    Raises ``DisconnectedGraph`` unless one label is left.
+    """
+    label = list(range(num_vertices))
+    tree = []
+    for idx, (u, v) in enumerate(edges):
+        if label[u] != label[v]:
+            old = label[v]
+            label = [label[u] if x == old else x for x in label]
+            tree.append(idx)
+    if len(set(label)) != 1:
+        raise DisconnectedGraph("graph is not connected")
+    parents: dict[int, tuple[int, int, int]] = {}
+    level = [0]
+    while level:
+        below = []
+        for x in level:
+            for idx in tree:
+                u, v = edges[idx]
+                for end, other, sign in ((u, v, 1), (v, u, -1)):
+                    if end == x and other != 0 and other not in parents:
+                        parents[other] = (x, idx, sign)
+                        below.append(other)
+        level = below
+    return parents
+
+
 def cycle_basis(
     num_vertices: int, edges: Sequence[tuple[int, int]]
 ) -> list[list[tuple[int, int]]]:
     """Fundamental cycles of a connected multigraph.
 
-    The spanning tree grows lowest-edge-index-first.  For each non-tree
-    edge ``e = (u, v)`` the cycle is the tree path ``u -> v`` followed by
+    The tree is :func:`spanning_tree`.  For each non-tree edge
+    ``e = (u, v)`` the cycle is the tree path ``u -> v`` followed by
     ``e`` traversed backwards, recorded as ``(edge index, sign)`` pairs
     where sign +1 means traversal along the stored ``(u, v)`` direction.
-    Self-loops and parallel edges are allowed.  The library reads cycle
-    values off potentials along the same tree; this is their explicit form.
+    The path climbs from u and from v towards vertex 0 until the two
+    climbs meet.  Self-loops and parallel edges are allowed.  The library
+    reads cycle values off potentials along the same tree; this is their
+    explicit form.
     """
-    adjacency = _spanning_tree(num_vertices, edges)
+    tree = spanning_tree(num_vertices, edges)
 
-    def tree_path(src: int, dst: int) -> list[tuple[int, int]]:
-        prev = _bfs_parents(adjacency, src)
-        path: list[tuple[int, int]] = []
-        while dst != src:
-            dst, idx, sign = prev[dst]
-            path.append((idx, sign))
-        path.reverse()
-        return path
+    def climb(x: int) -> list[tuple[int, int, int]]:
+        steps = []
+        while x != 0:
+            parent, idx, sign = tree[x]
+            steps.append((x, idx, sign))
+            x = parent
+        return steps
 
-    in_tree = {idx for links in adjacency.values() for _, idx, _ in links}
+    in_tree = {idx for _, idx, _ in tree.values()}
     cycles = []
     for idx, (u, v) in enumerate(edges):
-        if idx not in in_tree:
-            cycles.append(tree_path(u, v) + [(idx, -1)])
+        if idx in in_tree:
+            continue
+        up, down = climb(u), climb(v)
+        while up and down and up[-1] == down[-1]:
+            up.pop()
+            down.pop()
+        path = [(i, -sign) for _, i, sign in up] + [(i, sign) for _, i, sign in reversed(down)]
+        cycles.append(path + [(idx, -1)])
     return cycles
 
 
@@ -506,6 +553,42 @@ def pic_invariants_oracle(d) -> PicInvariants:
         betas.append(beta)
         alphas.append(alpha)
     return PicInvariants(degree, tuple(betas), tuple(alphas))
+
+
+def trivializing_gauge(d) -> Optional[list[Fraction]]:
+    """A gauge sending every lam_u to 1, or None when no such gauge exists.
+
+    The gauge is the lam_u potential along :func:`spanning_tree` of the
+    diagram's stored directions, the unique solution of
+    g_src * lam_u = g_tgt on the tree edges with g[0] = 1; it is returned
+    when it solves that equation on every edge.  Twists are untouched by
+    gauging, so this does not by itself decide 2-periodicity.
+    """
+    potential = [Fraction(1)] * len(d.graph.vertices)
+    for v, (u, idx, sign) in spanning_tree(len(d.graph.vertices), d.directions).items():
+        potential[v] = potential[u] * d.transitions[idx].lam_u**sign
+    for (s, t), aut in zip(d.directions, d.transitions):
+        if potential[s] * aut.lam_u != potential[t]:
+            return None
+    return potential
+
+
+def compose_cycle(d, cycle: Sequence[tuple[int, int]]):
+    """Composite of edge transitions along a cycle, earliest edge outermost.
+
+    Traversal against the stored direction uses the inverse transition.
+    The discrete part of the result is ((-1)^length, signed twist sum);
+    in particular even cycles land back in the eps = +1 component.
+    """
+    result = None
+    for edge_idx, sign in cycle:
+        aut = d.transitions[edge_idx]
+        if sign < 0:
+            aut = edge_aut_inverse(aut)
+        result = aut if result is None else compose_edge_aut(result, aut)
+    if result is None:
+        raise ValueError("empty cycle")
+    return result
 
 
 def flip_each(g, flips):

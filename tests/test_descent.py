@@ -10,17 +10,22 @@ from singlocus.descent import (
     DescentDiagram,
     assemble_diagram,
     canonical_directions,
-    compose_cycle,
     diagrams_equivalent,
     gauge,
     pic_invariants,
-    trivializing_gauge,
 )
 from singlocus.errors import DisconnectedGraph, GraphMismatch, NonOrientable, TwistMismatch
 from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
-from oracles import _rational, cycle_basis, pic_invariants_oracle, random_multigraph
+from oracles import (
+    _rational,
+    compose_cycle,
+    cycle_basis,
+    pic_invariants_oracle,
+    random_multigraph,
+    trivializing_gauge,
+)
 
 
 def rand_scalar(rng):

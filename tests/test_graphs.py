@@ -34,7 +34,7 @@ from singlocus.topology import (
     pencil_localization,
     plumbing_presentation,
 )
-from oracles import cycle_basis, flip_each, random_multigraph, w1_oracle
+from oracles import cycle_basis, flip_each, random_multigraph, spanning_tree, w1_oracle
 
 
 def pants_graph():
@@ -427,6 +427,54 @@ def test_orientability_requires_connected():
     )
     with pytest.raises(DisconnectedGraph):
         orientability(g)
+
+
+def tree_or_error(tree):
+    """The spanning tree as an ordered list of items, or the message of
+    its DisconnectedGraph."""
+    try:
+        return list(tree().items())
+    except DisconnectedGraph as exc:
+        return str(exc)
+
+
+def cut_or_join(rng, g, how):
+    """``g`` itself, ``g`` with one compact edge cut into two legs, or the
+    disjoint union of ``g`` and another random multigraph."""
+    if how == "cut" and g.compact_edges():
+        ei, e = rng.choice(g.compact_edges())
+        edges = [*g.edges[:ei], *g.edges[ei + 1:], Leg(e.ends[0]), Leg(e.ends[1])]
+        return DecoratedGraph(g.vertices, edges)
+    if how == "join":
+        other = random_multigraph(rng, rng.randint(1, 4))
+        shift = 3 * len(g.vertices)
+        vertices = [tuple(h + shift for h in t) for t in other.vertices]
+        edges = [
+            e.replace(ends=(e.ends[0] + shift, e.ends[1] + shift))
+            if isinstance(e, CompactEdge) else Leg(e.end + shift)
+            for e in other.edges
+        ]
+        return DecoratedGraph((*g.vertices, *vertices), (*g.edges, *edges))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 9), st.sampled_from(["keep", "cut", "join"]))
+def test_tree_matches_the_oracle_tree(seed, vertices, how):
+    # The tree that pic and H1 read: the same items in the same order, and
+    # DisconnectedGraph on the same graphs.
+    rng = random.Random(seed)
+    g = cut_or_join(rng, random_multigraph(rng, vertices), how)
+    found = tree_or_error(lambda: g.tree)
+    assert found == tree_or_error(lambda: spanning_tree(len(g.vertices), g.compact_pairs))
+    if how == "join":
+        assert found == "graph is not connected"
+
+
+def test_ladder_tree_matches_the_oracle_tree():
+    for rungs in range(1, 65):
+        g = circular_ladder_graph(rungs)
+        assert list(g.tree.items()) == list(spanning_tree(len(g.vertices), g.compact_pairs).items())
 
 
 @settings(max_examples=300, deadline=None)

@@ -192,36 +192,36 @@ def products(max_side, values, deficient=False):
 @settings(max_examples=150, deadline=None)
 @given(matrices(6, st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))))
 def test_smith_diagonal_matches_snf_on_dense_matrices(m):
-    assert _smith_diagonal(m) == snf(m).diagonal
+    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(10, st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])))
 def test_smith_diagonal_matches_snf_on_sparse_unit_heavy_matrices(m):
-    assert _smith_diagonal(m) == snf(m).diagonal
+    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
 
 
 @settings(max_examples=150, deadline=None)
 @given(products(7, st.integers(-4, 4), deficient=True))
 def test_smith_diagonal_matches_snf_on_rank_deficient_matrices(m):
-    assert _smith_diagonal(m) == snf(m).diagonal
+    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
 
 
 def test_smith_diagonal_examples():
     # D = 6 for diag(2, 3): the pivot 2 splits 6 into 2 and 3.
-    assert _smith_diagonal(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+    assert _smith_diagonal([[2, 0], [0, 3]]) == (1, 6)
     # The first pivot 2 shrinks D = 8 to 2, and every pivot is 2 u.
     rows = [[0, 0, 0, 0], [0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 2, 2], [-2, 0, 0, 0]]
-    assert _smith_diagonal(IntMatrix.from_rows(rows)) == (2, 2, 2, 0)
+    assert _smith_diagonal(rows) == (2, 2, 2, 0)
     # Rank 4 in a 7 x 5 matrix.
     rows = [[23, 0, 38, 0, 0], [0, 0, 0, 0, 0], [-33, -38, -16, 0, 0], [0, 33, 0, -19, 26],
             [0, 0, 0, 0, 0], [-40, 0, 0, 0, 0], [0, 36, 0, 0, 0]]
-    assert _smith_diagonal(IntMatrix.from_rows(rows)) == (1, 1, 2, 4, 0)
+    assert _smith_diagonal(rows) == (1, 1, 2, 4, 0)
     # The only entry is the minor D itself, 0 mod D.
-    assert _smith_diagonal(IntMatrix.from_rows([[6]])) == (6,)
-    assert _smith_diagonal(IntMatrix.from_rows([[4, 6], [6, 9]])) == (1, 0)
+    assert _smith_diagonal([[6]]) == (6,)
+    assert _smith_diagonal([[4, 6], [6, 9]]) == (1, 0)
     for nr, nc in ((0, 0), (0, 3), (3, 0)):
-        assert _smith_diagonal(zero_matrix(nr, nc)) == ()
+        assert _smith_diagonal(zero_matrix(nr, nc).to_rows()) == ()
 
 
 P, Q = 10007, 10009
@@ -262,14 +262,14 @@ def test_smith_diagonal_branches(rows, diagonal, passes, monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_local_exponents", record)
     m = IntMatrix.from_rows(rows)
-    assert _smith_diagonal(m) == snf(m).diagonal == diagonal
+    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal == diagonal
     assert seen == passes
 
 
 @settings(max_examples=150, deadline=None)
 @given(products(5, st.sampled_from([0, 1, -1, 3, P, Q, 2 * P, Q**2])))
 def test_smith_diagonal_matches_snf_on_products_of_large_primes(m):
-    assert _smith_diagonal(m) == snf(m).diagonal
+    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
 
 
 def test_cokernel_reads_sparse_columns_in_row_order():
