@@ -43,7 +43,7 @@ from .graphs import (
     orientability,
     validate_graph,
 )
-from .intlinalg import IntMatrix, cokernel_abelian_group
+from .intlinalg import cokernel_abelian_group
 from .localmodels import (
     EdgeAut,
     Monomial,

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import GraphMismatch, InvalidValue, TwistMismatch, items, nonzero
-from .graphs import CompactEdge, DecoratedGraph, _non_tree_edges, orientation_gauge
+from .errors import GraphMismatch, InvalidValue, TwistMismatch, in_full, items, nonzero, shown
+from .graphs import CompactEdge, DecoratedGraph, orientation_gauge
 from .localmodels import EdgeAut
 from .record import Record
 
@@ -40,7 +40,7 @@ class DescentDiagram(Record):
 
     def __post_init__(self):
         if not isinstance(self.graph, DecoratedGraph):
-            raise InvalidValue(f"expected a DecoratedGraph, got {self.graph!r}")
+            raise InvalidValue(f"expected a DecoratedGraph, got {shown(self.graph)}")
         orientation_gauge(self.graph)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
         charts, transitions = items(self.charts), items(self.transitions)
         if len(charts) != len(self.graph.vertices):
@@ -51,13 +51,14 @@ class DescentDiagram(Record):
             raise InvalidValue("need one transition per compact edge")
         for (ei, e), aut in zip(compact, transitions):
             if not isinstance(aut, EdgeAut):
-                raise InvalidValue(f"expected an EdgeAut, got {aut!r}")
+                raise InvalidValue(f"expected an EdgeAut, got {shown(aut)}")
             if aut.eps != -1:
                 raise TwistMismatch(f"edge {ei}: transition must have eps = -1")
             if aut.shift != 1:
                 raise TwistMismatch(f"edge {ei}: transition must involve the shift")
             if aut.n != e.twist:
-                raise TwistMismatch(f"edge {ei}: transition twist {aut.n} != edge defect {e.twist}")
+                n, twist = in_full(aut.n), in_full(e.twist)
+                raise TwistMismatch(f"edge {ei}: transition twist {n} != edge defect {twist}")
         object.__setattr__(self, "transitions", transitions)
 
     @cached_property
@@ -129,14 +130,14 @@ def pic_invariants(d: DescentDiagram) -> PicInvariants:
     (s, t) closes has value P(t) / P(s) / lam.
     """
     pot_u, pot_x = [Fraction(1)] * len(d.graph.vertices), [Fraction(1)] * len(d.graph.vertices)
-    for v, (u, idx, _) in d.graph.tree.items():
+    for v, (u, idx) in d.graph.tree.items():
         aut = d.transitions[idx]
         if d.directions[idx][0] == u:
             pot_u[v], pot_x[v] = pot_u[u] * aut.lam_u, pot_x[u] * aut.lam_x
         else:
             pot_u[v], pot_x[v] = pot_u[u] / aut.lam_u, pot_x[u] / aut.lam_x
     betas, alphas = [], []
-    for idx, _ in _non_tree_edges(d.graph):
+    for idx, _ in d.graph.cycle_edges:
         (s, t), aut = d.directions[idx], d.transitions[idx]
         betas.append(pot_u[t] / pot_u[s] / aut.lam_u)
         alphas.append(pot_x[t] / pot_x[s] / aut.lam_x)

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, :func:`in_full` for the integers
-their messages quote, and the field checks of the input records."""
+"""Exception hierarchy shared by all modules, :func:`in_full` and :func:`shown`
+for what their messages quote, and the field checks of the input records."""
 
 import operator
 from decimal import Decimal
@@ -10,6 +10,18 @@ def in_full(n: int) -> str:
     """``str(n)`` without the int-to-str digit limit, which decimal does
     not apply."""
     return str(Decimal(n))
+
+
+def shown(value) -> str:
+    """``repr(value)``; where that raises on an integer past the int-to-str
+    digit limit, the integers in full, in lists and tuples, and others by type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (list, tuple)):
+            inner = ", ".join(map(shown, value)) + "," * (type(value) is tuple and len(value) == 1)
+            return f"[{inner}]" if isinstance(value, list) else f"({inner})"
+        return in_full(value) if isinstance(value, int) else f"<{type(value).__name__}>"
 
 
 class SingLocusError(Exception):
@@ -23,7 +35,7 @@ class InvalidValue(SingLocusError, ValueError):
 def integer(value) -> int:
     """``value`` as an exact ``int``; a bool is refused, not read as 0 or 1."""
     if type(value) is bool or not hasattr(value, "__index__"):
-        raise InvalidValue(f"expected an integer, got {value!r}")
+        raise InvalidValue(f"expected an integer, got {shown(value)}")
     return operator.index(value)
 
 
@@ -31,7 +43,7 @@ def items(value, count=None) -> tuple:
     """``value``, a list or tuple of ``count`` items when given, as a tuple."""
     if isinstance(value, (list, tuple)) and count in (None, len(value)):
         return tuple(value)
-    raise InvalidValue(f"expected a list{f' of {count} items' if count else ''}, got {value!r}")
+    raise InvalidValue(f"expected a list{f' of {count} items' if count else ''}, got {shown(value)}")
 
 
 def integers(value) -> tuple[int, ...]:
@@ -43,13 +55,13 @@ def pair(value) -> tuple[int, int]:
     """``value``, a list or tuple of two integers, as a tuple."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return integer(value[0]), integer(value[1])
-    raise InvalidValue(f"expected a pair of integers, got {value!r}")
+    raise InvalidValue(f"expected a pair of integers, got {shown(value)}")
 
 
 def nonzero(value, what: str) -> Fraction:
     """``value``, a nonzero ``int`` or ``Fraction``, as a ``Fraction``."""
     if type(value) is not Fraction and type(value) is not int:
-        raise InvalidValue(f"{what} must be an int or Fraction, got {value!r}")
+        raise InvalidValue(f"{what} must be an int or Fraction, got {shown(value)}")
     if not value:
         raise InvalidValue(f"{what} must be nonzero")
     return value if type(value) is Fraction else Fraction(value)

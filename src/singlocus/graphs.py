@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, SingLocusError
-from .errors import in_full, integer, integers, items, nonzero, pair
+from .errors import in_full, integer, integers, items, nonzero, pair, shown
 from .record import Record
 
 
@@ -40,7 +40,7 @@ class CompactEdge(Record):
         object.__setattr__(self, "holonomy", nonzero(self.holonomy, "holonomy"))
         object.__setattr__(self, "base_scalar", nonzero(self.base_scalar, "base scalar"))
         if type(self.reversing) is not bool:
-            raise InvalidValue(f"expected true or false, got {self.reversing!r}")
+            raise InvalidValue(f"expected true or false, got {shown(self.reversing)}")
         if self.self_intersections is not None:
             object.__setattr__(self, "self_intersections", pair(self.self_intersections))
 
@@ -74,7 +74,7 @@ class DecoratedGraph(Record):
         object.__setattr__(self, "edges", items(self.edges))
         for e in self.edges:
             if not isinstance(e, (CompactEdge, Leg)):
-                raise InvalidValue(f"expected a CompactEdge or Leg, got {e!r}")
+                raise InvalidValue(f"expected a CompactEdge or Leg, got {shown(e)}")
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -93,29 +93,35 @@ class DecoratedGraph(Record):
         return tuple(self.incidence.endpoints.values())
 
     @cached_property
-    def tree(self) -> dict[int, tuple[int, int, int]]:
+    def tree(self) -> dict[int, tuple[int, int]]:
         """The lowest-edge-index spanning tree of the compact edges, as
-        ``{vertex: (parent, compact edge index, sign)}`` breadth-first from
-        vertex 0, each vertex's children in edge order; sign +1 means the
-        edge is stored parent -> child.  Raises :class:`DisconnectedGraph`
-        unless the compact edges connect the vertices."""
+        ``{vertex: (parent, compact edge index)}`` breadth-first from vertex
+        0, each vertex's children in edge order.  Raises
+        :class:`DisconnectedGraph` unless the compact edges connect them."""
         pairs, n = self.compact_pairs, len(self.vertices)
-        _, tree = _spanning_forest(n, pairs)
+        _, tree = spanning_forest(n, pairs)
         if len(tree) != n - 1:  # also the empty graph: 0 != -1
             raise DisconnectedGraph("graph is not connected")
-        links: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(n)}
+        links: dict[int, list[tuple[int, int]]] = {v: [] for v in range(n)}
         for idx in tree:
             u, v = pairs[idx]
-            links[u].append((v, idx, +1))
-            links[v].append((u, idx, -1))
-        parents: dict[int, tuple[int, int, int]] = {}
+            links[u].append((v, idx))
+            links[v].append((u, idx))
+        parents: dict[int, tuple[int, int]] = {}
         queue = [0]
         for x in queue:  # grows as it is read: first in, first out
-            for y, idx, sign in links[x]:
+            for y, idx in links[x]:
                 if y != 0 and y not in parents:
-                    parents[y] = (x, idx, sign)
+                    parents[y] = (x, idx)
                     queue.append(y)
         return parents
+
+    @cached_property
+    def cycle_edges(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """``(compact edge index, endpoints)`` of each compact edge outside
+        :attr:`tree`, in edge order: one per cycle it closes."""
+        in_tree = {idx for _, idx in self.tree.values()}
+        return tuple((i, ends) for i, ends in enumerate(self.compact_pairs) if i not in in_tree)
 
     @cached_property
     def flag_parity(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -153,22 +159,18 @@ def validate_graph(g: DecoratedGraph) -> list[str]:
         seen_edge[h] = seen_edge.get(h, 0) + 1
     for h, count in sorted(seen_vertex.items()):
         if count > 1:
-            report.append(f"half-edge {h} attached to {count} vertices")
+            report.append(f"half-edge {in_full(h)} attached to {count} vertices")
         if seen_edge.get(h, 0) == 0:
-            report.append(f"half-edge {h} belongs to no edge")
+            report.append(f"half-edge {in_full(h)} belongs to no edge")
     for h, count in sorted(seen_edge.items()):
         if count > 1:
-            report.append(f"half-edge {h} used by {count} edges")
+            report.append(f"half-edge {in_full(h)} used by {count} edges")
         if h not in seen_vertex:
-            report.append(f"half-edge {h} attached to no vertex")
+            report.append(f"half-edge {in_full(h)} attached to no vertex")
     for ei, e in g.compact_edges():
-        if e.self_intersections is not None:
-            a, b = e.self_intersections
-            expected = a + b + 2
-            if e.twist != expected:
-                report.append(
-                    f"edge {ei}: triple point formula: expected n_e = {in_full(expected)}, got {e.twist}"
-                )
+        if e.self_intersections is not None and e.twist != sum(e.self_intersections) + 2:
+            expected, got = in_full(sum(e.self_intersections) + 2), in_full(e.twist)
+            report.append(f"edge {ei}: triple point formula: expected n_e = {expected}, got {got}")
     return report
 
 
@@ -205,7 +207,7 @@ class Incidence(Record):
         return cls(vertex_of, position_of, partner, edge_of, endpoints)
 
 
-def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
+def spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
     """Union-find over ``pairs`` taken in order.
 
     Returns the component label of each vertex (labels numbered by their
@@ -235,20 +237,14 @@ def _spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int
 # ---------------------------------------------------------------------------
 
 
-def _non_tree_edges(g: DecoratedGraph) -> list[tuple[int, tuple[int, int]]]:
-    """``(index, endpoints)`` of each compact edge outside ``g.tree``: one per cycle."""
-    in_tree = {idx for _, idx, _ in g.tree.values()}
-    return [(i, ends) for i, ends in enumerate(g.compact_pairs) if i not in in_tree]
-
-
 def _flag_parity(g: DecoratedGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Reversing-flag parity of each vertex along ``g.tree``, and
-    ``(index, w1)`` for each compact edge of :func:`_non_tree_edges`."""
+    ``(index, w1)`` for each compact edge of ``g.cycle_edges``."""
     rev = [e.reversing for _, e in g.compact_edges()]
     parity = [0] * len(g.vertices)
-    for v, (u, idx, _) in g.tree.items():
+    for v, (u, idx) in g.tree.items():
         parity[v] = parity[u] ^ rev[idx]
-    w1 = tuple((i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in _non_tree_edges(g))
+    w1 = tuple((i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in g.cycle_edges)
     return tuple(parity), w1
 
 
@@ -289,7 +285,7 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
     """
     vertex = integer(vertex)
     if not 0 <= vertex < len(g.vertices):
-        raise InvalidValue(f"no vertex {vertex}")
+        raise InvalidValue(f"no vertex {in_full(vertex)}")
     vertices = list(g.vertices)
     vertices[vertex] = tuple(reversed(vertices[vertex]))
     at_vertex = set(g.vertices[vertex])
@@ -406,11 +402,12 @@ def dual_surface(g: DecoratedGraph) -> DualSurface:
 # ---------------------------------------------------------------------------
 
 
-class FiniteCategory(Record, uncompared=("arrows", "identities", "compose")):
+class FiniteCategory(Record):
     """A finite category given by an explicit composition table.
 
     ``arrows`` maps a name to ``(source, target)``; ``compose`` maps the
     composable pair ``(g, f)`` (apply f first) to the name of ``g o f``.
+    Categories compare by all four fields; holding dicts, they do not hash.
     """
 
     objects: tuple[str, ...]

@@ -12,41 +12,9 @@ are pure, so the module is safe to use from multiple threads.
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
 
-from .errors import InvalidValue, integer, integers, items
+from .errors import InvalidValue, in_full, integer, items, shown
 from .record import Record
-
-
-class IntMatrix(Record):
-    """Dense integer matrix stored row-major as a flat tuple."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", integers(self.entries))
-        if integer(self.rows) < 0 or integer(self.cols) < 0:
-            raise InvalidValue("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
-            raise InvalidValue(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [items(r) for r in items(rows)]
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise InvalidValue("ragged rows")
-        return cls(nrows, ncols, [x for r in rows for x in r])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
 
 def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -82,23 +50,18 @@ class SparseColumns(Record):
         object.__setattr__(self, "columns", items(self.columns))
         for column in self.columns:
             if not isinstance(column, dict):
-                raise InvalidValue(f"expected a column {{row: entry}}, got {column!r}")
+                raise InvalidValue(f"expected a column {{row: entry}}, got {shown(column)}")
             for i, x in column.items():
                 integer(x)
                 if not 0 <= integer(i) < self.rows:
-                    raise InvalidValue(f"row {i} is out of range for {self.rows} rows")
-
-    @property
-    def cols(self) -> int:
-        return len(self.columns)
+                    raise InvalidValue(f"row {in_full(i)} is out of range for {in_full(self.rows)} rows")
 
 
-def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int, ...]]:
+def cokernel_abelian_group(m: SparseColumns) -> tuple[int, tuple[int, ...]]:
     """Cokernel of the column lattice acting on ``Z^rows``.
 
     Rows index generators and columns index relations, so the result is
     ``Z^rows / span(columns)``: a free rank plus invariant factors > 1.
-    An :class:`IntMatrix` is read as its sparse columns.
 
     Sparse unit-pivot elimination first (Dumas-Saunders-Villard, J. Symb.
     Comp. 32, 2001), in one pass over the rows in index order, so the
@@ -110,13 +73,8 @@ def cokernel_abelian_group(m: IntMatrix | SparseColumns) -> tuple[int, tuple[int
     residue, whose invariant factors :func:`_smith_diagonal` reads one
     factor of a nonzero minor at a time.
     """
-    if not isinstance(m, (IntMatrix, SparseColumns)):
-        raise InvalidValue(f"expected an IntMatrix or SparseColumns, got {m!r}")
-    if isinstance(m, IntMatrix):
-        c = m.cols
-        m = SparseColumns(m.rows, tuple(
-            {i: v for i in range(m.rows) if (v := m.entries[i * c + j])} for j in range(c)
-        ))
+    if not isinstance(m, SparseColumns):
+        raise InvalidValue(f"expected a SparseColumns, got {shown(m)}")
     cols = [dict(col) for col in m.columns]
     row_cols: list[set[int]] = [set() for _ in range(m.rows)]
     for j, col in enumerate(cols):

@@ -4,9 +4,7 @@ A subclass's fields are its own annotations in order, and class
 attributes are their defaults.  Records compare, hash and print by their
 fields as frozen dataclasses do, and :meth:`Record.replace` rebuilds one
 through ``__init__``, so its ``__post_init__`` checks run again.
-``class C(Record, uncompared=("x",))`` leaves field ``x`` out of equality
-and hashing.  Nothing is compiled per class, which keeps the package's
-import cheap.
+Nothing is compiled per class, which keeps the package's import cheap.
 """
 
 _MISSING = object()
@@ -22,12 +20,10 @@ class FrozenInstanceError(AttributeError):
 
 class Record:
     _fields = {}  # field name -> default, or _MISSING
-    _compared = ()  # the fields that equality and hashing read
 
-    def __init_subclass__(cls, uncompared=(), **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = {name: getattr(cls, name, _MISSING) for name in cls.__annotations__}
-        cls._compared = tuple(name for name in cls._fields if name not in uncompared)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -54,7 +50,7 @@ class Record:
         pass
 
     def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

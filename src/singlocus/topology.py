@@ -13,7 +13,7 @@ free summands through the connecting map.
 from __future__ import annotations
 
 from .errors import NegativeDefect
-from .graphs import DecoratedGraph, _spanning_forest, orientation_gauge, require_valid
+from .graphs import DecoratedGraph, orientation_gauge, require_valid, spanning_forest
 from .intlinalg import SparseColumns, cokernel_abelian_group
 from .record import Record
 
@@ -95,10 +95,8 @@ def plumbing_presentation(g: DecoratedGraph) -> SparseColumns:
     for ei, e in g.compact_edges():
         a, b = inc.endpoints[ei]
         edge_relations.append(_column(((fiber[b], 1), (fiber[a], -1), (cuff[ei], -e.twist))))
-    in_tree = [ci for _, ci, _ in tree.values()]
-    others = sorted(set(range(len(edge_relations))).difference(in_tree))
-    columns = [edge_relations[ci] for ci in in_tree] + vertex_relations
-    columns += [edge_relations[ci] for ci in others]
+    columns = [edge_relations[ci] for _, ci in tree.values()] + vertex_relations
+    columns += [edge_relations[ci] for ci, _ in g.cycle_edges]
     return SparseColumns(rows, columns)
 
 
@@ -141,7 +139,7 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
     kept_pairs = [
         inc.endpoints[ei] for ei, e in g.compact_edges() if e.twist == 0
     ]
-    comp, tree = _spanning_forest(num_v, kept_pairs)
+    comp, tree = spanning_forest(num_v, kept_pairs)
     num_main = num_v - len(tree)
 
     # genus = cycle rank of the kept subgraph; boundary = legs + cut ends.

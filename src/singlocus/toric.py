@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .errors import BoundaryWall, InvalidFan, InvalidValue, NotAWall, SplitStar, in_full
+from .errors import BoundaryWall, InvalidFan, InvalidValue, NotAWall, SplitStar, in_full, shown
 from .errors import integers, items, pair
 from .graphs import CompactEdge, DecoratedGraph, Leg
 from .record import Record
@@ -94,7 +94,7 @@ class Fan(Record):
                 not_3d.add(i)
                 continue
             if r == (0, 0, 0) or not _is_primitive(r):
-                report.append(f"ray {i} = {r} not primitive")
+                report.append(f"ray {i} = {shown(r)} not primitive")
             if r in seen:
                 report.append(f"ray {i} duplicates ray {seen[r]}")
             else:
@@ -328,7 +328,7 @@ def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
     except InvalidValue:
         key = None
     if key not in f.wall_table:
-        raise NotAWall(f"{wall} is not a wall of the fan")
+        raise NotAWall(f"{shown(wall)} is not a wall of the fan")
     cones = f.wall_table[key]
     if len(cones) == 1:
         raise BoundaryWall(key, cones[0])

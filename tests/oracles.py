@@ -3,7 +3,7 @@
 Nothing here shares code with the implementation paths it checks: the
 Smith-form oracles are ``snf``, which diagonalizes over Z with unimodular
 transforms that the tests multiply back, and the gcds of minors via
-fraction-free determinants, and
+fraction-free determinants, all on matrices given as lists of rows, and
 the cokernel oracle enumerates the quotient group explicitly with a
 Hermite-style membership test, the pencil oracle builds the nodal
 curve one annulus at a time and the incidence expanders rebuild the same
@@ -31,26 +31,31 @@ from typing import Optional, Sequence
 from singlocus.descent import PicInvariants
 from singlocus.errors import DisconnectedGraph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, orientation_gauge
-from singlocus.intlinalg import IntMatrix
+from singlocus.intlinalg import SparseColumns
 from singlocus.localmodels import compose_edge_aut, edge_aut_inverse
 from singlocus.record import Record
 from singlocus.toric import Fan
 
 
-def zero_matrix(rows: int, cols: int) -> IntMatrix:
-    return IntMatrix(rows, cols, (0,) * (rows * cols))
+def zero_matrix(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
 
 
-def identity_matrix(n: int) -> IntMatrix:
-    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+def identity_matrix(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
+def matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    if any(len(row) != len(b) for row in a):
         raise ValueError("dimension mismatch")
-    x, y = a.to_rows(), b.to_rows()
-    return IntMatrix(a.rows, b.cols, tuple(
-        sum(x[i][k] * y[k][j] for k in range(a.cols)) for i in range(a.rows) for j in range(b.cols)
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def columns(rows: list[list[int]], ncols: int) -> SparseColumns:
+    """The matrix with these rows and ``ncols`` columns, which a matrix
+    with no rows does not show, as the library's ``SparseColumns``."""
+    return SparseColumns(len(rows), tuple(
+        {i: x for i, row in enumerate(rows) if (x := row[j])} for j in range(ncols)
     ))
 
 
@@ -79,8 +84,8 @@ class SmithForm(Record):
     """
 
     diagonal: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
+    left: list[list[int]]
+    right: list[list[int]]
 
 
 def _clear_below(a: list[list[int]], t: int, companion: list[list[int]]) -> bool:
@@ -107,8 +112,8 @@ def _clear_below(a: list[list[int]], t: int, companion: list[list[int]]) -> bool
     return shrank
 
 
-def snf(m: IntMatrix) -> SmithForm:
-    """Smith normal form over Z with transforms.
+def snf(rows: list[list[int]]) -> SmithForm:
+    """Smith normal form over Z with transforms, of the matrix with these rows.
 
     Step t moves the nonzero entry of least absolute value (first in
     row-major order) to (t, t) and clears row and column t with
@@ -118,12 +123,13 @@ def snf(m: IntMatrix) -> SmithForm:
     and the clearing repeats; each repeat shrinks the pivot to a proper
     divisor, so the step ends.
     """
-    a = m.to_rows()
-    left = identity_matrix(m.rows).to_rows()
-    right_t = identity_matrix(m.cols).to_rows()  # transposed as it is built
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    a = [list(row) for row in rows]
+    left = identity_matrix(nr)
+    right_t = identity_matrix(nc)  # transposed as it is built
     diag = []
-    for t in range(min(m.rows, m.cols)):
-        entries = [(abs(a[i][j]), i, j) for i in range(t, m.rows) for j in range(t, m.cols) if a[i][j]]
+    for t in range(min(nr, nc)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
         if not entries:
             break
         _, i, j = min(entries)
@@ -139,7 +145,7 @@ def snf(m: IntMatrix) -> SmithForm:
             a = [list(r) for r in zip(*a_t)]
             if shrank:  # the column blocks refilled column t
                 continue
-            stray = next((r for r in range(t + 1, m.rows) if any(x % a[t][t] for x in a[r])), None)
+            stray = next((r for r in range(t + 1, nr) if any(x % a[t][t] for x in a[r])), None)
             if stray is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[stray])]
@@ -148,19 +154,16 @@ def snf(m: IntMatrix) -> SmithForm:
             a[t], left[t] = [-x for x in a[t]], [-x for x in left[t]]
         diag.append(a[t][t])
     return SmithForm(
-        tuple(diag) + (0,) * (min(m.rows, m.cols) - len(diag)),
-        IntMatrix.from_rows(left),
-        IntMatrix.from_rows([list(c) for c in zip(*right_t)]),
+        tuple(diag) + (0,) * (min(nr, nc) - len(diag)), left, [list(c) for c in zip(*right_t)]
     )
 
 
 def spanning_tree(
     num_vertices: int, edges: Sequence[tuple[int, int]]
-) -> dict[int, tuple[int, int, int]]:
+) -> dict[int, tuple[int, int]]:
     """The lowest-edge-index spanning tree of a connected multigraph, as
-    ``{vertex: (parent, edge index, sign)}`` breadth-first from vertex 0,
-    each vertex's children in edge order; sign +1 means the edge is
-    stored parent -> child.
+    ``{vertex: (parent, edge index)}`` breadth-first from vertex 0, each
+    vertex's children in edge order.
 
     Each edge in index order joins the tree when its ends carry different
     component labels, and then one label replaces the other everywhere.
@@ -176,16 +179,16 @@ def spanning_tree(
             tree.append(idx)
     if len(set(label)) != 1:
         raise DisconnectedGraph("graph is not connected")
-    parents: dict[int, tuple[int, int, int]] = {}
+    parents: dict[int, tuple[int, int]] = {}
     level = [0]
     while level:
         below = []
         for x in level:
             for idx in tree:
                 u, v = edges[idx]
-                for end, other, sign in ((u, v, 1), (v, u, -1)):
+                for end, other in ((u, v), (v, u)):
                     if end == x and other != 0 and other not in parents:
-                        parents[other] = (x, idx, sign)
+                        parents[other] = (x, idx)
                         below.append(other)
         level = below
     return parents
@@ -208,14 +211,16 @@ def cycle_basis(
     tree = spanning_tree(num_vertices, edges)
 
     def climb(x: int) -> list[tuple[int, int, int]]:
+        """``(vertex, edge index, sign)`` per step up from ``x``; sign +1
+        when the edge is stored parent -> vertex."""
         steps = []
         while x != 0:
-            parent, idx, sign = tree[x]
-            steps.append((x, idx, sign))
+            parent, idx = tree[x]
+            steps.append((x, idx, 1 if edges[idx][0] == parent else -1))
             x = parent
         return steps
 
-    in_tree = {idx for _, idx, _ in tree.values()}
+    in_tree = {idx for _, idx in tree.values()}
     cycles = []
     for idx, (u, v) in enumerate(edges):
         if idx in in_tree:
@@ -279,13 +284,13 @@ def smith_diagonal_oracle(rows: list[list[int]]) -> list[int]:
     return out
 
 
-def dense_relations(m) -> IntMatrix:
-    """The relation columns of ``plumbing_presentation``, dense, with
-    the rows in the presentation's numbering."""
-    return IntMatrix(m.rows, m.cols, tuple(c.get(i, 0) for i in range(m.rows) for c in m.columns))
+def dense_relations(m) -> list[list[int]]:
+    """The rows of the relation columns of ``plumbing_presentation``, in
+    the presentation's numbering."""
+    return [[c.get(i, 0) for c in m.columns] for i in range(m.rows)]
 
 
-def stored_direction_relations(g) -> IntMatrix:
+def stored_direction_relations(g) -> list[list[int]]:
     """H1 relations of an orientable graph with generators b1, b2, f of
     vertex v as rows 3v, 3v + 1, 3v + 2 and, per compact edge stored
     from (v, position i) to (w, position j), the columns
@@ -305,7 +310,7 @@ def stored_direction_relations(g) -> IntMatrix:
         for r in ((3 * v,), (3 * v + 1,), (3 * v, 3 * v + 1, 3 * v + 2))[p]:
             column[r] = column.get(r, 0) + (sign if p < 2 else -sign)
 
-    columns = []
+    relations = []
     for _, e in g.compact_edges():
         h_v, h_w = e.ends
         base: dict[int, int] = {}
@@ -314,17 +319,16 @@ def stored_direction_relations(g) -> IntMatrix:
         fiber = {3 * vertex_of[h_w] + 2: 1}
         fiber[3 * vertex_of[h_v] + 2] = fiber.get(3 * vertex_of[h_v] + 2, 0) - 1
         add_cuff(fiber, h_v, -e.twist)
-        columns += [base, fiber]
-    rows = 3 * len(g.vertices)
-    return IntMatrix(rows, len(columns), tuple(c.get(i, 0) for i in range(rows) for c in columns))
+        relations += [base, fiber]
+    return [[c.get(i, 0) for c in relations] for i in range(3 * len(g.vertices))]
 
 
-def rank_mod_p(m: IntMatrix, p: int) -> int:
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
     """Rank over F_p: each row is reduced against the echelon rows kept
     so far, keyed by leading column, and kept if anything is left."""
     echelon: dict[int, dict[int, int]] = {}
-    for i in range(m.rows):
-        row = {j: x % p for j in range(m.cols) if (x := m.entry(i, j)) % p}
+    for entries in rows:
+        row = {j: x % p for j, x in enumerate(entries) if x % p}
         while row:
             lead = min(row)
             if lead not in echelon:
@@ -341,11 +345,11 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     return len(echelon)
 
 
-def check_fp_ranks(m: IntMatrix, free: int, torsion, primes=(2, 3, 5, 7, 11, 13)) -> None:
+def check_fp_ranks(rows: list[list[int]], free: int, torsion, primes=(2, 3, 5, 7, 11, 13)) -> None:
     """Assert dim_Fp of ``Z^rows / span(columns)`` tensored with F_p, which
-    is rows - rank_p(m), equals free + #{d in torsion : p | d} for each p."""
+    is rows - rank_p, equals free + #{d in torsion : p | d} for each p."""
     for p in primes:
-        assert m.rows - rank_mod_p(m, p) == free + sum(1 for d in torsion if d % p == 0), p
+        assert len(rows) - rank_mod_p(rows, p) == free + sum(1 for d in torsion if d % p == 0), p
 
 
 class LatticeMembership:
@@ -565,8 +569,9 @@ def trivializing_gauge(d) -> Optional[list[Fraction]]:
     gauging, so this does not by itself decide 2-periodicity.
     """
     potential = [Fraction(1)] * len(d.graph.vertices)
-    for v, (u, idx, sign) in spanning_tree(len(d.graph.vertices), d.directions).items():
-        potential[v] = potential[u] * d.transitions[idx].lam_u**sign
+    for v, (u, idx) in spanning_tree(len(d.graph.vertices), d.directions).items():
+        lam_u = d.transitions[idx].lam_u
+        potential[v] = potential[u] * lam_u if d.directions[idx][0] == u else potential[u] / lam_u
     for (s, t), aut in zip(d.directions, d.transitions):
         if potential[s] * aut.lam_u != potential[t]:
             return None

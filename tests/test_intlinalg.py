@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from singlocus.errors import DisconnectedGraph
 from singlocus import intlinalg
-from singlocus.intlinalg import IntMatrix, SparseColumns, _smith_diagonal, cokernel_abelian_group
+from singlocus.intlinalg import SparseColumns, _smith_diagonal, cokernel_abelian_group
 
 from oracles import (
+    columns,
     cycle_basis,
     det_bareiss,
     egcd,
@@ -22,11 +23,11 @@ from oracles import (
 )
 
 
-def check_form(m: IntMatrix):
+def check_form(m: list[list[int]], nc: int):
     form = snf(m)
     # divisibility chain, trailing zeros
     diag = form.diagonal
-    assert len(diag) == min(m.rows, m.cols)
+    assert len(diag) == min(len(m), nc)
     for a, b in zip(diag, diag[1:]):
         assert a >= 0 and b >= 0
         if a == 0:
@@ -34,30 +35,30 @@ def check_form(m: IntMatrix):
         elif b != 0:
             assert b % a == 0
     # left * m * right reproduces the diagonal embedding
-    if m.rows and m.cols:
-        product = matmul(matmul(form.left, m), form.right).to_rows()
-        for i in range(m.rows):
-            for j in range(m.cols):
+    if m and nc:
+        product = matmul(matmul(form.left, m), form.right)
+        for i in range(len(m)):
+            for j in range(nc):
                 expected = diag[i] if i == j and i < len(diag) else 0
                 assert product[i][j] == expected
-        assert abs(det_bareiss(form.left.to_rows())) == 1
-        assert abs(det_bareiss(form.right.to_rows())) == 1
+        assert abs(det_bareiss(form.left)) == 1
+        assert abs(det_bareiss(form.right)) == 1
     return form
 
 
 def test_identity():
-    form = check_form(IntMatrix.from_rows([[1, 0], [0, 1]]))
+    form = check_form([[1, 0], [0, 1]], 2)
     assert form.diagonal == (1, 1)
 
 
 def test_two_four_six_eight():
     # d1 = gcd of entries = 2; d1*d2 = |det| = 8
-    form = check_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    form = check_form([[2, 4], [6, 8]], 2)
     assert form.diagonal == (2, 4)
 
 
 def test_coprime_row():
-    form = check_form(IntMatrix.from_rows([[2, 3]]))
+    form = check_form([[2, 3]], 2)
     assert form.diagonal == (1,)
 
 
@@ -65,11 +66,11 @@ def test_empty_and_degenerate():
     assert snf(zero_matrix(0, 0)).diagonal == ()
     assert snf(zero_matrix(3, 0)).diagonal == ()
     assert snf(zero_matrix(0, 3)).diagonal == ()
-    assert check_form(zero_matrix(2, 3)).diagonal == (0, 0)
+    assert check_form(zero_matrix(2, 3), 3).diagonal == (0, 0)
 
 
 def test_determinism():
-    m = IntMatrix.from_rows([[6, 4, 1], [8, 2, 2], [0, 4, 4]])
+    m = [[6, 4, 1], [8, 2, 2], [0, 4, 4]]
     assert snf(m) == snf(m)
 
 
@@ -83,16 +84,16 @@ def test_snf_matches_minor_gcd_oracle(nr, nc, data):
     rows = [
         [data.draw(st.integers(-9, 9)) for _ in range(nc)] for _ in range(nr)
     ]
-    form = check_form(IntMatrix.from_rows(rows))
+    form = check_form(rows, nc)
     assert list(form.diagonal) == smith_diagonal_oracle(rows)
 
 
 def test_cokernel_examples():
-    assert cokernel_abelian_group(IntMatrix.from_rows([[0]])) == (1, ())
-    assert cokernel_abelian_group(IntMatrix.from_rows([[3]])) == (0, (3,))
-    assert cokernel_abelian_group(IntMatrix.from_rows([[2, 0], [0, 2]])) == (0, (2, 2))
+    assert cokernel_abelian_group(columns([[0]], 1)) == (1, ())
+    assert cokernel_abelian_group(columns([[3]], 1)) == (0, (3,))
+    assert cokernel_abelian_group(columns([[2, 0], [0, 2]], 2)) == (0, (2, 2))
     # generators = rows: a 3 x 0 matrix presents Z^3
-    assert cokernel_abelian_group(zero_matrix(3, 0)) == (3, ())
+    assert cokernel_abelian_group(columns(zero_matrix(3, 0), 0)) == (3, ())
 
 
 def test_cokernel_against_enumeration():
@@ -107,7 +108,7 @@ def test_cokernel_against_enumeration():
         oracle = enumerate_cokernel(rows, cap=201)
         assert oracle is not None
         order, kill_counts = oracle
-        free, torsion = cokernel_abelian_group(IntMatrix.from_rows(rows))
+        free, torsion = cokernel_abelian_group(columns(rows, n))
         assert free == 0
         prod = 1
         for t in torsion:
@@ -128,48 +129,48 @@ def test_snf_stress_larger_matrices():
     for _ in range(60):
         nr, nc = rng.randint(1, 8), rng.randint(1, 8)
         rows = [[rng.randint(-50, 50) for _ in range(nc)] for _ in range(nr)]
-        check_form(IntMatrix.from_rows(rows))
+        check_form(rows, nc)
 
 
-def dense_cokernel(m: IntMatrix):
+def dense_cokernel(m: list[list[int]]):
     """Free rank and torsion read off the diagonal of the dense ``snf``."""
     diag = snf(m).diagonal
-    return m.rows - sum(1 for d in diag if d != 0), tuple(d for d in diag if d > 1)
+    return len(m) - sum(1 for d in diag if d != 0), tuple(d for d in diag if d > 1)
 
 
 def matrices(max_side, values):
+    """``(rows, column count)``: the count, as a matrix with no rows does not show it."""
+    def rows(nr, nc):
+        return st.lists(st.lists(values, min_size=nc, max_size=nc), min_size=nr, max_size=nr)
+
     return st.integers(0, max_side).flatmap(
-        lambda nr: st.integers(0, max_side).flatmap(
-            lambda nc: st.lists(values, min_size=nr * nc, max_size=nr * nc).map(
-                lambda entries: IntMatrix(nr, nc, tuple(entries))
-            )
-        )
+        lambda nr: st.integers(0, max_side).flatmap(lambda nc: st.tuples(rows(nr, nc), st.just(nc)))
     )
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(6, st.integers(-9, 9)))
 def test_cokernel_matches_dense_snf_on_dense_matrices(m):
-    assert cokernel_abelian_group(m) == dense_cokernel(m)
+    assert cokernel_abelian_group(columns(*m)) == dense_cokernel(m[0])
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(10, st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])))
 def test_cokernel_matches_dense_snf_on_sparse_unit_heavy_matrices(m):
-    assert cokernel_abelian_group(m) == dense_cokernel(m)
+    assert cokernel_abelian_group(columns(*m)) == dense_cokernel(m[0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(6, st.integers(-5, 5)), st.data())
 def test_cokernel_matches_dense_snf_with_zero_rows_and_columns(m, data):
-    zero_rows = data.draw(st.sets(st.integers(0, max(m.rows - 1, 0))))
-    zero_cols = data.draw(st.sets(st.integers(0, max(m.cols - 1, 0))))
-    rows = [
-        [0 if i in zero_rows or j in zero_cols else m.entry(i, j) for j in range(m.cols)]
-        for i in range(m.rows)
+    rows, nc = m
+    zero_rows = data.draw(st.sets(st.integers(0, max(len(rows) - 1, 0))))
+    zero_cols = data.draw(st.sets(st.integers(0, max(nc - 1, 0))))
+    zeroed = [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
     ]
-    zeroed = IntMatrix(m.rows, m.cols, tuple(x for r in rows for x in r))
-    assert cokernel_abelian_group(zeroed) == dense_cokernel(zeroed)
+    assert cokernel_abelian_group(columns(zeroed, nc)) == dense_cokernel(zeroed)
 
 
 def products(max_side, values, deficient=False):
@@ -182,7 +183,7 @@ def products(max_side, values, deficient=False):
         left = [data.draw(st.lists(values, min_size=k, max_size=k)) for _ in range(nr)]
         right = [data.draw(st.lists(values, min_size=nc, max_size=nc)) for _ in range(k)]
         cols = [[r[j] for r in right] for j in range(nc)]
-        return IntMatrix(nr, nc, tuple(sum(a * b for a, b in zip(row, col)) for row in left for col in cols))
+        return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in left]
 
     return st.tuples(st.integers(0, max_side), st.integers(0, max_side), st.data()).map(
         lambda args: build(*args)
@@ -192,19 +193,19 @@ def products(max_side, values, deficient=False):
 @settings(max_examples=150, deadline=None)
 @given(matrices(6, st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))))
 def test_smith_diagonal_matches_snf_on_dense_matrices(m):
-    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
+    assert _smith_diagonal(m[0]) == snf(m[0]).diagonal
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices(10, st.sampled_from([0, 0, 0, 0, 1, -1, 1, -1, 2, -3])))
 def test_smith_diagonal_matches_snf_on_sparse_unit_heavy_matrices(m):
-    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
+    assert _smith_diagonal(m[0]) == snf(m[0]).diagonal
 
 
 @settings(max_examples=150, deadline=None)
 @given(products(7, st.integers(-4, 4), deficient=True))
 def test_smith_diagonal_matches_snf_on_rank_deficient_matrices(m):
-    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
+    assert _smith_diagonal(m) == snf(m).diagonal
 
 
 def test_smith_diagonal_examples():
@@ -221,7 +222,7 @@ def test_smith_diagonal_examples():
     assert _smith_diagonal([[6]]) == (6,)
     assert _smith_diagonal([[4, 6], [6, 9]]) == (1, 0)
     for nr, nc in ((0, 0), (0, 3), (3, 0)):
-        assert _smith_diagonal(zero_matrix(nr, nc).to_rows()) == ()
+        assert _smith_diagonal(zero_matrix(nr, nc)) == ()
 
 
 P, Q = 10007, 10009
@@ -261,29 +262,28 @@ def test_smith_diagonal_branches(rows, diagonal, passes, monkeypatch):
         return g, exponents
 
     monkeypatch.setattr(intlinalg, "_local_exponents", record)
-    m = IntMatrix.from_rows(rows)
-    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal == diagonal
+    assert _smith_diagonal(rows) == snf(rows).diagonal == diagonal
     assert seen == passes
 
 
 @settings(max_examples=150, deadline=None)
 @given(products(5, st.sampled_from([0, 1, -1, 3, P, Q, 2 * P, Q**2])))
 def test_smith_diagonal_matches_snf_on_products_of_large_primes(m):
-    assert _smith_diagonal(m.to_rows()) == snf(m).diagonal
+    assert _smith_diagonal(m) == snf(m).diagonal
 
 
 def test_cokernel_reads_sparse_columns_in_row_order():
     # Z^3 / <e0 - e1, 2 e1 + e2, 3 e2>: row order only picks the pivots.
-    columns = ({0: 1, 1: -1}, {1: 2, 2: 1}, {2: 3})
-    dense = IntMatrix.from_rows([[1, 0, 0], [-1, 2, 0], [0, 1, 3]])
-    assert cokernel_abelian_group(SparseColumns(3, columns)) == cokernel_abelian_group(dense) == (0, (6,))
+    sparse = ({0: 1, 1: -1}, {1: 2, 2: 1}, {2: 3})
+    dense = columns([[1, 0, 0], [-1, 2, 0], [0, 1, 3]], 3)
+    assert cokernel_abelian_group(SparseColumns(3, sparse)) == cokernel_abelian_group(dense) == (0, (6,))
 
 
 def test_cokernel_of_empty_and_zero_matrices():
     for nr, nc in ((0, 0), (0, 4), (4, 0), (3, 5), (5, 3)):
-        assert cokernel_abelian_group(zero_matrix(nr, nc)) == (nr, ())
-    assert cokernel_abelian_group(IntMatrix.from_rows([[0, 1], [0, 0]])) == (1, ())
-    assert cokernel_abelian_group(IntMatrix.from_rows([[0, 0], [0, -1], [0, 0]])) == (2, ())
+        assert cokernel_abelian_group(columns(zero_matrix(nr, nc), nc)) == (nr, ())
+    assert cokernel_abelian_group(columns([[0, 1], [0, 0]], 2)) == (1, ())
+    assert cokernel_abelian_group(columns([[0, 0], [0, -1], [0, 0]], 2)) == (2, ())
 
 
 def _egcd_recursive(p, q):

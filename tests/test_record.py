@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import pickle
 import typing
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram, gauge
 from singlocus.errors import InvalidValue, SingLocusError, TriangleConstraintViolated
-from singlocus.examples import circular_ladder_graph, theta_graph
+from singlocus.examples import circular_ladder_graph, p3_fan, theta_graph
 from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
@@ -21,9 +22,12 @@ from singlocus.graphs import (
     FiniteCategory,
     Incidence,
     Leg,
+    build_i,
+    build_j,
     flip_vertex,
+    validate_graph,
 )
-from singlocus.intlinalg import IntMatrix, SparseColumns, cokernel_abelian_group
+from singlocus.intlinalg import SparseColumns, cokernel_abelian_group
 from singlocus.localmodels import (
     EdgeAut,
     Monomial,
@@ -33,7 +37,7 @@ from singlocus.localmodels import (
     VertexAut,
 )
 from singlocus.record import FrozenInstanceError, Record
-from singlocus.toric import Fan, WallReport
+from singlocus.toric import Fan, WallReport, validate_fan, wall_data
 from singlocus.topology import H1Result, NodalCurveReport
 
 from oracles import SmithForm
@@ -41,15 +45,14 @@ from oracles import SmithForm
 RECORDS = (
     DescentDiagram, PicInvariants,
     CompactEdge, Leg, DecoratedGraph, Incidence, DualSurface, FiniteCategory,
-    IntMatrix, SmithForm, SparseColumns,  # SmithForm: the snf oracle's record
+    SmithForm, SparseColumns,  # SmithForm: the snf oracle's record
     Monomial, TwoPerE, EdgeAut, TwoPerV, VertexAut, PantsPresentation,
     Fan, WallReport,
     H1Result, NodalCurveReport,
 )
-UNCOMPARED = {FiniteCategory: {"arrows", "identities", "compose"}}
 # The records that callers build; the library builds the others.
 INPUT_RECORDS = (
-    CompactEdge, Leg, DecoratedGraph, Fan, IntMatrix, SparseColumns, DescentDiagram,
+    CompactEdge, Leg, DecoratedGraph, Fan, SparseColumns, DescentDiagram,
     EdgeAut, Monomial, TwoPerE, TwoPerV, VertexAut, PantsPresentation,
 )
 
@@ -59,7 +62,6 @@ SAMPLES = {
     Leg: [Leg(5)],
     DecoratedGraph: [theta_graph(), theta_graph(twists=(1, 0, 2))],
     EdgeAut: [EdgeAut(-1, 2, Fraction(1, 2), 3, 1)],
-    IntMatrix: [IntMatrix(2, 2, (1, 0, 0, 1)), IntMatrix(1, 0, ())],
     SparseColumns: [SparseColumns(2, ({0: 1},)), SparseColumns(0, ())],
 }
 # Fields whose valid values a type does not describe.
@@ -95,6 +97,8 @@ def values(tp) -> st.SearchStrategy:
         return st.lists(values(args[0]), max_size=3).map(tuple)
     if origin is tuple:
         return st.tuples(*map(values, args))
+    if origin is list:
+        return st.lists(values(args[0]), max_size=3)
     if origin is dict:
         return st.dictionaries(values(args[0]), values(args[1]), max_size=3)
     return {
@@ -156,9 +160,7 @@ def twin(cls):
     """The frozen dataclass with the same fields, defaults and ``__post_init__``."""
     fields = []
     for name in cls.__annotations__:
-        spec = {"compare": name not in UNCOMPARED.get(cls, ())}
-        if name in vars(cls):
-            spec["default"] = vars(cls)[name]
+        spec = {"default": vars(cls)[name]} if name in vars(cls) else {}
         fields.append((name, object, dataclasses.field(**spec)))
     namespace = {"__post_init__": vars(cls)["__post_init__"]} if "__post_init__" in vars(cls) else {}
     return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True)
@@ -184,7 +186,7 @@ def hash_or_error(x):
 
 def test_every_record_type_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 20
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -233,8 +235,7 @@ def test_record_matches_frozen_dataclass(cls, data):
 def test_post_init_messages_are_unchanged():
     g = theta_graph()
     cases = [
-        (lambda: IntMatrix(-1, 0, ()), ValueError, "matrix dimensions must be non-negative"),
-        (lambda: IntMatrix(1, 2, (1,)), ValueError, "expected 2 entries, got 1"),
+        (lambda: SparseColumns(-1, ()), ValueError, "matrix dimensions must be non-negative"),
         (lambda: CompactEdge((0, 1), holonomy=0), ValueError, "holonomy must be nonzero"),
         (lambda: CompactEdge((0, 1), base_scalar=0), ValueError, "base scalar must be nonzero"),
         (lambda: Monomial(0, 1, 1), ValueError, "coefficient must be nonzero"),
@@ -265,8 +266,6 @@ def test_post_init_messages_are_unchanged():
          "expected a CompactEdge or Leg, got (1, 2)"),
         (lambda: theta_graph(twists=(Fraction(1, 2), 0, 0)), InvalidValue,
          "expected an integer, got Fraction(1, 2)"),
-        (lambda: IntMatrix.from_rows([[Fraction(5, 2)]]), InvalidValue,
-         "expected an integer, got Fraction(5, 2)"),
         (lambda: cokernel_abelian_group(SparseColumns(1, ({0: 2.5},))), InvalidValue,
          "expected an integer, got 2.5"),
         (lambda: SparseColumns(1, ({1: 1},)), InvalidValue, "row 1 is out of range for 1 rows"),
@@ -290,10 +289,8 @@ def test_post_init_messages_are_unchanged():
         (lambda: theta_graph(holonomies=5), InvalidValue, "expected a list of 3 items, got 5"),
         (lambda: theta_graph(base_scalars=[1, 1]), InvalidValue, "expected a list of 3 items, got [1, 1]"),
         (lambda: theta_graph(reversing=None), InvalidValue, "expected a list of 3 items, got None"),
-        (lambda: IntMatrix.from_rows(5), InvalidValue, "expected a list, got 5"),
-        (lambda: IntMatrix.from_rows([[1], 5]), InvalidValue, "expected a list, got 5"),
-        (lambda: cokernel_abelian_group("x"), InvalidValue, "expected an IntMatrix or SparseColumns, got 'x'"),
-        (lambda: cokernel_abelian_group(None), InvalidValue, "expected an IntMatrix or SparseColumns, got None"),
+        (lambda: cokernel_abelian_group("x"), InvalidValue, "expected a SparseColumns, got 'x'"),
+        (lambda: cokernel_abelian_group(None), InvalidValue, "expected a SparseColumns, got None"),
         (lambda: circular_ladder_graph(2.0), InvalidValue, "expected an integer, got 2.0"),
     ]
     for make, error, message in cases:
@@ -349,12 +346,61 @@ def test_records_of_different_classes_are_unequal():
     assert len({H1Result(0, ()), SparseColumns(0, ())}) == 2
 
 
-def test_finite_category_equality_ignores_its_tables():
+def test_finite_category_compares_its_tables():
     full = FiniteCategory(("a",), {"ia": ("a", "a")}, {"a": "ia"}, {("ia", "ia"): "ia"})
     bare = FiniteCategory(("a",), {}, {}, {})
-    assert full == bare and hash(full) == hash(bare) == hash((("a",),))
-    assert full != FiniteCategory(("b",), {}, {}, {})
+    assert full == full.replace() and full != bare
+    assert bare != FiniteCategory(("b",), {}, {}, {})
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(full)
     assert repr(full).startswith("FiniteCategory(objects=('a',), arrows={'ia': ('a', 'a')}")
+    # Same objects, different arrows: theta with two of its edges' ends swapped.
+    t = theta_graph()
+    other = DecoratedGraph(t.vertices, (CompactEdge((0, 4)), CompactEdge((1, 3)), CompactEdge((2, 5))))
+    for build in (build_i, build_j):
+        assert build(t) == build(t) and build(t).objects == build(other).objects
+        assert build(t) != build(other)
+
+
+BIG = 10**5000
+DIGITS, DOUBLE = str(Decimal(BIG)), str(Decimal(2 * BIG))  # no digit limit in decimal
+
+
+def big_formula_theta():
+    t = theta_graph()
+    first = t.edges[0].replace(twist=BIG, self_intersections=(0, 0))
+    return DecoratedGraph(t.vertices, (first, *t.edges[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: validate_graph(big_formula_theta()),
+                     f"edge 0: triple point formula: expected n_e = 2, got {DIGITS}", id="triple-point-formula"),
+        pytest.param(lambda: validate_graph(DecoratedGraph([(BIG, 1, 2)], [Leg(1), Leg(2)])),
+                     f"half-edge {DIGITS} belongs to no edge", id="half-edge"),
+        pytest.param(lambda: validate_fan(Fan([[2 * BIG, 0, 0], *p3_fan().rays[1:]], p3_fan().cones)),
+                     f"ray 0 = ({DOUBLE}, 0, 0) not primitive", id="ray"),
+        pytest.param(lambda: flip_vertex(theta_graph(), BIG), f"no vertex {DIGITS}", id="flip-vertex"),
+        pytest.param(lambda: wall_data(p3_fan(), (BIG, 1)), f"({DIGITS}, 1) is not a wall of the fan",
+                     id="not-a-wall"),
+        pytest.param(lambda: DescentDiagram(theta_graph(), (1, 1), [EdgeAut(-1, BIG, 1, 1, 1)] * 3),
+                     f"edge 0: transition twist {DIGITS} != edge defect 0", id="twist-mismatch"),
+        pytest.param(lambda: SparseColumns(1, ({BIG: 1},)), f"row {DIGITS} is out of range for 1 rows",
+                     id="row-range"),
+        pytest.param(lambda: CompactEdge((BIG, 1, 2)), f"expected a pair of integers, got ({DIGITS}, 1, 2)",
+                     id="pair"),
+        pytest.param(lambda: CompactEdge((0, 3), twist=[BIG]), f"expected an integer, got [{DIGITS}]",
+                     id="integer"),
+    ],
+)
+def test_integers_past_the_digit_limit_are_written_in_full(call, message):
+    # A report holds the message, or the call raises a SingLocusError with it.
+    try:
+        messages = call()
+    except SingLocusError as exc:
+        messages = [str(exc)]
+    assert message in messages
 
 
 def test_cached_properties_are_kept_out_of_the_fields():
