@@ -28,26 +28,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .descent import assemble_diagram, pic_invariants
-from .errors import SingLocusError, in_full
-from .examples import CLI_EXAMPLE_FANS, CLI_EXAMPLE_GRAPHS
-from .graphs import dual_surface
-from .serialize import (
-    ParseError,
-    diagram_to_json,
-    dumps_canonical,
-    fan_from_json,
-    fan_to_json,
-    graph_from_json,
-    graph_to_json,
-    nodal_curve_to_json,
-    h1_to_json,
-    pic_to_json,
-    surface_to_json,
-    wall_report_to_json,
-)
-from .toric import boundary_graph, divisor_classification, quartic_mirror_fan
-from .topology import dehn_twist_record, h1_graph_manifold, pencil_localization
+from . import descent, errors, examples, graphs, serialize, toric, topology
 
 ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil", "dehn")
 
@@ -55,11 +36,11 @@ ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil",
 def _read_payload(args) -> tuple[dict, bytes]:
     if getattr(args, "example", None):
         name = args.example
-        if args.command != "analyze" and name in CLI_EXAMPLE_FANS:
-            obj = fan_to_json(CLI_EXAMPLE_FANS[name]())
+        if args.command != "analyze" and name in examples.CLI_EXAMPLE_FANS:
+            obj = serialize.fan_to_json(examples.CLI_EXAMPLE_FANS[name]())
         else:
-            obj = graph_to_json(CLI_EXAMPLE_GRAPHS[name]())
-        raw = dumps_canonical(obj).encode("utf-8")
+            obj = serialize.graph_to_json(examples.CLI_EXAMPLE_GRAPHS[name]())
+        raw = serialize.dumps_canonical(obj).encode("utf-8")
         return obj, raw
     path = getattr(args, "path", None)
     if path in (None, "-"):
@@ -70,7 +51,7 @@ def _read_payload(args) -> tuple[dict, bytes]:
     try:
         return json.loads(raw.decode("utf-8")), raw
     except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested arrays
-        raise ParseError(str(exc)) from None
+        raise serialize.ParseError(str(exc)) from None
 
 
 def _emit(args, text: str, code: int) -> int:
@@ -92,49 +73,50 @@ def _report(args, command: str, raw: bytes, result: dict, diagnostics: list[str]
         "result": result,
         "diagnostics": diagnostics,
     }
-    return _emit(args, dumps_canonical(report), code)
+    return _emit(args, serialize.dumps_canonical(report), code)
 
 
 def _cmd_validate(args) -> int:
     payload, raw = _read_payload(args)
     if isinstance(payload, dict) and "rays" in payload:
         kind = "fan"
-        violations = fan_from_json(payload).violations
+        violations = serialize.fan_from_json(payload).violations
     else:
         kind = "graph"
-        violations = graph_from_json(payload).violations
+        violations = serialize.graph_from_json(payload).violations
     result = {"kind": kind, "violations": violations}
     return _report(args, "validate", raw, result, violations, 1 if violations else 0)
 
 
 def _cmd_toric_quartic(args) -> int:
-    return _emit(args, dumps_canonical(fan_to_json(quartic_mirror_fan())), 0)
+    fan = examples.quartic_mirror_fan()
+    return _emit(args, serialize.dumps_canonical(serialize.fan_to_json(fan)), 0)
 
 
 def _cmd_toric_extract(args) -> int:
     payload, raw = _read_payload(args)
-    fan = fan_from_json(payload)
+    fan = serialize.fan_from_json(payload)
     violations = fan.violations
     if violations:
         return _report(args, "toric extract", raw, {"violations": violations}, violations, 1)
     try:
-        graph = boundary_graph(fan)
-        divisors = divisor_classification(fan)
-    except SingLocusError as exc:
+        graph = toric.boundary_graph(fan)
+        divisors = toric.divisor_classification(fan)
+    except errors.SingLocusError as exc:
         diagnostics = [f"{type(exc).__name__}: {exc}"]
         return _report(args, "toric extract", raw, {}, diagnostics, 1)
     reports = fan.wall_reports
     wall_rows = [
-        wall_report_to_json(reports[wall]) if wall in reports
+        serialize.wall_report_to_json(reports[wall]) if wall in reports
         else {"wall": list(wall), "adjacentCones": cones, "boundary": True}
         for wall, cones in sorted(fan.wall_table.items())
     ]
     defect_counts: dict[str, int] = {}
     for report in reports.values():
-        key = in_full(report.defect)
+        key = errors.in_full(report.defect)
         defect_counts[key] = defect_counts.get(key, 0) + 1
     result = {
-        "graph": graph_to_json(graph),
+        "graph": serialize.graph_to_json(graph),
         "walls": wall_rows,
         "divisors": divisors,
         "counts": {
@@ -152,7 +134,7 @@ def _cmd_analyze(args) -> int:
     wrapped = payload.get("result") if isinstance(payload, dict) else None
     if isinstance(wrapped, dict) and "graph" in wrapped:
         payload = wrapped["graph"]
-    graph = graph_from_json(payload)
+    graph = serialize.graph_from_json(payload)
 
     requested = [s for s in ANALYZE_SECTIONS if getattr(args, s.replace("-", "_"))]
     if args.all or not requested:
@@ -169,23 +151,27 @@ def _cmd_analyze(args) -> int:
             return
         try:
             result[key] = fn()
-        except SingLocusError as exc:
+        except errors.SingLocusError as exc:
             diagnostics.append(f"{type(exc).__name__}: {exc}")
 
     # Built on first use and shared by the sections; a failure is not
     # kept, so each section that needs the value reports it.
-    diagram = functools.cache(lambda: assemble_diagram(graph))
-    pic = functools.cache(lambda: pic_invariants(diagram()))
-    section("descent", "descent", lambda: diagram_to_json(diagram()))
-    section("pic", "pic", lambda: pic_to_json(pic()))
+    diagram = functools.cache(lambda: descent.assemble_diagram(graph))
+    pic = functools.cache(lambda: descent.pic_invariants(diagram()))
+    section("descent", "descent", lambda: serialize.diagram_to_json(diagram()))
+    section("pic", "pic", lambda: serialize.pic_to_json(pic()))
     section("two-periodic", "twoPeriodic", lambda: pic().is_trivial())
-    section("surface", "surface", lambda: surface_to_json(dual_surface(graph)))
-    section("h1", "h1", lambda: h1_to_json(h1_graph_manifold(graph)))
-    section("pencil", "nodalCurve", lambda: nodal_curve_to_json(pencil_localization(graph)))
+    section("surface", "surface", lambda: serialize.surface_to_json(graphs.dual_surface(graph)))
+    section("h1", "h1", lambda: serialize.h1_to_json(topology.h1_graph_manifold(graph)))
+    section(
+        "pencil",
+        "nodalCurve",
+        lambda: serialize.nodal_curve_to_json(topology.pencil_localization(graph)),
+    )
     section(
         "dehn",
         "dehnTwists",
-        lambda: [{"edge": e, "multiplicity": m} for e, m in dehn_twist_record(graph)],
+        lambda: [{"edge": e, "multiplicity": m} for e, m in topology.dehn_twist_record(graph)],
     )
     # Sections that fail on one precondition give one line, not one each.
     diagnostics = list(dict.fromkeys(diagnostics))
@@ -201,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="validate a graph or fan JSON file")
     validate.add_argument("path", nargs="?", help="input file (default: stdin)")
-    validate.add_argument("--example", choices=sorted(set(CLI_EXAMPLE_GRAPHS) | set(CLI_EXAMPLE_FANS)))
+    names = set(examples.CLI_EXAMPLE_GRAPHS) | set(examples.CLI_EXAMPLE_FANS)
+    validate.add_argument("--example", choices=sorted(names))
     validate.add_argument("--output")
 
     toric = sub.add_parser("toric", help="toric fan commands")
@@ -210,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     quartic.add_argument("--output")
     extract = toric_sub.add_parser("extract", help="extract the boundary graph of a fan")
     extract.add_argument("path", nargs="?")
-    extract.add_argument("--example", choices=sorted(CLI_EXAMPLE_FANS))
+    extract.add_argument("--example", choices=sorted(examples.CLI_EXAMPLE_FANS))
     extract.add_argument("--output")
 
     analyze = sub.add_parser("analyze", help="run analyses on a graph")
     analyze.add_argument("path", nargs="?")
-    analyze.add_argument("--example", choices=sorted(CLI_EXAMPLE_GRAPHS))
+    analyze.add_argument("--example", choices=sorted(examples.CLI_EXAMPLE_GRAPHS))
     analyze.add_argument("--output")
     analyze.add_argument(
         "--all", action="store_true", help="run every section (default when no section flag is given)"
@@ -235,7 +222,7 @@ def main(argv=None) -> int:
                 return _cmd_toric_quartic(args)
             return _cmd_toric_extract(args)
         return _cmd_analyze(args)
-    except (OSError, ParseError) as exc:  # I/O and parse errors: exit 2
+    except (OSError, serialize.ParseError) as exc:  # I/O and parse errors: exit 2
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

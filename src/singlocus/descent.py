@@ -11,9 +11,9 @@ degree vector together with the cycle holonomies.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .errors import GraphMismatch, InvalidValue, TwistMismatch, in_full, items, nonzero, shown
 from .graphs import CompactEdge, DecoratedGraph, orientation_gauge

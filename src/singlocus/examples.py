@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from . import toric
 from .errors import InvalidValue, integer, items
 from .graphs import CompactEdge, DecoratedGraph
-from .toric import Fan, boundary_graph, quartic_mirror_fan
 
 
 def theta_graph(
@@ -46,43 +46,85 @@ def circular_ladder_graph(rungs: int) -> DecoratedGraph:
     return DecoratedGraph(vertices, edges)
 
 
-def p3_fan() -> Fan:
+def p3_fan() -> toric.Fan:
     """The fan of P^3: four rays, all four ray triples as cones."""
-    return Fan(
+    return toric.Fan(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
         [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
     )
 
 
-def conifold_fan() -> Fan:
+def conifold_fan() -> toric.Fan:
     """The resolved conifold: cone over the unit square, split in two."""
-    return Fan(
+    return toric.Fan(
         [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
         [[0, 1, 2], [1, 2, 3]],
     )
 
 
-def p1p1p1_fan() -> Fan:
+def p1p1p1_fan() -> toric.Fan:
     """The fan of P^1 x P^1 x P^1: the eight coordinate octants."""
     rays = [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]
     cones = [[i, j, k] for i in (0, 1) for j in (2, 3) for k in (4, 5)]
-    return Fan(rays, cones)
+    return toric.Fan(rays, cones)
+
+
+def quartic_mirror_fan() -> toric.Fan:
+    """The fan over the unit triangulation of the boundary of the
+    reflexive tetrahedron conv{(-1,-1,-1), (3,-1,-1), (-1,3,-1), (-1,-1,3)}.
+
+    Each of the four facets (lattice side 4) is subdivided into 16 unit
+    triangles with sides parallel to the edges; the 34 boundary lattice
+    points are the rays and the 64 cones over the triangles are the
+    maximal cones.
+    """
+    corners = [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)]
+    facets = [
+        (corners[0], corners[1], corners[2]),
+        (corners[0], corners[1], corners[3]),
+        (corners[0], corners[2], corners[3]),
+        (corners[1], corners[2], corners[3]),
+    ]
+    side = 4
+    points: set[toric.Vec] = set()
+    triangles: set[tuple[toric.Vec, toric.Vec, toric.Vec]] = set()
+    for a, bb, cc in facets:
+        du = tuple((bb[k] - a[k]) // side for k in range(3))
+        dv = tuple((cc[k] - a[k]) // side for k in range(3))
+
+        def pt(i: int, j: int) -> toric.Vec:
+            return tuple(a[k] + i * du[k] + j * dv[k] for k in range(3))
+
+        for i in range(side + 1):
+            for j in range(side + 1 - i):
+                points.add(pt(i, j))
+        for i in range(side):
+            for j in range(side - i):
+                triangles.add(tuple(sorted((pt(i, j), pt(i + 1, j), pt(i, j + 1)))))
+                if i + j <= side - 2:
+                    triangles.add(
+                        tuple(sorted((pt(i + 1, j), pt(i, j + 1), pt(i + 1, j + 1))))
+                    )
+    rays = tuple(sorted(points))
+    index = {r: k for k, r in enumerate(rays)}
+    cones = tuple(sorted(tuple(sorted(index[p] for p in tri)) for tri in triangles))
+    return toric.Fan(rays, cones)
 
 
 def k4_graph() -> DecoratedGraph:
     """The boundary graph of P^3: K4 with every twist equal to 4."""
-    return boundary_graph(p3_fan())
+    return toric.boundary_graph(p3_fan())
 
 
 def conifold_graph() -> DecoratedGraph:
     """The boundary graph of the resolved conifold: one compact edge of
     twist 0 and four legs."""
-    return boundary_graph(conifold_fan())
+    return toric.boundary_graph(conifold_fan())
 
 
 def quartic_mirror_graph() -> DecoratedGraph:
     """The 64-vertex boundary graph of the quartic-mirror fan."""
-    return boundary_graph(quartic_mirror_fan())
+    return toric.boundary_graph(quartic_mirror_fan())
 
 
 CLI_EXAMPLE_GRAPHS = {

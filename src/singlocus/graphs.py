@@ -1,4 +1,4 @@
-"""Decorated trivalent ribbon graphs and their index categories.
+"""Decorated trivalent ribbon graphs and their dual surfaces.
 
 A :class:`DecoratedGraph` is the combinatorial model of a graph-like
 singular locus: vertices are triple points carrying a cyclic order of
@@ -9,11 +9,11 @@ affine components.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
 
-from .errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, SingLocusError
+from .errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable
 from .errors import in_full, integer, integers, items, nonzero, pair, shown
 from .record import Record
 
@@ -32,7 +32,7 @@ class CompactEdge(Record):
     holonomy: Fraction = Fraction(1)
     base_scalar: Fraction = Fraction(1)
     reversing: bool = False
-    self_intersections: Optional[tuple[int, int]] = None
+    self_intersections: tuple[int, int] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "ends", pair(self.ends))
@@ -54,7 +54,7 @@ class Leg(Record):
         object.__setattr__(self, "end", integer(self.end))
 
 
-Edge = Union[CompactEdge, Leg]
+Edge = CompactEdge | Leg
 
 
 class DecoratedGraph(Record):
@@ -395,118 +395,3 @@ def dual_surface(g: DecoratedGraph) -> DualSurface:
         genus = 2 - chi - num_legs
     walks = tuple(tuple(w) for w in _face_walks(g))
     return DualSurface(genus, num_legs, orientable, walks)
-
-
-# ---------------------------------------------------------------------------
-# Index categories
-# ---------------------------------------------------------------------------
-
-
-class FiniteCategory(Record):
-    """A finite category given by an explicit composition table.
-
-    ``arrows`` maps a name to ``(source, target)``; ``compose`` maps the
-    composable pair ``(g, f)`` (apply f first) to the name of ``g o f``.
-    Categories compare by all four fields; holding dicts, they do not hash.
-    """
-
-    objects: tuple[str, ...]
-    arrows: dict[str, tuple[str, str]]
-    identities: dict[str, str]
-    compose: dict[tuple[str, str], str]
-
-    def check(self) -> None:
-        """Raise :class:`SingLocusError` unless the tables satisfy the
-        category axioms; a missing identity or composite fails them."""
-        arrows, compose = self.arrows, self.compose
-        for obj, ident in self.identities.items():
-            if arrows.get(ident) != (obj, obj):
-                raise SingLocusError(f"identity of {obj} is not an endo-arrow")
-        names = list(arrows)
-        for f in names:
-            fs, ft = arrows[f]
-            if compose.get((self.identities.get(ft), f)) != f:
-                raise SingLocusError(f"left unit fails for {f}")
-            if compose.get((f, self.identities.get(fs))) != f:
-                raise SingLocusError(f"right unit fails for {f}")
-        for f in names:
-            fs, ft = arrows[f]
-            for h in names:
-                hs, ht = arrows[h]
-                if hs != ft:
-                    continue
-                hf = compose.get((h, f))
-                if arrows.get(hf) != (fs, ht):
-                    raise SingLocusError(f"composite {h} o {f} has wrong endpoints")
-                for k in names:
-                    ks, kt = arrows[k]
-                    if ks != ht:
-                        continue
-                    if compose.get((k, hf)) != compose.get((compose.get((k, h)), f)):
-                        raise SingLocusError(
-                            f"associativity fails on ({k}, {h}, {f})"
-                        )
-
-
-def _category(
-    objects: list[str], arrows: dict[str, tuple[str, str]], compose: dict[tuple[str, str], str]
-) -> FiniteCategory:
-    """Add an identity ``id:<obj>`` per object and the unit composites to
-    the non-unit ``arrows`` and ``compose``."""
-    identities = {obj: f"id:{obj}" for obj in objects}
-    arrows = {**{i: (obj, obj) for obj, i in identities.items()}, **arrows}
-    for f, (fs, ft) in arrows.items():
-        compose[(identities[ft], f)] = f
-        compose[(f, identities[fs])] = f
-    return FiniteCategory(tuple(objects), arrows, identities, compose)
-
-
-def build_j(g: DecoratedGraph) -> FiniteCategory:
-    """The category with objects = vertices and edges, one arrow per flag."""
-    inc = g.incidence
-    objects = [f"v{vi}" for vi in range(len(g.vertices))]
-    objects += [f"e{ei}" for ei in range(len(g.edges))]
-    arrows = {
-        f"flag:h{h}": (f"v{inc.vertex_of[h]}", f"e{inc.edge_of[h]}") for h in sorted(inc.vertex_of)
-    }
-    return _category(objects, arrows, {})
-
-
-def build_i(g: DecoratedGraph) -> FiniteCategory:
-    """The flag-duplicated category: the edge object split into its flags.
-
-    Objects are the vertices and the flags (one per half-edge); there is
-    an arrow per flag and a two-sided isomorphism pair per compact edge.
-    The only nonidentity arrows are the flags, the isos and flag-then-iso
-    (named ``flag:h<h>*<iso>``), so V + 2H + 4C arrows in all.  A flag
-    object has one non-unit arrow out of it, the iso of its edge, so the
-    non-unit composites are three per iso: iso o flag, inverse o iso and
-    inverse o (flag-then-iso).
-    """
-    inc = g.incidence
-    objects = [f"v{vi}" for vi in range(len(g.vertices))]
-    objects += [f"f{h}" for h in sorted(inc.vertex_of)]
-    arrows = {f"flag:h{h}": (f"v{inc.vertex_of[h]}", f"f{h}") for h in sorted(inc.vertex_of)}
-    compose: dict[tuple[str, str], str] = {}
-    for ei, e in g.compact_edges():
-        fwd, rev = f"iso:e{ei}:fwd", f"iso:e{ei}:rev"
-        for (h, h_out), iso, inverse in ((e.ends, fwd, rev), (e.ends[::-1], rev, fwd)):
-            flag, word = f"flag:h{h}", f"flag:h{h}*{iso}"
-            arrows[iso] = (f"f{h}", f"f{h_out}")
-            arrows[word] = (f"v{inc.vertex_of[h]}", f"f{h_out}")
-            compose[(iso, flag)] = word
-            compose[(inverse, iso)] = f"id:f{h}"
-            compose[(inverse, word)] = flag
-    return _category(objects, arrows, compose)
-
-
-def collapse_functor(g: DecoratedGraph) -> dict[str, str]:
-    """Object map of the equivalence from :func:`build_i` to :func:`build_j`,
-    sending each flag object to its edge object.  Like both categories it
-    reads :attr:`DecoratedGraph.incidence`, so an invalid graph raises
-    :class:`InvalidGraph`."""
-    inc = g.incidence
-    mapping = {f"v{vi}": f"v{vi}" for vi in range(len(g.vertices))}
-    for h, ei in inc.edge_of.items():
-        mapping[f"f{h}"] = f"e{ei}"
-    return mapping

@@ -11,13 +11,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
 
-from .descent import DescentDiagram, PicInvariants
+from . import descent, toric, topology
 from .errors import InvalidValue, SingLocusError, in_full
 from .graphs import CompactEdge, DecoratedGraph, DualSurface, Leg
-from .toric import Fan, WallReport
-from .topology import H1Result, NodalCurveReport
 
 
 class ParseError(SingLocusError):
@@ -36,7 +33,7 @@ def format_rational(x: Fraction) -> str:
         return f"{in_full(x.numerator)}/{in_full(x.denominator)}"
 
 
-def parse_rational(text: Any) -> Fraction:
+def parse_rational(text: object) -> Fraction:
     try:
         if isinstance(text, str):
             exponent = _EXPONENT.search(text)
@@ -57,7 +54,7 @@ def parse_rational(text: Any) -> Fraction:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 
-def dumps_canonical(payload: Any) -> str:
+def dumps_canonical(payload: object) -> str:
     """``json.dumps`` with sorted keys, no spaces and no ASCII escapes,
     writing every int in full."""
     try:
@@ -66,7 +63,7 @@ def dumps_canonical(payload: Any) -> str:
         return _in_full(payload)
 
 
-def _in_full(value: Any) -> str:
+def _in_full(value: object) -> str:
     if type(value) is int:
         return in_full(value)
     if type(value) is dict:
@@ -132,13 +129,13 @@ def graph_from_json(payload: dict) -> DecoratedGraph:
 # ---------------------------------------------------------------------------
 
 
-def fan_to_json(f: Fan) -> dict:
+def fan_to_json(f: toric.Fan) -> dict:
     return {"rays": [list(r) for r in f.rays], "cones": [list(c) for c in f.cones]}
 
 
-def fan_from_json(payload: dict) -> Fan:
+def fan_from_json(payload: dict) -> toric.Fan:
     try:
-        return Fan(payload["rays"], payload["cones"])
+        return toric.Fan(payload["rays"], payload["cones"])
     except (KeyError, TypeError, InvalidValue) as exc:
         raise ParseError(f"malformed fan JSON: {exc}") from None
 
@@ -148,7 +145,7 @@ def fan_from_json(payload: dict) -> Fan:
 # ---------------------------------------------------------------------------
 
 
-def diagram_to_json(d: DescentDiagram) -> dict:
+def diagram_to_json(d: descent.DescentDiagram) -> dict:
     payload = graph_to_json(d.graph)
     payload["charts"] = [{"trivialization": format_rational(c)} for c in d.charts]
     transitions = []
@@ -174,7 +171,7 @@ def diagram_to_json(d: DescentDiagram) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def pic_to_json(p: PicInvariants) -> dict:
+def pic_to_json(p: descent.PicInvariants) -> dict:
     return {
         "degreeVector": list(p.degree_vector),
         "betaHolonomies": [format_rational(x) for x in p.beta_holonomies],
@@ -191,11 +188,11 @@ def surface_to_json(s: DualSurface) -> dict:
     }
 
 
-def h1_to_json(h: H1Result) -> dict:
+def h1_to_json(h: topology.H1Result) -> dict:
     return {"free": h.free_rank, "torsion": list(h.torsion)}
 
 
-def nodal_curve_to_json(r: NodalCurveReport) -> dict:
+def nodal_curve_to_json(r: topology.NodalCurveReport) -> dict:
     """The nodal curve with one incidence item per cut edge: its n_e nodes
     link main piece u, the annuli f ... f + n_e - 2 in order, and main
     piece v, so the item is {"ends": [u, v], "firstAnnulus": f, "nodes": n_e}."""
@@ -210,7 +207,7 @@ def nodal_curve_to_json(r: NodalCurveReport) -> dict:
     }
 
 
-def wall_report_to_json(w: WallReport) -> dict:
+def wall_report_to_json(w: toric.WallReport) -> dict:
     return {
         "wall": list(w.wall),
         "adjacentCones": list(w.adjacent_cones),

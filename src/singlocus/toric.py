@@ -430,45 +430,3 @@ def _canonical_cycle(values: list[int]) -> tuple[int, ...]:
         for shift in range(len(seq)):
             candidates.append(tuple(seq[shift:] + seq[:shift]))
     return min(candidates)
-
-
-def quartic_mirror_fan() -> Fan:
-    """The fan over the unit triangulation of the boundary of the
-    reflexive tetrahedron conv{(-1,-1,-1), (3,-1,-1), (-1,3,-1), (-1,-1,3)}.
-
-    Each of the four facets (lattice side 4) is subdivided into 16 unit
-    triangles with sides parallel to the edges; the 34 boundary lattice
-    points are the rays and the 64 cones over the triangles are the
-    maximal cones.
-    """
-    corners = [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)]
-    facets = [
-        (corners[0], corners[1], corners[2]),
-        (corners[0], corners[1], corners[3]),
-        (corners[0], corners[2], corners[3]),
-        (corners[1], corners[2], corners[3]),
-    ]
-    side = 4
-    points: set[Vec] = set()
-    triangles: set[tuple[Vec, Vec, Vec]] = set()
-    for a, bb, cc in facets:
-        du = tuple((bb[k] - a[k]) // side for k in range(3))
-        dv = tuple((cc[k] - a[k]) // side for k in range(3))
-
-        def pt(i: int, j: int) -> Vec:
-            return tuple(a[k] + i * du[k] + j * dv[k] for k in range(3))
-
-        for i in range(side + 1):
-            for j in range(side + 1 - i):
-                points.add(pt(i, j))
-        for i in range(side):
-            for j in range(side - i):
-                triangles.add(tuple(sorted((pt(i, j), pt(i + 1, j), pt(i, j + 1)))))
-                if i + j <= side - 2:
-                    triangles.add(
-                        tuple(sorted((pt(i + 1, j), pt(i, j + 1), pt(i + 1, j + 1))))
-                    )
-    rays = tuple(sorted(points))
-    index = {r: k for k, r in enumerate(rays)}
-    cones = tuple(sorted(tuple(sorted(index[p] for p in tri)) for tri in triangles))
-    return Fan(rays, cones)

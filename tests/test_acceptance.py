@@ -29,6 +29,7 @@ from singlocus.examples import (
     k4_graph,
     p1p1p1_fan,
     p3_fan,
+    quartic_mirror_fan,
     quartic_mirror_graph,
     theta_graph,
 )
@@ -50,7 +51,7 @@ from singlocus.localmodels import (
     transporter_unit,
     vertex_aut_inverse,
 )
-from singlocus.toric import quartic_mirror_fan, wall_data, walls
+from singlocus.toric import wall_data, walls
 from singlocus.topology import h1_graph_manifold, pencil_localization
 
 from oracles import (

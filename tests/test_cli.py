@@ -140,19 +140,64 @@ def test_overlapping_cones_without_inner_rays_are_rejected(command):
 
 
 def _modules_after(code):
-    listing = "import sys; print(chr(10).join(sys.modules))"
+    """Every module that a fresh interpreter loads when it runs ``code``,
+    and the singlocus modules among them that ran.  A lazily registered
+    module that has not run yet is of a subclass of ModuleType, and
+    ``type()`` does not make it run."""
+    listing = (
+        "import sys, types; print(*[name + ('' if type(m) is types.ModuleType else ':lazy')"
+        " for name, m in sys.modules.items()])"
+    )
     proc = subprocess.run([sys.executable, "-c", f"{code}; {listing}"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.split())
+    names = proc.stdout.split()
+    ran = {name for name in names if name.startswith("singlocus") and not name.endswith(":lazy")}
+    return {name.removesuffix(":lazy") for name in names}, ran
+
+
+# The submodules that each command runs besides singlocus and singlocus.cli.
+MODULES_RUN = {
+    (): set(),
+    ("validate", "--example", "theta"): {"errors", "examples", "graphs", "record", "serialize"},
+    ("toric", "extract", "--example", "p3"): {
+        "errors", "examples", "graphs", "record", "serialize", "toric",
+    },
+    ("analyze", "--all", "--example", "theta"): {
+        "descent", "errors", "examples", "graphs", "intlinalg", "localmodels", "record",
+        "serialize", "topology",
+    },
+}
 
 
 def test_cli_start_up_footprint():
-    # What every CLI process pays for before it reads its input.
-    added = _modules_after("import singlocus.cli") - _modules_after("pass")
-    assert not added & {"dataclasses", "inspect", "_hashlib"}
-    # The benchmark's tracer finds every traced module loaded by this import.
-    layers = ("cli", "serialize", "graphs", "descent", "intlinalg", "topology", "toric", "examples")
-    assert {f"singlocus.{name}" for name in layers} <= added
+    # What a CLI process pays for: the modules it loads, and the singlocus
+    # modules that run, which follow the command.
+    before, _ = _modules_after("pass")
+    package = Path(singlocus.__file__).parent
+    submodules = {f"singlocus.{p.stem}" for p in package.glob("*.py")} - {
+        "singlocus.__init__", "singlocus.__main__"
+    }
+    for argv, modules in MODULES_RUN.items():
+        code = "import os, singlocus.cli"
+        if argv:
+            code += f"; singlocus.cli.main({list(argv)!r} + ['--output', os.devnull])"
+        loaded, ran = _modules_after(code)
+        assert not (loaded - before) & {"dataclasses", "inspect", "_hashlib"}, argv
+        assert ran == {"singlocus", "singlocus.cli"} | {f"singlocus.{m}" for m in modules}, argv
+        # Every submodule is registered, so the benchmark's tracer finds
+        # each traced module after this import.
+        assert {name for name in loaded if name.startswith("singlocus.")} == submodules
+        layers = ("cli", "serialize", "graphs", "descent", "intlinalg", "topology", "toric", "examples")
+        assert {f"singlocus.{name}" for name in layers} <= loaded
+
+
+def test_every_package_export_resolves():
+    # A misspelt name or module in the package's export table fails here.
+    for name in singlocus.__all__:
+        assert getattr(singlocus, name).__name__ == name
+    assert len(singlocus.__all__) == 57
+    with pytest.raises(AttributeError):
+        singlocus.no_such_name
 
 
 def test_deeply_nested_input_is_a_parse_error():

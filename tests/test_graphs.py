@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlocus.categories import FiniteCategory, build_i, build_j, collapse_functor
 from singlocus.descent import DescentDiagram, assemble_diagram
 from singlocus.errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
 from singlocus.examples import (
@@ -17,11 +18,7 @@ from singlocus.examples import (
 from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
-    FiniteCategory,
     Leg,
-    build_i,
-    build_j,
-    collapse_functor,
     dual_surface,
     flip_vertex,
     orientability,

@@ -4,6 +4,7 @@ dataclass it replaced, checked against a ``make_dataclass`` twin."""
 import copy
 import dataclasses
 import pickle
+import types
 import typing
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlocus.categories import FiniteCategory, build_i, build_j
 from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram, gauge
 from singlocus.errors import InvalidValue, SingLocusError, TriangleConstraintViolated
 from singlocus.examples import circular_ladder_graph, p3_fan, theta_graph
@@ -19,11 +21,8 @@ from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
     DualSurface,
-    FiniteCategory,
     Incidence,
     Leg,
-    build_i,
-    build_j,
     flip_vertex,
     validate_graph,
 )
@@ -91,7 +90,7 @@ def values(tp) -> st.SearchStrategy:
     if tp in SAMPLES:
         return st.sampled_from(SAMPLES[tp])
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:
+    if origin in (typing.Union, types.UnionType):
         return st.one_of(*map(values, args))
     if origin is tuple and args[-1] is Ellipsis:
         return st.lists(values(args[0]), max_size=3).map(tuple)
@@ -114,7 +113,7 @@ def holds(value, tp) -> bool:
     """Whether ``value`` is exactly of the annotated type ``tp``: a bool is
     no int, and an int no Fraction."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:
+    if origin in (typing.Union, types.UnionType):
         return any(holds(value, arg) for arg in args)
     if origin is tuple:
         if type(value) is not tuple:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singlocus.errors import BoundaryWall, InvalidFan, NotAWall, SplitStar
-from singlocus.examples import conifold_fan, p1p1p1_fan, p3_fan
+from singlocus.examples import conifold_fan, p1p1p1_fan, p3_fan, quartic_mirror_fan
 from singlocus.graphs import dual_surface, validate_graph
 from singlocus.toric import (
     Fan,
@@ -15,7 +15,6 @@ from singlocus.toric import (
     _walk_link,
     boundary_graph,
     divisor_classification,
-    quartic_mirror_fan,
     validate_fan,
     wall_data,
     walls,
