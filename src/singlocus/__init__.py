@@ -23,7 +23,7 @@ _EXPORTS = {
     "errors": (
         "BoundaryWall DisconnectedGraph GraphMismatch InvalidFan InvalidGraph InvalidValue"
         " NegativeDefect NonOrientable NotAWall SingLocusError SplitStar"
-        " TriangleConstraintViolated TwistMismatch"
+        " TriangleConstraintViolated"
     ),
     "examples": "quartic_mirror_fan",
     "graphs": "CompactEdge DecoratedGraph DualSurface Leg dual_surface orientability validate_graph",

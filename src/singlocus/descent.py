@@ -2,11 +2,11 @@
 
 A diagram carries one chart per vertex (a trivialization scalar) and one
 edge-model autoequivalence per compact edge, stored against the canonical
-direction (lower vertex index -> higher, ties by half-edge order).  Every
-transition has eps = -1 and shift = 1, and its integer twist equals the
-edge's defect; only the continuous scalars are free.  Gauging the vertex
-trivializations moves the lam_u scalars, so the invariant content is the
-degree vector together with the cycle holonomies.
+direction (lower vertex index -> higher, ties by half-edge order).  The
+graph fixes every transition's discrete part (eps = -1, the shift, and
+n = the edge's defect), so a transition is stored as its two scalars.
+Gauging the vertex trivializations moves the lam_u scalars, so the
+invariant content is the degree vector together with the cycle holonomies.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import GraphMismatch, InvalidValue, TwistMismatch, in_full, items, nonzero, shown
+from .errors import GraphMismatch, InvalidValue, items, nonzero, shown
 from .graphs import CompactEdge, DecoratedGraph, orientation_gauge
-from .localmodels import EdgeAut
 from .record import Record
 
 
@@ -25,18 +24,22 @@ class DescentDiagram(Record):
     """A chart scalar per vertex and a transition per compact edge, stored
     against :attr:`directions`.
 
+    The transition of an edge with twist n is the pair (lam_x, lam_u) of
+    the autoequivalence (x, u) -> (lam_x x^-1, lam_u x^n u) with the
+    shift.  One known against its stored direction is given as
+    (lam_x, lam_x^-n / lam_u), its ``edge_aut_inverse`` at eps = -1.
+
     The constructor is the one gate: it refuses a graph that
     :func:`orientation_gauge` refuses (invalid, disconnected or
-    non-orientable), a chart count other than the vertex count or a zero
-    chart, a transition count other than the compact-edge count
-    (:class:`InvalidValue`), and a transition without eps = -1, shift = 1
-    and n = twist (:class:`TwistMismatch`).  A transition known against
-    its stored direction is given as its :func:`edge_aut_inverse`.
+    non-orientable), and with :class:`InvalidValue` a chart count other
+    than the vertex count or a zero chart, a transition count other than
+    the compact-edge count, and a transition that is not a pair of
+    nonzero scalars.
     """
 
     graph: DecoratedGraph
     charts: tuple[Fraction, ...]
-    transitions: tuple[EdgeAut, ...]
+    transitions: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
         if not isinstance(self.graph, DecoratedGraph):
@@ -46,19 +49,10 @@ class DescentDiagram(Record):
         if len(charts) != len(self.graph.vertices):
             raise InvalidValue("need one chart scalar per vertex")
         object.__setattr__(self, "charts", tuple(nonzero(c, "trivialization") for c in charts))
-        compact = self.graph.compact_edges()
-        if len(transitions) != len(compact):
+        if len(transitions) != len(self.graph.compact_pairs):
             raise InvalidValue("need one transition per compact edge")
-        for (ei, e), aut in zip(compact, transitions):
-            if not isinstance(aut, EdgeAut):
-                raise InvalidValue(f"expected an EdgeAut, got {shown(aut)}")
-            if aut.eps != -1:
-                raise TwistMismatch(f"edge {ei}: transition must have eps = -1")
-            if aut.shift != 1:
-                raise TwistMismatch(f"edge {ei}: transition must involve the shift")
-            if aut.n != e.twist:
-                n, twist = in_full(aut.n), in_full(e.twist)
-                raise TwistMismatch(f"edge {ei}: transition twist {n} != edge defect {twist}")
+        pairs = (items(t, 2) for t in transitions)
+        transitions = tuple((nonzero(x, "lam_x"), nonzero(u, "lam_u")) for x, u in pairs)
         object.__setattr__(self, "transitions", transitions)
 
     @cached_property
@@ -97,17 +91,17 @@ def canonical_directions(g: DecoratedGraph) -> list[tuple[int, int]]:
 
 def assemble_diagram(g: DecoratedGraph) -> DescentDiagram:
     """The canonical diagram of a graph: charts 1 and, per compact edge,
-    eps = -1, shift = 1, n = twist, lam_x = base scalar and lam_u =
-    holonomy, stored along :func:`canonical_directions`."""
-    transitions = [EdgeAut(-1, e.twist, e.base_scalar, e.holonomy, 1) for _, e in g.compact_edges()]
+    lam_x = base scalar and lam_u = holonomy, stored along
+    :func:`canonical_directions`."""
+    transitions = [(e.base_scalar, e.holonomy) for _, e in g.compact_edges()]
     return DescentDiagram(g, (Fraction(1),) * len(g.vertices), transitions)
 
 
 def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagram:
     """Rescale the vertex trivializations and push the change into lam_u.
 
-    Each stored transition picks up g_source * lam_u * g_target^-1; the
-    discrete data and lam_x are untouched.
+    Each stored transition picks up g_source * lam_u * g_target^-1; lam_x
+    is untouched.
     """
     scalars = items(vertex_scalars)
     if len(scalars) != len(d.graph.vertices):
@@ -115,8 +109,8 @@ def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagr
     scalars = [nonzero(s, "gauge scalars") for s in scalars]
     charts = tuple(s * c for s, c in zip(scalars, d.charts))
     transitions = tuple(
-        EdgeAut(aut.eps, aut.n, aut.lam_x, scalars[src] * aut.lam_u / scalars[tgt], aut.shift)
-        for aut, (src, tgt) in zip(d.transitions, d.directions)
+        (lam_x, scalars[src] * lam_u / scalars[tgt])
+        for (lam_x, lam_u), (src, tgt) in zip(d.transitions, d.directions)
     )
     return DescentDiagram(d.graph, charts, transitions)
 
@@ -131,17 +125,18 @@ def pic_invariants(d: DescentDiagram) -> PicInvariants:
     """
     pot_u, pot_x = [Fraction(1)] * len(d.graph.vertices), [Fraction(1)] * len(d.graph.vertices)
     for v, (u, idx) in d.graph.tree.items():
-        aut = d.transitions[idx]
+        lam_x, lam_u = d.transitions[idx]
         if d.directions[idx][0] == u:
-            pot_u[v], pot_x[v] = pot_u[u] * aut.lam_u, pot_x[u] * aut.lam_x
+            pot_u[v], pot_x[v] = pot_u[u] * lam_u, pot_x[u] * lam_x
         else:
-            pot_u[v], pot_x[v] = pot_u[u] / aut.lam_u, pot_x[u] / aut.lam_x
+            pot_u[v], pot_x[v] = pot_u[u] / lam_u, pot_x[u] / lam_x
     betas, alphas = [], []
     for idx, _ in d.graph.cycle_edges:
-        (s, t), aut = d.directions[idx], d.transitions[idx]
-        betas.append(pot_u[t] / pot_u[s] / aut.lam_u)
-        alphas.append(pot_x[t] / pot_x[s] / aut.lam_x)
-    return PicInvariants(tuple(aut.n for aut in d.transitions), tuple(betas), tuple(alphas))
+        (s, t), (lam_x, lam_u) = d.directions[idx], d.transitions[idx]
+        betas.append(pot_u[t] / pot_u[s] / lam_u)
+        alphas.append(pot_x[t] / pot_x[s] / lam_x)
+    degrees = tuple(e.twist for _, e in d.graph.compact_edges())
+    return PicInvariants(degrees, tuple(betas), tuple(alphas))
 
 
 def _graph_shape(g: DecoratedGraph):

@@ -83,10 +83,6 @@ class NonOrientable(SingLocusError):
     """The ribbon structure has nontrivial w1; the twisted variant is not built."""
 
 
-class TwistMismatch(SingLocusError):
-    """A supplied transition disagrees with the discrete edge data."""
-
-
 class GraphMismatch(SingLocusError):
     """Two diagrams do not share the same underlying graph."""
 

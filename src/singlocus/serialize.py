@@ -150,16 +150,16 @@ def diagram_to_json(d: descent.DescentDiagram) -> dict:
     payload["charts"] = [{"trivialization": format_rational(c)} for c in d.charts]
     transitions = []
     compact = d.graph.compact_edges()
-    for (ei, _), aut, direction in zip(compact, d.transitions, d.directions):
+    for (ei, e), (lam_x, lam_u), direction in zip(compact, d.transitions, d.directions):
         transitions.append(
             {
                 "edge": ei,
                 "direction": list(direction),
-                "eps": aut.eps,
-                "n": aut.n,
-                "lamX": format_rational(aut.lam_x),
-                "lamU": format_rational(aut.lam_u),
-                "shift": aut.shift,
+                "eps": -1,
+                "n": e.twist,
+                "lamX": format_rational(lam_x),
+                "lamU": format_rational(lam_u),
+                "shift": 1,
             }
         )
     payload["transitions"] = transitions
@@ -213,5 +213,5 @@ def wall_report_to_json(w: toric.WallReport) -> dict:
         "adjacentCones": list(w.adjacent_cones),
         "selfIntersections": list(w.self_intersections),
         "defect": w.defect,
-        "anticanonicalDegree": w.anticanonical_degree,
+        "anticanonicalDegree": w.defect,
     }

@@ -306,13 +306,12 @@ def walls(f: Fan) -> list[tuple[int, int]]:
 
 
 class WallReport(Record):
-    """Intersection data of the invariant curve of one wall."""
+    """Intersection data of the invariant curve of one wall; ``defect`` is its anticanonical degree."""
 
     wall: tuple[int, int]
     adjacent_cones: tuple[int, ...]
     self_intersections: tuple[int, int]
     defect: int
-    anticanonical_degree: int
 
 
 def wall_data(f: Fan, wall: tuple[int, int]) -> WallReport:
@@ -350,7 +349,7 @@ def _wall_report(f: Fan, key: tuple[int, int], cones: list[int]) -> WallReport:
     x, y = d * _det3(u2, vj, u1), d * _det3(vi, u2, u1)
     defect = 2 - x - y
     # Modulo vi the relation is u1 + u2 + (-y) vj = 0, the star relation of vi.
-    return WallReport(key, tuple(cones), (-y, -x), defect, defect)
+    return WallReport(key, tuple(cones), (-y, -x), defect)
 
 
 def boundary_graph(f: Fan) -> DecoratedGraph:
@@ -423,8 +422,6 @@ def divisor_classification(f: Fan) -> list[dict]:
 
 
 def _canonical_cycle(values: list[int]) -> tuple[int, ...]:
-    if not values:
-        return ()
     candidates = []
     for seq in (values, list(reversed(values))):
         for shift in range(len(seq)):

@@ -10,7 +10,8 @@ curve one annulus at a time and the incidence expanders rebuild the same
 per-pair map from a report's chains or its JSON items one node at a
 time, the fan oracle finds cone coordinates with rational Cramer's rule,
 the wall oracle reads each self-intersection off the 2D relation in a
-star fan (a basis completion per wall end), and
+star fan (a basis completion per wall end), the anticanonical-degree
+oracle solves the 3D wall relation on a 2x2 minor, and
 the w1 and Pic oracles multiply along the explicit cycles of
 ``cycle_basis``, read off ``spanning_tree``, which builds the same
 lowest-edge-index tree by relabelling components and walks it level by
@@ -32,7 +33,7 @@ from singlocus.descent import PicInvariants
 from singlocus.errors import DisconnectedGraph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, orientation_gauge
 from singlocus.intlinalg import SparseColumns
-from singlocus.localmodels import compose_edge_aut, edge_aut_inverse
+from singlocus.localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
 from singlocus.record import Record
 from singlocus.toric import Fan
 
@@ -545,15 +546,15 @@ def w1_oracle(g) -> list[int]:
 def pic_invariants_oracle(d) -> PicInvariants:
     """Signed products of lam_u and lam_x around each cycle of
     ``cycle_basis``, taken in the diagram's stored directions."""
-    degree = tuple(aut.n for aut in d.transitions)
+    degree = tuple(e.twist for _, e in d.graph.compact_edges())
     betas, alphas = [], []
     for cycle in cycle_basis(len(d.graph.vertices), d.directions):
         beta = Fraction(1)
         alpha = Fraction(1)
         for edge_idx, sign in cycle:
-            aut = d.transitions[edge_idx]
-            beta *= aut.lam_u**sign
-            alpha *= aut.lam_x**sign
+            lam_x, lam_u = d.transitions[edge_idx]
+            beta *= lam_u**sign
+            alpha *= lam_x**sign
         betas.append(beta)
         alphas.append(alpha)
     return PicInvariants(degree, tuple(betas), tuple(alphas))
@@ -570,10 +571,10 @@ def trivializing_gauge(d) -> Optional[list[Fraction]]:
     """
     potential = [Fraction(1)] * len(d.graph.vertices)
     for v, (u, idx) in spanning_tree(len(d.graph.vertices), d.directions).items():
-        lam_u = d.transitions[idx].lam_u
+        lam_u = d.transitions[idx][1]
         potential[v] = potential[u] * lam_u if d.directions[idx][0] == u else potential[u] / lam_u
-    for (s, t), aut in zip(d.directions, d.transitions):
-        if potential[s] * aut.lam_u != potential[t]:
+    for (s, t), (_, lam_u) in zip(d.directions, d.transitions):
+        if potential[s] * lam_u != potential[t]:
             return None
     return potential
 
@@ -581,13 +582,16 @@ def trivializing_gauge(d) -> Optional[list[Fraction]]:
 def compose_cycle(d, cycle: Sequence[tuple[int, int]]):
     """Composite of edge transitions along a cycle, earliest edge outermost.
 
-    Traversal against the stored direction uses the inverse transition.
-    The discrete part of the result is ((-1)^length, signed twist sum);
-    in particular even cycles land back in the eps = +1 component.
+    Each edge's transition is the autoequivalence with eps = -1, n = its
+    twist, its two stored scalars and the shift; traversal against the
+    stored direction uses the inverse transition.  The discrete part of
+    the result is ((-1)^length, signed twist sum); in particular even
+    cycles land back in the eps = +1 component.
     """
+    twists = [e.twist for _, e in d.graph.compact_edges()]
     result = None
     for edge_idx, sign in cycle:
-        aut = d.transitions[edge_idx]
+        aut = EdgeAut(-1, twists[edge_idx], *d.transitions[edge_idx], 1)
         if sign < 0:
             aut = edge_aut_inverse(aut)
         result = aut if result is None else compose_edge_aut(result, aut)
@@ -858,3 +862,22 @@ def wall_self_intersections_oracle(f, wall) -> tuple[int, int]:
     opposite = [k for c in f.cones if i in c and j in c for k in c if k not in wall]
     assert len(opposite) == 2, f"{wall} is not an interior wall"
     return (_star_self_intersection(f, i, j, opposite), _star_self_intersection(f, j, i, opposite))
+
+
+def anticanonical_degree_oracle(f, wall) -> int:
+    """Anticanonical degree 2 - x - y of the curve of the interior wall
+    ``wall = (i, j)``, from u1 + u2 = x v_i + y v_j solved by Cramer's rule
+    on a nonzero 2x2 minor of (v_i, v_j) and checked in all three
+    coordinates; u1, u2 are the rays opposite the wall in its two cones."""
+    i, j = wall
+    opposite = [k for c in f.cones if i in c and j in c for k in c if k not in wall]
+    assert len(opposite) == 2, f"{wall} is not an interior wall"
+    vi, vj = f.rays[i], f.rays[j]
+    w = [f.rays[opposite[0]][k] + f.rays[opposite[1]][k] for k in range(3)]
+    p, q = next((p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if vi[p] * vj[q] != vi[q] * vj[p])
+    minor = vi[p] * vj[q] - vi[q] * vj[p]
+    x = Fraction(w[p] * vj[q] - w[q] * vj[p], minor)
+    y = Fraction(vi[p] * w[q] - vi[q] * w[p], minor)
+    assert all(x * vi[k] + y * vj[k] == w[k] for k in range(3)), f"{wall}: no wall relation"
+    assert x.denominator == y.denominator == 1, f"{wall}: the wall relation is not integral"
+    return int(2 - x - y)

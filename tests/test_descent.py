@@ -14,7 +14,7 @@ from singlocus.descent import (
     gauge,
     pic_invariants,
 )
-from singlocus.errors import DisconnectedGraph, GraphMismatch, NonOrientable, TwistMismatch
+from singlocus.errors import DisconnectedGraph, GraphMismatch, InvalidValue, NonOrientable
 from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
@@ -44,8 +44,8 @@ def tree_graph():
 
 def test_assemble_trivial_theta():
     d = assemble_diagram(theta_graph())
-    for aut in d.transitions:
-        assert (aut.eps, aut.n, aut.lam_x, aut.lam_u, aut.shift) == (-1, 0, 1, 1, 1)
+    assert d.transitions == ((1, 1),) * 3
+    assert all(type(s) is Fraction for pair in d.transitions for s in pair)
     assert d.directions == ((0, 1), (0, 1), (0, 1))
 
 
@@ -58,30 +58,35 @@ def test_assemble_quartic():
 
 
 def test_assemble_rejects_bad_transitions():
+    # The graph fixes the discrete part, so only the two scalars are given.
     g = theta_graph()
-    good = [EdgeAut(-1, 0, 1, 1, 1)] * 3
-    DescentDiagram(g, (1, 1), good)
-    bad = (EdgeAut(1, 0, 1, 1, 1), EdgeAut(-1, 0, 1, 1, 0), EdgeAut(-1, 5, 1, 1, 1))
-    for k, aut in enumerate(bad):  # eps, shift and twist, on edges 0, 1 and 2
+    good = [(1, Fraction(2, 3))] * 3
+    assert DescentDiagram(g, (1, 1), good).transitions == ((1, Fraction(2, 3)),) * 3
+    bad = (EdgeAut(-1, 0, 1, 1, 1), (-1, 0, 1, 1, 1), (1, 0))
+    for k, transition in enumerate(bad):  # on edges 0, 1 and 2
         transitions = list(good)
-        transitions[k] = aut
-        with pytest.raises(TwistMismatch):
+        transitions[k] = transition
+        with pytest.raises(InvalidValue):
             DescentDiagram(g, (1, 1), transitions)
 
 
 @pytest.mark.parametrize(
-    "aut, message",
+    "transition, message",
     [
-        (EdgeAut(-1, 5, 1, 1, 1), "edge 1: transition twist 5 != edge defect 2"),
-        (EdgeAut(1, 2, 1, 1, 1), "edge 1: transition must have eps = -1"),
-        (EdgeAut(-1, 2, 1, 1, 0), "edge 1: transition must involve the shift"),
+        pytest.param(EdgeAut(-1, 2, 1, 1, 1), "expected a list of 2 items, got EdgeAut(eps=-1, n=2, "
+                     "lam_x=Fraction(1, 1), lam_u=Fraction(1, 1), shift=1)", id="edge-aut"),
+        pytest.param((1, 1, 1), "expected a list of 2 items, got (1, 1, 1)", id="three-items"),
+        pytest.param(Fraction(1), "expected a list of 2 items, got Fraction(1, 1)", id="scalar"),
+        pytest.param((1.5, 1), "lam_x must be an int or Fraction, got 1.5", id="float"),
+        pytest.param((0, 1), "lam_x must be nonzero", id="zero-lam-x"),
+        pytest.param([1, Fraction(0)], "lam_u must be nonzero", id="zero-lam-u"),
     ],
 )
-def test_constructor_refuses_a_bad_transition(aut, message):
+def test_constructor_refuses_a_bad_transition(transition, message):
     g = theta_graph(twists=(0, 2, -1))
     transitions = list(assemble_diagram(g).transitions)
-    transitions[1] = aut
-    with pytest.raises(TwistMismatch) as info:
+    transitions[1] = transition
+    with pytest.raises(InvalidValue) as info:
         DescentDiagram(g, (1, 1), tuple(transitions))
     assert str(info.value) == message
 
@@ -131,14 +136,14 @@ def test_constructor_refuses_a_disconnected_graph():
         tuple(CompactEdge((h, h + 3)) for h in (0, 1, 2, 6, 7, 8)),
     )
     with pytest.raises(DisconnectedGraph):
-        DescentDiagram(g, (1,) * 4, (EdgeAut(-1, 0, 1, 1, 1),) * 6)
+        DescentDiagram(g, (1,) * 4, ((1, 1),) * 6)
 
 
 def test_gauge_examples():
     d = assemble_diagram(theta_graph())
     assert gauge(d, [1, 1]) .transitions == d.transitions
     gauged = gauge(d, [Fraction(2), Fraction(1)])
-    assert all(aut.lam_u == 2 for aut in gauged.transitions)
+    assert gauged.transitions == ((1, 2),) * 3
     assert pic_invariants(gauged) == pic_invariants(d)
 
 
@@ -181,9 +186,7 @@ def test_diagrams_equivalent():
     trivial = assemble_diagram(theta_graph())
     assert not diagrams_equivalent(d, trivial)
     # scalars supplied directly rather than via decorations
-    different = DescentDiagram(
-        g, (1, 1), [EdgeAut(-1, e.twist, e.base_scalar, Fraction(1), 1) for _, e in g.compact_edges()]
-    )
+    different = DescentDiagram(g, (1, 1), [(e.base_scalar, 1) for _, e in g.compact_edges()])
     assert not diagrams_equivalent(d, different)
     # genuinely different graphs are rejected
     with pytest.raises(GraphMismatch):
@@ -214,13 +217,13 @@ def test_trivializing_gauge_search():
         found = trivializing_gauge(gauged)
         assert found is not None
         normalized = gauge(gauged, found)
-        assert all(aut.lam_u == 1 for aut in normalized.transitions)
+        assert all(lam_u == 1 for _, lam_u in normalized.transitions)
     assert trivializing_gauge(assemble_diagram(theta_graph(holonomies=(2, 1, 1)))) is None
 
 
 def test_two_periodicity_constructive_on_small_graphs():
-    # on graphs up to 6 vertices: a diagram is 2-periodic exactly when a
-    # gauge puts every transition in the all-1, twist-0 normal form
+    # on graphs up to 6 vertices with twist 0: a diagram is 2-periodic
+    # exactly when a gauge puts every lam_u to 1
     from singlocus.examples import circular_ladder_graph
 
     rng = random.Random(15)
@@ -231,10 +234,8 @@ def test_two_periodicity_constructive_on_small_graphs():
             assert pic_invariants(gauged).is_trivial()
             found = trivializing_gauge(gauged)
             assert found is not None
-            assert all(
-                aut.lam_u == 1 and aut.n == 0
-                for aut in gauge(gauged, found).transitions
-            )
+            assert all(lam_u == 1 for _, lam_u in gauge(gauged, found).transitions)
+            assert pic_invariants(gauged).degree_vector == (0,) * len(gauged.transitions)
 
 
 def test_cycle_composites_land_in_h():
@@ -273,28 +274,31 @@ def test_pic_and_trivializing_gauge_match_cycle_oracle(seed, vertices, unit, gau
     assert (found is None) == any(b != 1 for b in expected.beta_holonomies)
     if found is not None:
         assert found[0] == 1
-        assert all(aut.lam_u == 1 for aut in gauge(d, found).transitions)
+        assert all(lam_u == 1 for _, lam_u in gauge(d, found).transitions)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 8))
 def test_transitions_given_against_random_directions(seed, vertices):
     # Each transition is known along or against its stored direction at
-    # random; one known against it is given as its inverse.
+    # random; one known against it is given as (lam_x, lam_x^-n / lam_u),
+    # the scalars of its inverse.
     rng = random.Random(seed)
     g = random_multigraph(rng, vertices, orientable=True)
-    stored = [EdgeAut(-1, e.twist, _rational(rng), _rational(rng), 1) for _, e in g.compact_edges()]
+    twists = [e.twist for _, e in g.compact_edges()]
+    stored = [EdgeAut(-1, n, _rational(rng), _rational(rng), 1) for n in twists]
     known = [
         ((t, s), edge_aut_inverse(aut)) if s != t and rng.random() < 0.5 else ((s, t), aut)
         for (s, t), aut in zip(canonical_directions(g), stored)
     ]
     transitions = [
-        aut if direction == canon else edge_aut_inverse(aut)
+        (aut.lam_x, aut.lam_u) if direction == canon else (aut.lam_x, aut.lam_x**-aut.n / aut.lam_u)
         for (direction, aut), canon in zip(known, canonical_directions(g))
     ]
     charts = [_rational(rng) for _ in range(vertices)]
     d = DescentDiagram(g, charts, transitions)
-    assert d.transitions == tuple(stored) and d.charts == tuple(charts)
+    assert d.transitions == tuple((aut.lam_x, aut.lam_u) for aut in stored) and d.charts == tuple(charts)
+    assert [EdgeAut(-1, n, *t, 1) for n, t in zip(twists, d.transitions)] == stored
     assert pic_invariants(d) == pic_invariants_oracle(d)
 
 

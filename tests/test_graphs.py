@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -76,6 +77,8 @@ def test_half_edge_bookkeeping():
     report = validate_graph(g)
     assert any("used by 2 edges" in v for v in report)
     assert any("belongs to no edge" in v for v in report)
+    g = DecoratedGraph(((0, 1, 2), (0, 3, 4)), tuple(Leg(h) for h in range(5)))
+    assert validate_graph(g) == ["half-edge 0 attached to 2 vertices"]
 
 
 # Theta graphs broken one way each; every public entry must refuse them.
@@ -267,7 +270,7 @@ def test_categories_of_random_multigraphs(seed, vertices):
             assert hf == (reduced_word(f, h) or I.identities[I.arrows[f][0]]), (h, f)
 
 
-# A one-object table missing one entry: each fails check() by its message.
+# A one-object table missing or breaking one entry: each fails check() by its message.
 MISSING_ENTRIES = {
     "identity-arrow": (
         {"f": ("a", "a")}, {("f", "f"): "f"}, "identity of a is not an endo-arrow"
@@ -280,6 +283,18 @@ MISSING_ENTRIES = {
         {("ia", "ia"): "ia", ("ia", "f"): "f", ("f", "ia"): "f"},
         "composite f o f has wrong endpoints",
     ),
+    "right-unit": (
+        {"ia": ("a", "a"), "f": ("a", "a")}, {("ia", "ia"): "ia", ("ia", "f"): "f"}, "right unit fails for f"
+    ),
+    # Units and endpoints hold, but f o (f o f) = f o g = ia and (f o f) o f = g o f = f.
+    "associativity": (
+        {"ia": ("a", "a"), "f": ("a", "a"), "g": ("a", "a")},
+        {
+            ("ia", "ia"): "ia", ("ia", "f"): "f", ("f", "ia"): "f", ("ia", "g"): "g", ("g", "ia"): "g",
+            ("f", "f"): "g", ("f", "g"): "ia", ("g", "f"): "f", ("g", "g"): "g",
+        },
+        "associativity fails on (f, f, f)",
+    ),
 }
 
 
@@ -287,7 +302,7 @@ MISSING_ENTRIES = {
 def test_check_refuses_a_missing_entry(case):
     arrows, compose, message = MISSING_ENTRIES[case]
     cat = FiniteCategory(("a",), arrows, {"a": "ia"}, compose)
-    with pytest.raises(SingLocusError, match=message):
+    with pytest.raises(SingLocusError, match=re.escape(message)):
         cat.check()
 
 

@@ -8,6 +8,7 @@ from singlocus.localmodels import (
     EDGE_IDENTITY,
     VERTEX_IDENTITY,
     EdgeAut,
+    Monomial,
     PantsPresentation,
     TwoPerE,
     TwoPerV,
@@ -149,6 +150,12 @@ def test_twoper_torsor():
         unit = transporter_unit(t1, t2)
         assert unit.u_exp == 0
         assert TwoPerE(unit.coeff * t1.coeff, unit.x_exp + t1.x_exp) == t2
+
+
+@pytest.mark.parametrize("u_exp", [-3, 0, 1, 4])
+def test_monomial_degree_is_twice_the_u_exponent(u_exp):
+    # deg x = 0 and deg u = 2
+    assert Monomial(Fraction(-2, 3), 5, u_exp).degree == 2 * u_exp
 
 
 def test_discrete_part_homomorphism():

@@ -65,8 +65,8 @@ SAMPLES = {
 }
 # Fields whose valid values a type does not describe.
 NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
-# A diagram's transitions must match its graph's twists, so they are drawn
-# from diagrams assembled on the sample graphs.
+# A diagram needs one transition per compact edge of its graph, so they
+# are drawn from diagrams assembled on the sample graphs.
 DIAGRAMS = [assemble_diagram(g) for g in SAMPLES[DecoratedGraph]]
 OVERRIDES = {
     (VertexAut, "perm"): st.permutations((0, 1, 2)).map(tuple),
@@ -291,6 +291,9 @@ def test_post_init_messages_are_unchanged():
         (lambda: cokernel_abelian_group("x"), InvalidValue, "expected a SparseColumns, got 'x'"),
         (lambda: cokernel_abelian_group(None), InvalidValue, "expected a SparseColumns, got None"),
         (lambda: circular_ladder_graph(2.0), InvalidValue, "expected an integer, got 2.0"),
+        (lambda: circular_ladder_graph(0), InvalidValue, "need at least one rung"),
+        (lambda: circular_ladder_graph(-1), InvalidValue, "need at least one rung"),
+        (lambda: SparseColumns(2, ({0: 1}, [1])), InvalidValue, "expected a column {row: entry}, got [1]"),
     ]
     for make, error, message in cases:
         with pytest.raises(error) as info:
@@ -383,8 +386,8 @@ def big_formula_theta():
         pytest.param(lambda: flip_vertex(theta_graph(), BIG), f"no vertex {DIGITS}", id="flip-vertex"),
         pytest.param(lambda: wall_data(p3_fan(), (BIG, 1)), f"({DIGITS}, 1) is not a wall of the fan",
                      id="not-a-wall"),
-        pytest.param(lambda: DescentDiagram(theta_graph(), (1, 1), [EdgeAut(-1, BIG, 1, 1, 1)] * 3),
-                     f"edge 0: transition twist {DIGITS} != edge defect 0", id="twist-mismatch"),
+        pytest.param(lambda: DescentDiagram(theta_graph(), (1, 1), [(-1, BIG, 1)] * 3),
+                     f"expected a list of 2 items, got (-1, {DIGITS}, 1)", id="transition"),
         pytest.param(lambda: SparseColumns(1, ({BIG: 1},)), f"row {DIGITS} is out of range for 1 rows",
                      id="row-range"),
         pytest.param(lambda: CompactEdge((BIG, 1, 2)), f"expected a pair of integers, got ({DIGITS}, 1, 2)",

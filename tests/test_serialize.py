@@ -65,7 +65,8 @@ def test_fan_round_trip():
 
 def test_diagram_round_trip_preserves_invariants():
     # diagram_to_json writes the record's charts, and each transition with
-    # its edge and stored direction; the constructor takes them back.
+    # its edge, stored direction and discrete part; the constructor takes
+    # the scalars back.
     g = theta_graph(twists=(0, 2, -1), holonomies=(2, 3, 5), base_scalars=(7, 1, 2))
     d = gauge(assemble_diagram(g), [Fraction(7, 3), Fraction(1, 2)])
     payload = json.loads(dumps_canonical(diagram_to_json(d)))
@@ -75,9 +76,11 @@ def test_diagram_round_trip_preserves_invariants():
          EdgeAut(t["eps"], t["n"], parse_rational(t["lamX"]), parse_rational(t["lamU"]), t["shift"]))
         for t in payload["transitions"]
     ]
-    assert written == [(ei, direction, aut) for (ei, _), direction, aut in
-                       zip(g.compact_edges(), d.directions, d.transitions)]
-    again = DescentDiagram(graph_from_json(payload), charts, [aut for _, _, aut in written])
+    assert written == [
+        (ei, direction, EdgeAut(-1, e.twist, *transition, 1))
+        for (ei, e), direction, transition in zip(g.compact_edges(), d.directions, d.transitions)
+    ]
+    again = DescentDiagram(graph_from_json(payload), charts, [(a.lam_x, a.lam_u) for _, _, a in written])
     assert again == d
     assert pic_invariants(again) == pic_invariants(d)
 
