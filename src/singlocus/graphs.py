@@ -62,8 +62,11 @@ class DecoratedGraph(Record):
 
     The derived data below is computed on first use and kept on the
     value (treat it as read-only), so each graph is validated, indexed
-    and gauged at most once.  Every table is built from :attr:`incidence`,
-    which raises :class:`InvalidGraph` first on an invalid graph.
+    and gauged at most once.  Every table is built from :attr:`incidence`
+    (the vertex and edge of each half-edge, the endpoints of each compact
+    edge), which raises :class:`InvalidGraph` first on an invalid graph.
+    The face walks of :func:`dual_surface` step through the cyclic orders
+    and edges themselves, once that gate has passed.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -180,31 +183,26 @@ def require_valid(g: DecoratedGraph) -> None:
 
 
 class Incidence(Record):
-    """Precomputed lookup tables for a valid graph."""
+    """Lookup tables of a valid graph: the vertex and the edge of each
+    half-edge, and the endpoint vertices of each compact edge (keyed by
+    its index in ``edges``)."""
 
     vertex_of: dict[int, int]
-    position_of: dict[int, int]
-    partner: dict[int, int]
     edge_of: dict[int, int]
     endpoints: dict[int, tuple[int, int]]
 
     @classmethod
     def of(cls, g: DecoratedGraph) -> "Incidence":
-        vertex_of, position_of = {}, {}
-        for vi, triple in enumerate(g.vertices):
-            for pos, h in enumerate(triple):
-                vertex_of[h] = vi
-                position_of[h] = pos
-        partner, edge_of, endpoints = {}, {}, {}
+        vertex_of = {h: vi for vi, triple in enumerate(g.vertices) for h in triple}
+        edge_of, endpoints = {}, {}
         for ei, e in enumerate(g.edges):
             if isinstance(e, CompactEdge):
                 h1, h2 = e.ends
-                partner[h1], partner[h2] = h2, h1
                 edge_of[h1] = edge_of[h2] = ei
                 endpoints[ei] = (vertex_of[h1], vertex_of[h2])
             else:
                 edge_of[e.end] = ei
-        return cls(vertex_of, position_of, partner, edge_of, endpoints)
+        return cls(vertex_of, edge_of, endpoints)
 
 
 def spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -320,66 +318,46 @@ class DualSurface(Record):
     face_walks: tuple[tuple[int, ...], ...]
 
 
-def _face_walks(g: DecoratedGraph) -> list[list[int]]:
-    # Walk states are (half-edge, direction); the next half-edge is the
-    # cyclic successor at the far vertex (predecessor when direction is
-    # flipped), reversal toggled by the traversed edge's flag.  Legs bounce:
-    # the walk slides around the tip and continues at the same vertex.
-    inc = g.incidence
-
-    def step(h: int, d: int) -> tuple[int, int]:
-        ei = inc.edge_of[h]
-        e = g.edges[ei]
-        if isinstance(e, CompactEdge):
-            h2 = inc.partner[h]
-            d2 = -d if e.reversing else d
-        else:
-            h2, d2 = h, d
-        triple = g.vertices[inc.vertex_of[h2]]
-        pos = inc.position_of[h2]
-        nxt = triple[(pos + d2) % 3]
-        return nxt, d2
-
-    def reverse_state(h: int, d: int) -> tuple[int, int]:
-        # Conjugates the step map to its inverse, i.e. walks the same
-        # boundary circle backwards.
-        e = g.edges[inc.edge_of[h]]
-        if isinstance(e, CompactEdge):
-            return inc.partner[h], (d if e.reversing else -d)
-        return h, -d
-
-    states = [(h, d) for h in sorted(inc.vertex_of) for d in (+1, -1)]
-    unseen = set(states)
+def _face_walks(g: DecoratedGraph) -> tuple[tuple[int, ...], ...]:
+    # A walk state is (half-edge h, direction d).  One step crosses the
+    # edge at h to its partner (a leg is its own partner), negates d when
+    # that edge is reversing, and turns to the cyclic successor at the
+    # vertex reached (the predecessor when d is -1).  The step is a
+    # permutation; each face is one orbit walked forward and its mirror
+    # orbit walked backward.
+    turn: dict[int, dict[int, int]] = {1: {}, -1: {}}
+    for a, b, c in g.vertices:
+        turn[1].update({a: b, b: c, c: a})
+        turn[-1].update({b: a, c: b, a: c})
+    partner = {h: h for h in turn[1]}
+    flip = dict.fromkeys(partner, 1)
+    for _, e in g.compact_edges():
+        h1, h2 = e.ends
+        partner[h1], partner[h2] = h2, h1
+        flip[h1] = flip[h2] = -1 if e.reversing else 1
+    # Visited in (h, -d) order, each orbit is found at its least state.
+    orbit_of: dict[tuple[int, int], int] = {}
     orbits = []
-    for start in states:
-        if start not in unseen:
-            continue
-        orbit = []
-        cur = start
-        while cur in unseen:
-            unseen.discard(cur)
-            orbit.append(cur)
-            cur = step(*cur)
-        orbits.append(orbit)
-    # Every face is traced in both directions; report one walk per mirror
-    # pair of orbits (a self-mirror orbit is reported once).  Forward
-    # orbits win, so without reversing flags each half-edge is listed
-    # exactly once across the reported walks.
-    def key(orbit):
-        forward = any(d > 0 for _, d in orbit)
-        return (0 if forward else 1, min((h, -d) for h, d in orbit))
-
-    orbits.sort(key=key)
-    taken: list[list[int]] = []
-    taken_sets: set[frozenset] = set()
-    for orbit in orbits:
-        mirror = frozenset(reverse_state(h, d) for h, d in orbit)
-        if mirror in taken_sets:
-            continue
-        taken_sets.add(frozenset(orbit))
-        pivot = min(range(len(orbit)), key=lambda i: (orbit[i][0], -orbit[i][1]))
-        taken.append([h for h, _ in orbit[pivot:] + orbit[:pivot]])
-    return taken
+    for start in [(h, d) for h in sorted(partner) for d in (1, -1)]:
+        orbit, (h, d) = [], start
+        while (h, d) not in orbit_of:
+            orbit_of[h, d] = len(orbits)
+            orbit.append((h, d))
+            d *= flip[h]
+            h = turn[d][partner[h]]
+        if orbit:
+            orbits.append(orbit)
+    # (partner, -d * flip) of a state lies on the mirror orbit.  One walk
+    # per mirror pair: the first orbit that steps forward.  An orbit that
+    # never does mirrors one that only does, so without reversing flags
+    # each half-edge is listed exactly once across the walks.
+    walks, taken = [], set()
+    for i, orbit in enumerate(orbits):
+        h, d = orbit[0]
+        if any(x > 0 for _, x in orbit) and orbit_of[partner[h], -d * flip[h]] not in taken:
+            taken.add(i)
+            walks.append(tuple(x for x, _ in orbit))
+    return tuple(walks)
 
 
 def dual_surface(g: DecoratedGraph) -> DualSurface:
@@ -393,5 +371,4 @@ def dual_surface(g: DecoratedGraph) -> DualSurface:
         genus = genus2 // 2
     else:
         genus = 2 - chi - num_legs
-    walks = tuple(tuple(w) for w in _face_walks(g))
-    return DualSurface(genus, num_legs, orientable, walks)
+    return DualSurface(genus, num_legs, orientable, _face_walks(g))

@@ -18,7 +18,9 @@ lowest-edge-index tree by relabelling components and walks it level by
 level; ``trivializing_gauge`` takes its potentials along that tree too.
 The presentation oracle builds the H1 relations from each edge's stored
 direction with generators numbered per vertex, and the F_p-rank oracle
-eliminates rows modulo p.  ``blowup_fan`` and ``random_multigraph``
+eliminates rows modulo p.  The face-walk oracle sorts the orbits of its
+own walk step, drops a mirror by comparing whole orbits as sets and
+rotates each walk to its least state.  ``blowup_fan`` and ``random_multigraph``
 generate test inputs.
 """
 
@@ -541,6 +543,58 @@ def w1_oracle(g) -> list[int]:
                 total ^= 1
         w1.append(total)
     return w1
+
+
+def face_walks_oracle(g) -> tuple[tuple[int, ...], ...]:
+    """The face walks of ``dual_surface``, found the long way round.
+
+    Every (half-edge, direction) state, in sorted half-edge order with
+    +1 first, starts an orbit of the walk step unless an earlier orbit
+    holds it.  The orbits are sorted, those with a +1 state first, then
+    by least state in (h, -d) order; each is taken unless the set of its
+    states' mirrors, (partner, d if reversing else -d), was taken
+    already; a taken orbit is rotated to start at its least state.
+    """
+    vertex_of = {h: v for v, halves in enumerate(g.vertices) for h in halves}
+    position_of = {h: p for halves in g.vertices for p, h in enumerate(halves)}
+    partner, reversing = {}, {}
+    for _, e in g.compact_edges():
+        h1, h2 = e.ends
+        partner[h1], partner[h2] = h2, h1
+        reversing[h1] = reversing[h2] = e.reversing
+
+    def step(h, d):
+        if h in partner:
+            h, d = partner[h], (-d if reversing[h] else d)
+        return g.vertices[vertex_of[h]][(position_of[h] + d) % 3], d
+
+    def mirror(h, d):
+        if h in partner:
+            return partner[h], (d if reversing[h] else -d)
+        return h, -d
+
+    states = [(h, d) for h in sorted(vertex_of) for d in (1, -1)]
+    seen, orbits = set(), []
+    for start in states:
+        if start in seen:
+            continue
+        orbit, cur = [], start
+        while True:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = step(*cur)
+            if cur == start:
+                break
+        orbits.append(orbit)
+    orbits.sort(key=lambda o: (not any(d > 0 for _, d in o), min((h, -d) for h, d in o)))
+    taken, walks = set(), []
+    for orbit in orbits:
+        if frozenset(mirror(h, d) for h, d in orbit) in taken:
+            continue
+        taken.add(frozenset(orbit))
+        least = min(range(len(orbit)), key=lambda i: (orbit[i][0], -orbit[i][1]))
+        walks.append(tuple(h for h, _ in orbit[least:] + orbit[:least]))
+    return tuple(walks)
 
 
 def pic_invariants_oracle(d) -> PicInvariants:

@@ -32,7 +32,15 @@ from singlocus.topology import (
     pencil_localization,
     plumbing_presentation,
 )
-from oracles import cycle_basis, flip_each, random_multigraph, spanning_tree, w1_oracle
+from growth import exponent
+from oracles import (
+    cycle_basis,
+    face_walks_oracle,
+    flip_each,
+    random_multigraph,
+    spanning_tree,
+    w1_oracle,
+)
 
 
 def pants_graph():
@@ -376,6 +384,29 @@ def test_face_walks_cover_each_half_edge_once():
             2 if isinstance(e, CompactEdge) else 1 for e in graph.edges
         )
         assert seen == list(range(half_edges))
+
+
+def test_face_walks_match_the_oracle():
+    # Exactly: the walks, their order and where each starts.  Half of the
+    # random graphs carry arbitrary reversing flags, so orbits that step
+    # both ways occur alongside legs and self-loops.
+    for seed in range(2000):
+        rng = random.Random(seed)
+        g = random_multigraph(rng, rng.randint(1, 12), orientable=seed % 2 == 0)
+        assert dual_surface(g).face_walks == face_walks_oracle(g), seed
+    for rungs in range(1, 65):
+        g = circular_ladder_graph(rungs)
+        assert dual_surface(g).face_walks == face_walks_oracle(g), rungs
+
+
+def test_dual_surface_grows_linearly_on_ladders():
+    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py).
+    # A fit on a loaded host can stray to about 1.4, so a fit over the
+    # bound is retried once; a quadratic path fails both.
+    def fit():
+        return exponent(circular_ladder_graph, dual_surface, (128, 256, 512, 1024))
+
+    assert fit() < 1.5 or fit() < 1.5
 
 
 # --- orientability -----------------------------------------------------
