@@ -74,12 +74,10 @@ def _category(
 
 def build_j(g: graphs.DecoratedGraph) -> FiniteCategory:
     """The category with objects = vertices and edges, one arrow per flag."""
-    inc = g.incidence
+    vertex_of, edge_of = g.vertex_of, g.edge_of
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
     objects += [f"e{ei}" for ei in range(len(g.edges))]
-    arrows = {
-        f"flag:h{h}": (f"v{inc.vertex_of[h]}", f"e{inc.edge_of[h]}") for h in sorted(inc.vertex_of)
-    }
+    arrows = {f"flag:h{h}": (f"v{vertex_of[h]}", f"e{edge_of[h]}") for h in sorted(vertex_of)}
     return _category(objects, arrows, {})
 
 
@@ -94,17 +92,17 @@ def build_i(g: graphs.DecoratedGraph) -> FiniteCategory:
     non-unit composites are three per iso: iso o flag, inverse o iso and
     inverse o (flag-then-iso).
     """
-    inc = g.incidence
+    vertex_of = g.vertex_of
     objects = [f"v{vi}" for vi in range(len(g.vertices))]
-    objects += [f"f{h}" for h in sorted(inc.vertex_of)]
-    arrows = {f"flag:h{h}": (f"v{inc.vertex_of[h]}", f"f{h}") for h in sorted(inc.vertex_of)}
+    objects += [f"f{h}" for h in sorted(vertex_of)]
+    arrows = {f"flag:h{h}": (f"v{vertex_of[h]}", f"f{h}") for h in sorted(vertex_of)}
     compose: dict[tuple[str, str], str] = {}
     for ei, e in g.compact_edges():
         fwd, rev = f"iso:e{ei}:fwd", f"iso:e{ei}:rev"
         for (h, h_out), iso, inverse in ((e.ends, fwd, rev), (e.ends[::-1], rev, fwd)):
             flag, word = f"flag:h{h}", f"flag:h{h}*{iso}"
             arrows[iso] = (f"f{h}", f"f{h_out}")
-            arrows[word] = (f"v{inc.vertex_of[h]}", f"f{h_out}")
+            arrows[word] = (f"v{vertex_of[h]}", f"f{h_out}")
             compose[(iso, flag)] = word
             compose[(inverse, iso)] = f"id:f{h}"
             compose[(inverse, word)] = flag
@@ -114,10 +112,9 @@ def build_i(g: graphs.DecoratedGraph) -> FiniteCategory:
 def collapse_functor(g: graphs.DecoratedGraph) -> dict[str, str]:
     """Object map of the equivalence from :func:`build_i` to :func:`build_j`,
     sending each flag object to its edge object.  Like both categories it
-    reads :attr:`DecoratedGraph.incidence`, so an invalid graph raises
+    reads :attr:`DecoratedGraph.edge_of`, so an invalid graph raises
     :class:`InvalidGraph`."""
-    inc = g.incidence
     mapping = {f"v{vi}": f"v{vi}" for vi in range(len(g.vertices))}
-    for h, ei in inc.edge_of.items():
+    for h, ei in g.edge_of.items():
         mapping[f"f{h}"] = f"e{ei}"
     return mapping

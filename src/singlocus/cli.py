@@ -34,19 +34,17 @@ ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil",
 
 
 def _read_payload(args) -> tuple[dict, bytes]:
-    if getattr(args, "example", None):
+    if args.example:
         name = args.example
         if args.command != "analyze" and name in examples.CLI_EXAMPLE_FANS:
             obj = serialize.fan_to_json(examples.CLI_EXAMPLE_FANS[name]())
         else:
             obj = serialize.graph_to_json(examples.CLI_EXAMPLE_GRAPHS[name]())
         raw = serialize.dumps_canonical(obj).encode("utf-8")
-        return obj, raw
-    path = getattr(args, "path", None)
-    if path in (None, "-"):
+    elif args.path in (None, "-"):
         raw = sys.stdin.buffer.read()
     else:
-        with open(path, "rb") as handle:
+        with open(args.path, "rb") as handle:
             raw = handle.read()
     try:
         return json.loads(raw.decode("utf-8")), raw
@@ -56,7 +54,7 @@ def _read_payload(args) -> tuple[dict, bytes]:
 
 def _emit(args, text: str, code: int) -> int:
     """Write ``text`` and a newline to ``--output`` or stdout and return ``code``."""
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.write("\n")
@@ -183,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="singlocus",
         description="Exact invariants of decorated trivalent graphs and smooth toric fans.",
     )
+    parser.set_defaults(path=None, example=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     validate = sub.add_parser("validate", help="validate a graph or fan JSON file")
@@ -190,20 +189,24 @@ def build_parser() -> argparse.ArgumentParser:
     names = set(examples.CLI_EXAMPLE_GRAPHS) | set(examples.CLI_EXAMPLE_FANS)
     validate.add_argument("--example", choices=sorted(names))
     validate.add_argument("--output")
+    validate.set_defaults(run=_cmd_validate)
 
     toric = sub.add_parser("toric", help="toric fan commands")
     toric_sub = toric.add_subparsers(dest="toric_command", required=True)
     quartic = toric_sub.add_parser("quartic-mirror", help="emit the quartic-mirror fan")
     quartic.add_argument("--output")
+    quartic.set_defaults(run=_cmd_toric_quartic)
     extract = toric_sub.add_parser("extract", help="extract the boundary graph of a fan")
     extract.add_argument("path", nargs="?")
     extract.add_argument("--example", choices=sorted(examples.CLI_EXAMPLE_FANS))
     extract.add_argument("--output")
+    extract.set_defaults(run=_cmd_toric_extract)
 
     analyze = sub.add_parser("analyze", help="run analyses on a graph")
     analyze.add_argument("path", nargs="?")
     analyze.add_argument("--example", choices=sorted(examples.CLI_EXAMPLE_GRAPHS))
     analyze.add_argument("--output")
+    analyze.set_defaults(run=_cmd_analyze)
     analyze.add_argument(
         "--all", action="store_true", help="run every section (default when no section flag is given)"
     )
@@ -215,13 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "toric":
-            if args.toric_command == "quartic-mirror":
-                return _cmd_toric_quartic(args)
-            return _cmd_toric_extract(args)
-        return _cmd_analyze(args)
+        return args.run(args)
     except (OSError, serialize.ParseError) as exc:  # I/O and parse errors: exit 2
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -62,11 +62,10 @@ class DecoratedGraph(Record):
 
     The derived data below is computed on first use and kept on the
     value (treat it as read-only), so each graph is validated, indexed
-    and gauged at most once.  Every table is built from :attr:`incidence`
-    (the vertex and edge of each half-edge, the endpoints of each compact
-    edge), which raises :class:`InvalidGraph` first on an invalid graph.
-    The face walks of :func:`dual_surface` step through the cyclic orders
-    and edges themselves, once that gate has passed.
+    and gauged at most once.  Every table is built after :attr:`vertex_of`,
+    which raises :class:`InvalidGraph` first on an invalid graph.  The
+    face walks of :func:`dual_surface` step through the cyclic orders and
+    edges themselves, once that gate has passed.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -85,15 +84,27 @@ class DecoratedGraph(Record):
         return tuple(validate_graph(self))
 
     @cached_property
-    def incidence(self) -> "Incidence":
-        """Lookup tables; raises :class:`InvalidGraph` on an invalid graph."""
+    def vertex_of(self) -> dict[int, int]:
+        """The vertex of each half-edge; raises :class:`InvalidGraph` on
+        an invalid graph."""
         require_valid(self)
-        return Incidence.of(self)
+        return {h: vi for vi, triple in enumerate(self.vertices) for h in triple}
+
+    @cached_property
+    def edge_of(self) -> dict[int, int]:
+        """The index in ``edges`` of each half-edge's edge."""
+        self.vertex_of  # raises InvalidGraph on an invalid graph
+        return {
+            h: ei
+            for ei, e in enumerate(self.edges)
+            for h in (e.ends if isinstance(e, CompactEdge) else (e.end,))
+        }
 
     @cached_property
     def compact_pairs(self) -> tuple[tuple[int, int], ...]:
         """Endpoint vertex pairs of the compact edges, in edge order."""
-        return tuple(self.incidence.endpoints.values())
+        vertex_of = self.vertex_of
+        return tuple((vertex_of[e.ends[0]], vertex_of[e.ends[1]]) for _, e in self.compact_edges())
 
     @cached_property
     def tree(self) -> dict[int, tuple[int, int]]:
@@ -180,29 +191,6 @@ def validate_graph(g: DecoratedGraph) -> list[str]:
 def require_valid(g: DecoratedGraph) -> None:
     if g.violations:
         raise InvalidGraph(g.violations)
-
-
-class Incidence(Record):
-    """Lookup tables of a valid graph: the vertex and the edge of each
-    half-edge, and the endpoint vertices of each compact edge (keyed by
-    its index in ``edges``)."""
-
-    vertex_of: dict[int, int]
-    edge_of: dict[int, int]
-    endpoints: dict[int, tuple[int, int]]
-
-    @classmethod
-    def of(cls, g: DecoratedGraph) -> "Incidence":
-        vertex_of = {h: vi for vi, triple in enumerate(g.vertices) for h in triple}
-        edge_of, endpoints = {}, {}
-        for ei, e in enumerate(g.edges):
-            if isinstance(e, CompactEdge):
-                h1, h2 = e.ends
-                edge_of[h1] = edge_of[h2] = ei
-                endpoints[ei] = (vertex_of[h1], vertex_of[h2])
-            else:
-                edge_of[e.end] = ei
-        return cls(vertex_of, edge_of, endpoints)
 
 
 def spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -78,22 +78,21 @@ def plumbing_presentation(g: DecoratedGraph) -> SparseColumns:
     """
     orientation_gauge(g)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
     tree = g.tree
-    inc = g.incidence
     bfs_index = {v: k for k, v in enumerate([0, *tree])}
-    ends = {ei: inc.endpoints.get(ei) or (inc.vertex_of[e.end],) for ei, e in enumerate(g.edges)}
-    cuffs = sorted(ends, key=lambda ei: -max(bfs_index[v] for v in ends[ei]))
+    ends = {ei: pair for (ei, _), pair in zip(g.compact_edges(), g.compact_pairs)}
+    ends |= {ei: (g.vertex_of[leg.end],) for ei, leg in g.legs()}
+    cuffs = sorted(ends, key=lambda ei: (-max(bfs_index[v] for v in ends[ei]), ei))
     rows = len(bfs_index) + len(cuffs)
     fiber = {v: k for k, v in enumerate(tree)} | {0: rows - 1}
     cuff = {ei: len(tree) + k for k, ei in enumerate(cuffs)}
 
     sign = {e.ends[1]: -1 for _, e in g.compact_edges()}  # the class there is -x_e
     vertex_relations = [
-        _column([(fiber[v], 1)] + [(cuff[inc.edge_of[h]], sign.get(h, 1)) for h in g.vertices[v]])
+        _column([(fiber[v], 1)] + [(cuff[g.edge_of[h]], sign.get(h, 1)) for h in g.vertices[v]])
         for v in bfs_index
     ]
     edge_relations = []
-    for ei, e in g.compact_edges():
-        a, b = inc.endpoints[ei]
+    for (ei, e), (a, b) in zip(g.compact_edges(), g.compact_pairs):
         edge_relations.append(_column(((fiber[b], 1), (fiber[a], -1), (cuff[ei], -e.twist))))
     columns = [edge_relations[ci] for _, ci in tree.values()] + vertex_relations
     columns += [edge_relations[ci] for ci, _ in g.cycle_edges]
@@ -134,11 +133,9 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
         raise NegativeDefect(
             f"edges {negative} have negative defect; no section with simple zeros exists"
         )
-    inc = g.incidence
+    compact = [(e, ends) for (_, e), ends in zip(g.compact_edges(), g.compact_pairs)]
     num_v = len(g.vertices)
-    kept_pairs = [
-        inc.endpoints[ei] for ei, e in g.compact_edges() if e.twist == 0
-    ]
+    kept_pairs = [ends for e, ends in compact if e.twist == 0]
     comp, tree = spanning_forest(num_v, kept_pairs)
     num_main = num_v - len(tree)
 
@@ -151,14 +148,14 @@ def pencil_localization(g: DecoratedGraph) -> NodalCurveReport:
     for u, v in kept_pairs:
         comp_edges[comp[u]] += 1
     for _, leg in g.legs():
-        comp_boundary[comp[inc.vertex_of[leg.end]]] += 1
+        comp_boundary[comp[g.vertex_of[leg.end]]] += 1
 
     # One run of n_e - 1 annuli per cut edge, numbered after the main pieces.
     chains = []
     sphere_index = num_main
-    for ei, e in g.compact_edges():
+    for e, ends in compact:
         if e.twist > 0:
-            u, v = (comp[x] for x in inc.endpoints[ei])
+            u, v = (comp[x] for x in ends)
             comp_boundary[u] += 1
             comp_boundary[v] += 1
             chains.append((u, sphere_index, e.twist - 1, v))

@@ -105,7 +105,8 @@ INVALID_GRAPHS = {
     ),
 }
 GRAPH_ENTRIES = {
-    "incidence": lambda g: g.incidence,
+    "vertex_of": lambda g: g.vertex_of,
+    "edge_of": lambda g: g.edge_of,
     "compact_pairs": lambda g: g.compact_pairs,
     "tree": lambda g: g.tree,
     "collapse_functor": collapse_functor,
@@ -130,6 +131,31 @@ def test_every_graph_entry_refuses_an_invalid_graph(graph, entry):
     with pytest.raises(InvalidGraph) as info:
         GRAPH_ENTRIES[entry](g)
     assert info.value.report == list(g.violations)
+
+
+def scanned_tables(g):
+    """``vertex_of``, ``edge_of`` and ``compact_pairs`` of ``g``, each
+    half-edge looked up by a scan of ``g.vertices`` and ``g.edges``."""
+    halves = [h for triple in g.vertices for h in triple]
+    ends = [e.ends if isinstance(e, CompactEdge) else (e.end,) for e in g.edges]
+    vertex_of = {h: next(v for v, triple in enumerate(g.vertices) if h in triple) for h in halves}
+    edge_of = {h: next(i for i, hs in enumerate(ends) if h in hs) for h in halves}
+    pairs = tuple((vertex_of[hs[0]], vertex_of[hs[1]]) for hs in ends if len(hs) == 2)
+    return vertex_of, edge_of, pairs
+
+
+def test_tables_match_a_scan_of_vertices_and_edges():
+    # Legs, self-loops and parallel edges occur throughout the random
+    # graphs, and half of them carry arbitrary reversing flags.
+    def graphs():
+        for seed in range(1000):
+            rng = random.Random(seed)
+            yield random_multigraph(rng, rng.randint(1, 12), orientable=seed % 2 == 0)
+        yield from map(circular_ladder_graph, range(1, 65))
+
+    for g in graphs():
+        assert (g.vertex_of, g.edge_of, g.compact_pairs) == scanned_tables(g), g
+        assert g.vertex_of is g.vertex_of and g.edge_of is g.edge_of  # built once
 
 
 # --- categories --------------------------------------------------------

@@ -21,7 +21,6 @@ from singlocus.graphs import (
     CompactEdge,
     DecoratedGraph,
     DualSurface,
-    Incidence,
     Leg,
     flip_vertex,
     validate_graph,
@@ -43,7 +42,7 @@ from oracles import SmithForm
 
 RECORDS = (
     DescentDiagram, PicInvariants,
-    CompactEdge, Leg, DecoratedGraph, Incidence, DualSurface, FiniteCategory,
+    CompactEdge, Leg, DecoratedGraph, DualSurface, FiniteCategory,
     SmithForm, SparseColumns,  # SmithForm: the snf oracle's record
     Monomial, TwoPerE, EdgeAut, TwoPerV, VertexAut, PantsPresentation,
     Fan, WallReport,
@@ -185,7 +184,7 @@ def hash_or_error(x):
 
 def test_every_record_type_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 19
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)

@@ -33,6 +33,7 @@ from singlocus.topology import (
 )
 from singlocus.toric import boundary_graph
 
+from growth import exponent
 from oracles import (
     blowup_fan,
     check_fp_ranks,
@@ -334,6 +335,26 @@ def test_h1_ladder_1024_is_fast():
     h1 = h1_graph_manifold(g)
     assert time.perf_counter() - start < 1.0
     assert (h1.free_rank, h1.torsion) == gysin_h1(1025)
+
+
+def twisted_ladder(rungs):
+    """A circular ladder with twists 1..9, so that the pencil cuts every edge."""
+    rng, g = random.Random(rungs), circular_ladder_graph(rungs)
+    return DecoratedGraph(g.vertices, [e.replace(twist=rng.randint(1, 9)) for e in g.edges])
+
+
+@pytest.mark.parametrize(
+    "make, run",
+    [(circular_ladder_graph, h1_graph_manifold), (twisted_ladder, pencil_localization)],
+    ids=["h1-untwisted", "pencil-twisted"],
+)
+def test_ladder_paths_grow_linearly(make, run):
+    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
+    # fit over the bound is retried once, as for dual_surface.
+    def fit():
+        return exponent(make, run, (128, 256, 512, 1024))
+
+    assert fit() < 1.5 or fit() < 1.5
 
 
 def test_h1_ladder_128_closed_form():

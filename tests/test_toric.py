@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 from collections import Counter
@@ -20,6 +21,7 @@ from singlocus.toric import (
     walls,
 )
 
+from growth import exponent
 from oracles import (
     _det3,
     anticanonical_degree_oracle,
@@ -322,6 +324,27 @@ def test_validate_fan_1600_step_blowup_is_fast():
     seconds = time.perf_counter() - start
     assert report == []
     assert seconds < 0.5
+
+
+@functools.cache
+def complete_blowup(steps):
+    return blowup_fan(random.Random(steps), steps)[0]
+
+
+def fresh_complete_blowup(steps):
+    """A copy of :func:`complete_blowup` with none of its tables built."""
+    f = complete_blowup(steps)
+    return Fan(f.rays, f.cones)
+
+
+@pytest.mark.parametrize("run", [validate_fan, boundary_graph, divisor_classification], ids=lambda f: f.__name__)
+def test_complete_blowup_paths_grow_linearly(run):
+    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
+    # fit over the bound is retried once, as for dual_surface.
+    def fit():
+        return exponent(fresh_complete_blowup, run, (200, 400, 800, 1600))
+
+    assert fit() < 1.5 or fit() < 1.5
 
 
 # --- wall data ---------------------------------------------------------
