@@ -33,30 +33,21 @@ class FiniteCategory(Record):
         for obj, ident in self.identities.items():
             if arrows.get(ident) != (obj, obj):
                 raise SingLocusError(f"identity of {obj} is not an endo-arrow")
-        names = list(arrows)
-        for f in names:
-            fs, ft = arrows[f]
+        out_of: dict[str, list[tuple[str, str]]] = {}  # source -> (arrow, target), in arrow order
+        for f, (fs, ft) in arrows.items():
             if compose.get((self.identities.get(ft), f)) != f:
                 raise SingLocusError(f"left unit fails for {f}")
             if compose.get((f, self.identities.get(fs))) != f:
                 raise SingLocusError(f"right unit fails for {f}")
-        for f in names:
-            fs, ft = arrows[f]
-            for h in names:
-                hs, ht = arrows[h]
-                if hs != ft:
-                    continue
+            out_of.setdefault(fs, []).append((f, ft))
+        for f, (fs, ft) in arrows.items():
+            for h, ht in out_of.get(ft, ()):
                 hf = compose.get((h, f))
                 if arrows.get(hf) != (fs, ht):
                     raise SingLocusError(f"composite {h} o {f} has wrong endpoints")
-                for k in names:
-                    ks, kt = arrows[k]
-                    if ks != ht:
-                        continue
+                for k, _ in out_of.get(ht, ()):
                     if compose.get((k, hf)) != compose.get((compose.get((k, h)), f)):
-                        raise SingLocusError(
-                            f"associativity fails on ({k}, {h}, {f})"
-                        )
+                        raise SingLocusError(f"associativity fails on ({k}, {h}, {f})")
 
 
 def _category(

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from . import descent, toric, topology
-from .errors import InvalidValue, SingLocusError, in_full
+from .errors import InvalidValue, SingLocusError, in_full, shown
 from .graphs import CompactEdge, DecoratedGraph, DualSurface, Leg
 
 
@@ -47,8 +47,8 @@ def parse_rational(text: object) -> Fraction:
         if type(text) is int:
             return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}") from None
-    raise ParseError(f"bad rational {text!r}")
+        raise ParseError(f"bad rational {shown(text)}: {exc}") from None
+    raise ParseError(f"bad rational {shown(text)}")
 
 
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
@@ -118,7 +118,7 @@ def graph_from_json(payload: dict) -> DecoratedGraph:
             elif e["kind"] == "leg":
                 edges.append(Leg(e["end"]))
             else:
-                raise ParseError(f"unknown edge kind {e['kind']!r}")
+                raise ParseError(f"unknown edge kind {shown(e['kind'])}")
         return DecoratedGraph(vertices, edges)
     except (KeyError, TypeError, InvalidValue) as exc:
         raise ParseError(f"malformed graph JSON: {exc}") from None

@@ -412,7 +412,7 @@ def divisor_classification(f: Fan) -> list[dict]:
             if report is not None:
                 values.append(report.self_intersections[0 if ri < w else 1])
         if complete:
-            canon = _canonical_cycle(values)
+            canon = min(_least_rotation(values), _least_rotation(values[::-1]))
             kind = "cycle"
         else:
             canon = min(tuple(values), tuple(reversed(values)))
@@ -421,9 +421,20 @@ def divisor_classification(f: Fan) -> list[dict]:
     return out
 
 
-def _canonical_cycle(values: list[int]) -> tuple[int, ...]:
-    candidates = []
-    for seq in (values, list(reversed(values))):
-        for shift in range(len(seq)):
-            candidates.append(tuple(seq[shift:] + seq[:shift]))
-    return min(candidates)
+def _least_rotation(seq: list[int]) -> tuple[int, ...]:
+    """The least rotation of ``seq`` in linear time: keep two candidate
+    starts i < j and the length k of their common prefix, and on the first
+    difference rule out the larger start and the k after it."""
+    n, doubled = len(seq), tuple(seq) * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
+        else:
+            j += k + 1
+        k = 0
+    return doubled[i : i + n]

@@ -11,6 +11,8 @@ from ``tests/``, for example
     exponent(circular_ladder_graph, dual_surface, (128, 256, 512, 1024))
 
 times ``dual_surface`` on a fresh ladder of each size and returns about 1.
+:func:`peak_exponent` fits the ``tracemalloc`` peak of the same calls the
+same way, so a path whose working memory grows as n^2 shows as 2 too.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import gc
 import math
 import time
+import tracemalloc
 from collections.abc import Callable, Iterable
 
 REPEATS = 3
@@ -56,3 +59,25 @@ def exponent(make: Callable, run: Callable, sizes: Iterable[int]) -> float:
     """The growth exponent of ``run`` on ``make(n)`` over ``sizes``: the
     slope of log(:func:`best_time`) against log(n)."""
     return slope((n, best_time(make, run, n)) for n in sizes)
+
+
+def peak_bytes(make: Callable, run: Callable, size: int) -> int:
+    """The ``tracemalloc`` peak of ``run(make(size))``; the input is built
+    before tracing starts, so only what ``run`` allocates counts."""
+    value = make(size)
+    tracemalloc.start()
+    try:
+        run(value)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def peak_exponent(make: Callable, run: Callable, sizes: Iterable[int]) -> float:
+    """The memory growth exponent of ``run`` on ``make(n)`` over ``sizes``:
+    the slope of log(:func:`peak_bytes`) against log(n).  One untraced run
+    at the first size comes first, so that one-time allocations, such as
+    a module that runs on first use, count at no size."""
+    sizes = tuple(sizes)
+    run(make(sizes[0]))
+    return slope((n, peak_bytes(make, run, n)) for n in sizes)

@@ -20,8 +20,11 @@ The presentation oracle builds the H1 relations from each edge's stored
 direction with generators numbered per vertex, and the F_p-rank oracle
 eliminates rows modulo p.  The face-walk oracle sorts the orbits of its
 own walk step, drops a mirror by comparing whole orbits as sets and
-rotates each walk to its least state.  ``blowup_fan`` and ``random_multigraph``
-generate test inputs.
+rotates each walk to its least state.  The category oracle scans every
+arrow name for the arrows composable with each one, and the cycle oracle
+takes the least of all rotations of a cycle and of its reverse.
+``blowup_fan``, ``prism_fan`` and ``random_multigraph`` generate test
+inputs.
 """
 
 from __future__ import annotations
@@ -734,6 +737,54 @@ def blowup_fan(rng, steps):
         cones += [[j, n, a], [j, n, b]]
         wall = (min(i, j), max(i, j))
     return Fan(rays, cones), wall
+
+
+def prism_fan(m):
+    """The prism over the (m + 3)-gon: the smooth complete 2D fan with rays
+    (1, j) for j = 0..m, then (0, 1) and (-1, -1), times the line through
+    (0, 0, 1).  Each of the rays (0, 0, 1) and (0, 0, -1), the last two,
+    has a star of m + 3 rays."""
+    k = m + 3
+    rays = [[1, j, 0] for j in range(m + 1)] + [[0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]]
+    return Fan(rays, [[i, (i + 1) % k, pole] for pole in (k, k + 1) for i in range(k)])
+
+
+def canonical_cycle_oracle(values) -> tuple[int, ...]:
+    """The least of all rotations of ``values`` and of its reverse."""
+    values = list(values)
+    return min(
+        tuple(seq[shift:] + seq[:shift]) for seq in (values, values[::-1]) for shift in range(len(seq))
+    )
+
+
+def category_violation_oracle(cat) -> Optional[str]:
+    """The first category axiom that the tables of ``cat`` break, as the
+    message :meth:`FiniteCategory.check` raises, or None.  For each arrow
+    it scans every arrow name for the arrows composable with it."""
+    arrows, compose, identities = cat.arrows, cat.compose, cat.identities
+    for obj, ident in identities.items():
+        if arrows.get(ident) != (obj, obj):
+            return f"identity of {obj} is not an endo-arrow"
+    names = list(arrows)
+    for f in names:
+        fs, ft = arrows[f]
+        if compose.get((identities.get(ft), f)) != f:
+            return f"left unit fails for {f}"
+        if compose.get((f, identities.get(fs))) != f:
+            return f"right unit fails for {f}"
+    for f in names:
+        fs, ft = arrows[f]
+        for h in names:
+            hs, ht = arrows[h]
+            if hs != ft:
+                continue
+            hf = compose.get((h, f))
+            if arrows.get(hf) != (fs, ht):
+                return f"composite {h} o {f} has wrong endpoints"
+            for k in names:
+                if arrows[k][0] == ht and compose.get((k, hf)) != compose.get((compose.get((k, h)), f)):
+                    return f"associativity fails on ({k}, {h}, {f})"
+    return None
 
 
 def _det3(a, b, c) -> int:

@@ -18,6 +18,8 @@ from singlocus.errors import DisconnectedGraph, GraphMismatch, InvalidValue, Non
 from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
+from singlocus.serialize import diagram_to_json
+from growth import exponent
 from oracles import (
     _rational,
     compose_cycle,
@@ -300,6 +302,24 @@ def test_transitions_given_against_random_directions(seed, vertices):
     assert d.transitions == tuple((aut.lam_x, aut.lam_u) for aut in stored) and d.charts == tuple(charts)
     assert [EdgeAut(-1, n, *t, 1) for n, t in zip(twists, d.transitions)] == stored
     assert pic_invariants(d) == pic_invariants_oracle(d)
+
+
+@pytest.mark.parametrize(
+    "make, run",
+    [
+        (circular_ladder_graph, lambda g: diagram_to_json(assemble_diagram(g))),
+        (lambda rungs: assemble_diagram(circular_ladder_graph(rungs)), pic_invariants),
+    ],
+    ids=["descent-section", "pic-unit-scalars"],
+)
+def test_ladder_paths_grow_linearly(make, run):
+    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
+    # fit over the bound is retried once, as for dual_surface.  Unit
+    # scalars keep every holonomy 1, so only the graph's size grows.
+    def fit():
+        return exponent(make, run, (128, 256, 512, 1024))
+
+    assert fit() < 1.5 or fit() < 1.5
 
 
 def test_ladder_512_pic_is_fast():

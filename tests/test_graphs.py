@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -34,6 +35,7 @@ from singlocus.topology import (
 )
 from growth import exponent
 from oracles import (
+    category_violation_oracle,
     cycle_basis,
     face_walks_oracle,
     flip_each,
@@ -338,6 +340,76 @@ def test_check_refuses_a_missing_entry(case):
     cat = FiniteCategory(("a",), arrows, {"a": "ia"}, compose)
     with pytest.raises(SingLocusError, match=re.escape(message)):
         cat.check()
+
+
+def mutated_category(rng):
+    """``build_i`` or ``build_j`` of a random multigraph on 1-6 vertices,
+    after up to three random mutations: redirect a composite (more often
+    one of two non-units), delete a composite, reverse an arrow, or point
+    an object's identity at another arrow."""
+    g = random_multigraph(rng, rng.randint(1, 6))
+    cat = rng.choice((build_i, build_j))(g)
+    arrows, identities, compose = dict(cat.arrows), dict(cat.identities), dict(cat.compose)
+    names, units = list(arrows), set(identities.values())
+    for _ in range(rng.randint(0, 3)):
+        kind = rng.randrange(5)
+        if kind < 2:
+            pairs = [pair for pair in compose if units.isdisjoint(pair)] if kind else list(compose)
+            compose[rng.choice(pairs or list(compose))] = rng.choice(names)
+        elif kind == 2:
+            del compose[rng.choice(list(compose))]
+        elif kind == 3:
+            f = rng.choice(names)
+            arrows[f] = arrows[f][::-1]
+        else:
+            identities[rng.choice(cat.objects)] = rng.choice(names)
+    return FiniteCategory(cat.objects, arrows, identities, compose)
+
+
+def test_check_agrees_with_the_all_pairs_scan():
+    # Outcome and message of check() against the oracle's scan of every
+    # arrow name, on 1500 mutated index categories; each axiom is seen
+    # failing, and some tables pass.
+    rng, seen = random.Random(0), Counter()
+    for _ in range(1500):
+        cat = mutated_category(rng)
+        try:
+            cat.check()
+            outcome = None
+        except SingLocusError as exc:
+            outcome = str(exc)
+        assert outcome == category_violation_oracle(cat), cat
+        seen[outcome and outcome.split()[0]] += 1
+    assert set(seen) == {None, "identity", "left", "right", "composite", "associativity"}, seen
+
+
+def ladder_category(rungs):
+    return build_i(circular_ladder_graph(rungs))
+
+
+def test_check_of_a_64_rung_ladder_is_fast():
+    cat = ladder_category(64)  # 1664 arrows
+    start = time.perf_counter()
+    cat.check()
+    assert time.perf_counter() - start < 0.05
+
+
+@pytest.mark.parametrize(
+    "make, run, sizes",
+    [
+        (circular_ladder_graph, validate_graph, (128, 256, 512, 1024)),
+        (ladder_category, FiniteCategory.check, (16, 32, 64, 128)),
+    ],
+    ids=["validate_graph", "category-check"],
+)
+def test_ladder_paths_grow_linearly(make, run, sizes):
+    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
+    # fit over the bound is retried once, as for dual_surface.  A check
+    # that scans every arrow name per composable pair fits about 1.9.
+    def fit():
+        return exponent(make, run, sizes)
+
+    assert fit() < 1.5 or fit() < 1.5
 
 
 # --- dual surface ------------------------------------------------------

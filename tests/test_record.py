@@ -35,6 +35,7 @@ from singlocus.localmodels import (
     VertexAut,
 )
 from singlocus.record import FrozenInstanceError, Record
+from singlocus.serialize import graph_from_json, parse_rational
 from singlocus.toric import Fan, WallReport, validate_fan, wall_data
 from singlocus.topology import H1Result, NodalCurveReport
 
@@ -393,6 +394,9 @@ def big_formula_theta():
                      id="pair"),
         pytest.param(lambda: CompactEdge((0, 3), twist=[BIG]), f"expected an integer, got [{DIGITS}]",
                      id="integer"),
+        pytest.param(lambda: graph_from_json({"vertices": [], "edges": [{"kind": BIG}]}),
+                     f"unknown edge kind {DIGITS}", id="edge-kind"),
+        pytest.param(lambda: parse_rational([BIG]), f"bad rational [{DIGITS}]", id="rational"),
     ],
 )
 def test_integers_past_the_digit_limit_are_written_in_full(call, message):

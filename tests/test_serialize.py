@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from singlocus.descent import DescentDiagram, assemble_diagram, gauge, pic_invariants
 from singlocus.localmodels import EdgeAut
-from singlocus.examples import conifold_fan, quartic_mirror_graph, theta_graph
+from singlocus.examples import circular_ladder_graph, conifold_fan, quartic_mirror_graph, theta_graph
 from singlocus.serialize import (
     ParseError,
     diagram_to_json,
@@ -22,6 +22,7 @@ from singlocus.serialize import (
     graph_to_json,
     parse_rational,
 )
+from growth import exponent
 
 
 def test_rational_round_trip():
@@ -103,6 +104,20 @@ def test_malformed_graph_json():
 def test_canonical_output_is_sorted_and_stable():
     payload = graph_to_json(theta_graph())
     assert dumps_canonical(payload) == dumps_canonical(json.loads(dumps_canonical(payload)))
+
+
+def ladder_json(rungs):
+    return graph_to_json(circular_ladder_graph(rungs))
+
+
+@pytest.mark.parametrize("run", [graph_from_json, dumps_canonical], ids=lambda f: f.__name__)
+def test_ladder_json_paths_grow_linearly(run):
+    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
+    # fit over the bound is retried once, as for dual_surface.
+    def fit():
+        return exponent(ladder_json, run, (128, 256, 512, 1024))
+
+    assert fit() < 1.5 or fit() < 1.5
 
 
 # --- canonical emission ----------------------------------------------------

@@ -345,8 +345,12 @@ def twisted_ladder(rungs):
 
 @pytest.mark.parametrize(
     "make, run",
-    [(circular_ladder_graph, h1_graph_manifold), (twisted_ladder, pencil_localization)],
-    ids=["h1-untwisted", "pencil-twisted"],
+    [
+        (circular_ladder_graph, h1_graph_manifold),
+        (twisted_ladder, pencil_localization),
+        (twisted_ladder, dehn_twist_record),
+    ],
+    ids=["h1-untwisted", "pencil-twisted", "dehn-twisted"],
 )
 def test_ladder_paths_grow_linearly(make, run):
     # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a

@@ -13,6 +13,7 @@ from singlocus.graphs import dual_surface, validate_graph
 from singlocus.toric import (
     Fan,
     _covers_sphere_once,
+    _least_rotation,
     _walk_link,
     boundary_graph,
     divisor_classification,
@@ -21,12 +22,14 @@ from singlocus.toric import (
     walls,
 )
 
-from growth import exponent
+from growth import exponent, peak_exponent
 from oracles import (
     _det3,
     anticanonical_degree_oracle,
     blowup_fan,
+    canonical_cycle_oracle,
     fan_violations_oracle,
+    prism_fan,
     wall_self_intersections_oracle,
 )
 
@@ -552,6 +555,52 @@ def test_classification_normalization_stable():
 def test_conifold_divisors_are_chains():
     entries = divisor_classification(conifold_fan())
     assert all(e["kind"] == "chain" for e in entries)
+
+
+def test_least_rotation_matches_the_oracle():
+    rng = random.Random(0)
+    for _ in range(20000):
+        values = [rng.randint(-3, 3) for _ in range(rng.randint(1, 12))]
+        canon = min(_least_rotation(values), _least_rotation(values[::-1]))
+        assert canon == canonical_cycle_oracle(values), values
+
+
+@pytest.mark.parametrize("m", [4, 5, 17, 500, 4000])
+def test_prism_divisors(m):
+    # The poles (0, 0, 1) and (0, 0, -1) have stars of m + 3 rays, with
+    # self-intersections 1 - m, -1, m - 1 times -2, 0 and 1 in canonical
+    # order; every other ray's star has 4 rays.  The oracle takes all 2k
+    # rotations of a k-ray star, so it checks stars of up to 503 rays.
+    entries = divisor_classification(prism_fan(m))
+    poles = (1 - m, -1, *[-2] * (m - 1), 0, 1)
+    assert [e["selfIntersections"] for e in entries[m + 3 :]] == [poles, poles]
+    for e in entries:
+        cycle = e["selfIntersections"]
+        assert e["kind"] == "cycle"
+        assert len(cycle) > 503 or cycle == canonical_cycle_oracle(cycle), e["ray"]
+
+
+def test_prism_4000_divisor_classification_is_fast():
+    # Validation and the wall reports are built first, so the clock times
+    # the walk of each star and its canonical cycle (about 1.2 s when each
+    # pole's star took the least of all its 8006 rotations).
+    f = prism_fan(4000)
+    assert validate_fan(f) == [] and len(f.wall_reports) == 3 * 4003
+    start = time.perf_counter()
+    divisor_classification(f)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_prism_divisor_classification_grows_linearly():
+    # In time and in tracemalloc peak (tests/growth.py); a time fit over
+    # the bound is retried once, as for dual_surface.  Taking every rotation
+    # of each pole's star, as a tuple, fits 1.8 in memory, and 1.5-1.7 in
+    # time, where the linear validation of the fan weighs in.
+    def fit():
+        return exponent(prism_fan, divisor_classification, (500, 1000, 2000, 4000))
+
+    assert fit() < 1.5 or fit() < 1.5
+    assert peak_exponent(prism_fan, divisor_classification, (125, 250, 500, 1000)) < 1.5
 
 
 def test_split_star_is_not_classified():
