@@ -28,8 +28,14 @@ class FiniteCategory(Record):
 
     def check(self) -> None:
         """Raise :class:`SingLocusError` unless the tables satisfy the
-        category axioms; a missing identity or composite fails them."""
-        arrows, compose = self.arrows, self.compose
+        category axioms; a missing identity or composite fails them, and so
+        does an identity or arrow end that is not one of ``objects``."""
+        arrows, compose, objects = self.arrows, self.compose, set(self.objects)
+        if set(self.identities) != objects:
+            raise SingLocusError("identities are not one per object")
+        for f, ends in arrows.items():
+            if not objects.issuperset(ends):
+                raise SingLocusError(f"arrow {f} has an end that is not an object")
         for obj, ident in self.identities.items():
             if arrows.get(ident) != (obj, obj):
                 raise SingLocusError(f"identity of {obj} is not an endo-arrow")

@@ -222,7 +222,3 @@ def main(argv=None) -> int:
     except (OSError, serialize.ParseError) as exc:  # I/O and parse errors: exit 2
         sys.stderr.write(f"error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from . import toric
 from .errors import InvalidValue, integer, items
 from .graphs import CompactEdge, DecoratedGraph
@@ -34,15 +36,8 @@ def circular_ladder_graph(rungs: int) -> DecoratedGraph:
     # Vertices 0..m-1 on the outer cycle, m..2m-1 on the inner cycle.
     # Half-edges: vertex v gets (3v, 3v+1, 3v+2) = (to next, to prev, rung).
     vertices = tuple((3 * v, 3 * v + 1, 3 * v + 2) for v in range(2 * m))
-    edges = []
-    for i in range(m):
-        j = (i + 1) % m
-        edges.append(CompactEdge((3 * i, 3 * j + 1)))
-    for i in range(m):
-        j = (i + 1) % m
-        edges.append(CompactEdge((3 * (m + i), 3 * (m + j) + 1)))
-    for i in range(m):
-        edges.append(CompactEdge((3 * i + 2, 3 * (m + i) + 2)))
+    edges = [CompactEdge((3 * (o + i), 3 * (o + (i + 1) % m) + 1)) for o in (0, m) for i in range(m)]
+    edges += [CompactEdge((3 * i + 2, 3 * (m + i) + 2)) for i in range(m)]
     return DecoratedGraph(vertices, edges)
 
 
@@ -73,42 +68,27 @@ def quartic_mirror_fan() -> toric.Fan:
     """The fan over the unit triangulation of the boundary of the
     reflexive tetrahedron conv{(-1,-1,-1), (3,-1,-1), (-1,3,-1), (-1,-1,3)}.
 
-    Each of the four facets (lattice side 4) is subdivided into 16 unit
-    triangles with sides parallel to the edges; the 34 boundary lattice
-    points are the rays and the 64 cones over the triangles are the
-    maximal cones.
+    Its 34 nonzero lattice points, all on the boundary, are the rays, in the
+    order ``itertools.product`` yields them.  Each of the four facets
+    (lattice side 4) is cut into 16 unit triangles with sides parallel to
+    its edges, and the 64 cones over them are the maximal cones.
     """
-    corners = [(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)]
-    facets = [
-        (corners[0], corners[1], corners[2]),
-        (corners[0], corners[1], corners[3]),
-        (corners[0], corners[2], corners[3]),
-        (corners[1], corners[2], corners[3]),
-    ]
-    side = 4
-    points: set[toric.Vec] = set()
-    triangles: set[tuple[toric.Vec, toric.Vec, toric.Vec]] = set()
-    for a, bb, cc in facets:
-        du = tuple((bb[k] - a[k]) // side for k in range(3))
-        dv = tuple((cc[k] - a[k]) // side for k in range(3))
-
-        def pt(i: int, j: int) -> toric.Vec:
-            return tuple(a[k] + i * du[k] + j * dv[k] for k in range(3))
-
-        for i in range(side + 1):
-            for j in range(side + 1 - i):
-                points.add(pt(i, j))
-        for i in range(side):
-            for j in range(side - i):
-                triangles.add(tuple(sorted((pt(i, j), pt(i + 1, j), pt(i, j + 1)))))
-                if i + j <= side - 2:
-                    triangles.add(
-                        tuple(sorted((pt(i + 1, j), pt(i, j + 1), pt(i + 1, j + 1))))
-                    )
-    rays = tuple(sorted(points))
+    rays = [p for p in itertools.product(range(-1, 4), repeat=3) if sum(p) <= 1 and any(p)]
     index = {r: k for k, r in enumerate(rays)}
-    cones = tuple(sorted(tuple(sorted(index[p] for p in tri)) for tri in triangles))
-    return toric.Fan(rays, cones)
+    cones = []
+    for a, *others in itertools.combinations([(-1, -1, -1), (3, -1, -1), (-1, 3, -1), (-1, -1, 3)], 3):
+        du, dv = ([(y - x) // 4 for x, y in zip(a, corner)] for corner in others)
+        pt = {
+            (i, j): index[tuple(x + i * u + j * v for x, u, v in zip(a, du, dv))]
+            for i in range(5)
+            for j in range(5 - i)
+        }
+        for i, j in pt:
+            if i + j <= 3:
+                cones.append(sorted((pt[i, j], pt[i + 1, j], pt[i, j + 1])))
+            if i + j <= 2:
+                cones.append(sorted((pt[i + 1, j], pt[i, j + 1], pt[i + 1, j + 1])))
+    return toric.Fan(rays, sorted(cones))
 
 
 def k4_graph() -> DecoratedGraph:

@@ -9,6 +9,7 @@ affine components.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -161,20 +162,15 @@ class DecoratedGraph(Record):
 
 def validate_graph(g: DecoratedGraph) -> list[str]:
     """Return the list of violated invariants; empty iff the graph is valid."""
-    report = []
-    seen_vertex: dict[int, int] = {}
-    for vi, triple in enumerate(g.vertices):
-        if len(triple) != 3 or len(set(triple)) != 3:
-            report.append(f"vertex {vi} not trivalent")
-        for h in triple:
-            seen_vertex[h] = seen_vertex.get(h, 0) + 1
-    seen_edge: dict[int, int] = {}
-    for h in g.half_edges():
-        seen_edge[h] = seen_edge.get(h, 0) + 1
+    report = [
+        f"vertex {vi} not trivalent" for vi, t in enumerate(g.vertices) if len(t) != 3 or len(set(t)) != 3
+    ]
+    seen_vertex = Counter(h for triple in g.vertices for h in triple)
+    seen_edge = Counter(g.half_edges())
     for h, count in sorted(seen_vertex.items()):
         if count > 1:
             report.append(f"half-edge {in_full(h)} attached to {count} vertices")
-        if seen_edge.get(h, 0) == 0:
+        if h not in seen_edge:
             report.append(f"half-edge {in_full(h)} belongs to no edge")
     for h, count in sorted(seen_edge.items()):
         if count > 1:

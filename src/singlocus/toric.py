@@ -57,10 +57,6 @@ def _cross(a: Vec, b: Vec) -> Vec:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _is_primitive(v: Vec) -> bool:
-    return gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2])) == 1
-
-
 class Fan(Record):
     """Rays (primitive integer vectors) and maximal cones (ray-index triples).
 
@@ -93,7 +89,7 @@ class Fan(Record):
                 report.append(f"ray {i} is not a 3-vector")
                 not_3d.add(i)
                 continue
-            if r == (0, 0, 0) or not _is_primitive(r):
+            if gcd(*r) != 1:  # gcd(0, 0, 0) == 0
                 report.append(f"ray {i} = {shown(r)} not primitive")
             if r in seen:
                 report.append(f"ray {i} duplicates ray {seen[r]}")

@@ -11,8 +11,9 @@ from ``tests/``, for example
     exponent(circular_ladder_graph, dual_surface, (128, 256, 512, 1024))
 
 times ``dual_surface`` on a fresh ladder of each size and returns about 1.
-:func:`peak_exponent` fits the ``tracemalloc`` peak of the same calls the
-same way, so a path whose working memory grows as n^2 shows as 2 too.
+:func:`assert_linear` bounds that exponent, and :func:`peak_exponent`
+fits the ``tracemalloc`` peak of the same calls the same way, so a path
+whose working memory grows as n^2 shows as 2 too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import tracemalloc
 from collections.abc import Callable, Iterable
 
 REPEATS = 3
+BOUND = 1.5  # between linear (about 1) and quadratic (about 2)
 
 
 def slope(points: Iterable[tuple[float, float]]) -> float:
@@ -59,6 +61,18 @@ def exponent(make: Callable, run: Callable, sizes: Iterable[int]) -> float:
     """The growth exponent of ``run`` on ``make(n)`` over ``sizes``: the
     slope of log(:func:`best_time`) against log(n)."""
     return slope((n, best_time(make, run, n)) for n in sizes)
+
+
+def assert_linear(make: Callable, run: Callable, sizes: Iterable[int]) -> None:
+    """Fail if the :func:`exponent` of ``run`` on ``make(n)`` over ``sizes``
+    reaches ``BOUND`` twice in a row.  A fit on a loaded host can stray to
+    about 1.4, so a fit at the bound is retried once; a quadratic path,
+    about 2, fails both, and the message shows both exponents."""
+    sizes = tuple(sizes)
+    first = exponent(make, run, sizes)
+    if first >= BOUND:
+        second = exponent(make, run, sizes)
+        assert second < BOUND, f"growth exponents {first:.2f} and {second:.2f}, both at least {BOUND}"
 
 
 def peak_bytes(make: Callable, run: Callable, size: int) -> int:

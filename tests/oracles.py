@@ -762,6 +762,11 @@ def category_violation_oracle(cat) -> Optional[str]:
     message :meth:`FiniteCategory.check` raises, or None.  For each arrow
     it scans every arrow name for the arrows composable with it."""
     arrows, compose, identities = cat.arrows, cat.compose, cat.identities
+    if any(obj not in identities for obj in cat.objects) or any(obj not in cat.objects for obj in identities):
+        return "identities are not one per object"
+    for f, (fs, ft) in arrows.items():
+        if fs not in cat.objects or ft not in cat.objects:
+            return f"arrow {f} has an end that is not an object"
     for obj, ident in identities.items():
         if arrows.get(ident) != (obj, obj):
             return f"identity of {obj} is not an endo-arrow"

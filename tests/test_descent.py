@@ -19,7 +19,7 @@ from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_g
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
 from singlocus.serialize import diagram_to_json
-from growth import exponent
+from growth import assert_linear
 from oracles import (
     _rational,
     compose_cycle,
@@ -313,13 +313,8 @@ def test_transitions_given_against_random_directions(seed, vertices):
     ids=["descent-section", "pic-unit-scalars"],
 )
 def test_ladder_paths_grow_linearly(make, run):
-    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
-    # fit over the bound is retried once, as for dual_surface.  Unit
-    # scalars keep every holonomy 1, so only the graph's size grows.
-    def fit():
-        return exponent(make, run, (128, 256, 512, 1024))
-
-    assert fit() < 1.5 or fit() < 1.5
+    # Unit scalars keep every holonomy 1, so only the graph's size grows.
+    assert_linear(make, run, (128, 256, 512, 1024))
 
 
 def test_ladder_512_pic_is_fast():

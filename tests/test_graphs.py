@@ -33,7 +33,7 @@ from singlocus.topology import (
     pencil_localization,
     plumbing_presentation,
 )
-from growth import exponent
+from growth import assert_linear
 from oracles import (
     category_violation_oracle,
     cycle_basis,
@@ -345,14 +345,15 @@ def test_check_refuses_a_missing_entry(case):
 def mutated_category(rng):
     """``build_i`` or ``build_j`` of a random multigraph on 1-6 vertices,
     after up to three random mutations: redirect a composite (more often
-    one of two non-units), delete a composite, reverse an arrow, or point
-    an object's identity at another arrow."""
+    one of two non-units), delete a composite, reverse an arrow, point an
+    object's identity at another arrow, drop an object, or point an arrow's
+    end at a foreign object."""
     g = random_multigraph(rng, rng.randint(1, 6))
     cat = rng.choice((build_i, build_j))(g)
     arrows, identities, compose = dict(cat.arrows), dict(cat.identities), dict(cat.compose)
-    names, units = list(arrows), set(identities.values())
+    objects, names, units = cat.objects, list(arrows), set(identities.values())
     for _ in range(rng.randint(0, 3)):
-        kind = rng.randrange(5)
+        kind = rng.randrange(7)
         if kind < 2:
             pairs = [pair for pair in compose if units.isdisjoint(pair)] if kind else list(compose)
             compose[rng.choice(pairs or list(compose))] = rng.choice(names)
@@ -361,15 +362,21 @@ def mutated_category(rng):
         elif kind == 3:
             f = rng.choice(names)
             arrows[f] = arrows[f][::-1]
-        else:
+        elif kind == 4:
             identities[rng.choice(cat.objects)] = rng.choice(names)
-    return FiniteCategory(cat.objects, arrows, identities, compose)
+        elif kind == 5:
+            gone = rng.choice(cat.objects)
+            objects = tuple(obj for obj in objects if obj != gone)
+        else:
+            f = rng.choice(names)
+            arrows[f] = (arrows[f][0], "foreign")
+    return FiniteCategory(objects, arrows, identities, compose)
 
 
 def test_check_agrees_with_the_all_pairs_scan():
     # Outcome and message of check() against the oracle's scan of every
-    # arrow name, on 1500 mutated index categories; each axiom is seen
-    # failing, and some tables pass.
+    # arrow name, on 1500 mutated index categories; each axiom and each
+    # agreement with ``objects`` is seen failing, and some tables pass.
     rng, seen = random.Random(0), Counter()
     for _ in range(1500):
         cat = mutated_category(rng)
@@ -380,7 +387,39 @@ def test_check_agrees_with_the_all_pairs_scan():
             outcome = str(exc)
         assert outcome == category_violation_oracle(cat), cat
         seen[outcome and outcome.split()[0]] += 1
-    assert set(seen) == {None, "identity", "left", "right", "composite", "associativity"}, seen
+    expected = {None, "identities", "arrow", "identity", "left", "right", "composite", "associativity"}
+    assert set(seen) == expected, seen
+
+
+# Tables that disagree with ``objects``; the first two satisfy every axiom.
+DISAGREEING_OBJECTS = {
+    "object-without-identity": (
+        ("a", "b"), {"ia": ("a", "a")}, {"a": "ia"}, {("ia", "ia"): "ia"}, "identities are not one per object"
+    ),
+    "foreign-identity": (
+        ("a",),
+        {"ia": ("a", "a"), "ic": ("c", "c")},
+        {"a": "ia", "c": "ic"},
+        {("ia", "ia"): "ia", ("ic", "ic"): "ic"},
+        "identities are not one per object",
+    ),
+    "foreign-end": (
+        ("a",),
+        {"ia": ("a", "a"), "f": ("a", "c")},
+        {"a": "ia"},
+        {("ia", "ia"): "ia", ("f", "ia"): "f"},
+        "arrow f has an end that is not an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DISAGREEING_OBJECTS)
+def test_check_refuses_tables_that_disagree_with_objects(case):
+    *tables, message = DISAGREEING_OBJECTS[case]
+    cat = FiniteCategory(*tables)
+    with pytest.raises(SingLocusError, match=re.escape(message)):
+        cat.check()
+    assert category_violation_oracle(cat) == message
 
 
 def ladder_category(rungs):
@@ -403,13 +442,8 @@ def test_check_of_a_64_rung_ladder_is_fast():
     ids=["validate_graph", "category-check"],
 )
 def test_ladder_paths_grow_linearly(make, run, sizes):
-    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
-    # fit over the bound is retried once, as for dual_surface.  A check
-    # that scans every arrow name per composable pair fits about 1.9.
-    def fit():
-        return exponent(make, run, sizes)
-
-    assert fit() < 1.5 or fit() < 1.5
+    # A check that scans every arrow name per composable pair fits about 1.9.
+    assert_linear(make, run, sizes)
 
 
 # --- dual surface ------------------------------------------------------
@@ -498,13 +532,7 @@ def test_face_walks_match_the_oracle():
 
 
 def test_dual_surface_grows_linearly_on_ladders():
-    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py).
-    # A fit on a loaded host can stray to about 1.4, so a fit over the
-    # bound is retried once; a quadratic path fails both.
-    def fit():
-        return exponent(circular_ladder_graph, dual_surface, (128, 256, 512, 1024))
-
-    assert fit() < 1.5 or fit() < 1.5
+    assert_linear(circular_ladder_graph, dual_surface, (128, 256, 512, 1024))
 
 
 # --- orientability -----------------------------------------------------

@@ -22,7 +22,7 @@ from singlocus.serialize import (
     graph_to_json,
     parse_rational,
 )
-from growth import exponent
+from growth import assert_linear
 
 
 def test_rational_round_trip():
@@ -112,12 +112,7 @@ def ladder_json(rungs):
 
 @pytest.mark.parametrize("run", [graph_from_json, dumps_canonical], ids=lambda f: f.__name__)
 def test_ladder_json_paths_grow_linearly(run):
-    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
-    # fit over the bound is retried once, as for dual_surface.
-    def fit():
-        return exponent(ladder_json, run, (128, 256, 512, 1024))
-
-    assert fit() < 1.5 or fit() < 1.5
+    assert_linear(ladder_json, run, (128, 256, 512, 1024))
 
 
 # --- canonical emission ----------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlocus.descent import assemble_diagram, pic_invariants
 from singlocus.errors import NegativeDefect, NonOrientable, SingLocusError
 from singlocus.examples import (
     circular_ladder_graph,
@@ -24,7 +25,13 @@ from singlocus.graphs import (
     flip_vertex,
 )
 from singlocus.intlinalg import cokernel_abelian_group
-from singlocus.serialize import dumps_canonical, nodal_curve_to_json
+from singlocus.serialize import (
+    diagram_to_json,
+    dumps_canonical,
+    nodal_curve_to_json,
+    pic_to_json,
+    surface_to_json,
+)
 from singlocus.topology import (
     dehn_twist_record,
     h1_graph_manifold,
@@ -33,7 +40,7 @@ from singlocus.topology import (
 )
 from singlocus.toric import boundary_graph
 
-from growth import exponent
+from growth import assert_linear, slope
 from oracles import (
     blowup_fan,
     check_fp_ranks,
@@ -353,12 +360,28 @@ def twisted_ladder(rungs):
     ids=["h1-untwisted", "pencil-twisted", "dehn-twisted"],
 )
 def test_ladder_paths_grow_linearly(make, run):
-    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
-    # fit over the bound is retried once, as for dual_surface.
-    def fit():
-        return exponent(make, run, (128, 256, 512, 1024))
+    assert_linear(make, run, (128, 256, 512, 1024))
 
-    assert fit() < 1.5 or fit() < 1.5
+
+@pytest.mark.parametrize(
+    "make, section",
+    [
+        (circular_ladder_graph, lambda g: diagram_to_json(assemble_diagram(g))),
+        (circular_ladder_graph, lambda g: pic_to_json(pic_invariants(assemble_diagram(g)))),
+        (circular_ladder_graph, lambda g: surface_to_json(dual_surface(g))),
+        (twisted_ladder, lambda g: nodal_curve_to_json(pencil_localization(g))),
+        (twisted_ladder, lambda g: [{"edge": e, "multiplicity": m} for e, m in dehn_twist_record(g)]),
+    ],
+    ids=["descent", "pic-unit-scalars", "surface", "pencil-twisted", "dehn-twisted"],
+)
+def test_ladder_section_bytes_grow_linearly(make, section):
+    # The slope of log(bytes of the section's canonical JSON, as the CLI
+    # writes it) against log(rungs).  Lengths are exact, so one fit is
+    # enough: about 1.0 on each section (1.1 on the surface, whose face
+    # indices gain digits), where output that grows as n log n fits about
+    # 1.17 at these sizes.
+    points = [(n, len(dumps_canonical(section(make(n))))) for n in (128, 256, 512, 1024)]
+    assert slope(points) < 1.15, points
 
 
 def test_h1_ladder_128_closed_form():

@@ -22,7 +22,7 @@ from singlocus.toric import (
     walls,
 )
 
-from growth import exponent, peak_exponent
+from growth import assert_linear, peak_exponent
 from oracles import (
     _det3,
     anticanonical_degree_oracle,
@@ -160,6 +160,8 @@ def test_every_fan_entry_refuses_an_invalid_fan(fan, entry):
             id="not-three",
         ),
         pytest.param(E123, [[0, 1, 3]], ["cone 0 has an out-of-range ray index"], id="out-of-range"),
+        pytest.param([[0, 0, 0], *E123[1:]], [], ["ray 0 = (0, 0, 0) not primitive"], id="zero-ray"),
+        pytest.param(E123 + [[-2, 0, 4]], [[0, 1, 2]], ["ray 3 = (-2, 0, 4) not primitive"], id="nonprimitive-ray"),
         # the cones share the interior point (5, -3, -12), but no ray lies in the other
         pytest.param(
             [[-1, -1, 1], [1, 0, -2], [-1, -2, 1], [3, -2, 1], [0, 0, -1], [2, -1, -2]],
@@ -342,12 +344,7 @@ def fresh_complete_blowup(steps):
 
 @pytest.mark.parametrize("run", [validate_fan, boundary_graph, divisor_classification], ids=lambda f: f.__name__)
 def test_complete_blowup_paths_grow_linearly(run):
-    # About 1 on a linear path, 2 on a quadratic one (tests/growth.py); a
-    # fit over the bound is retried once, as for dual_surface.
-    def fit():
-        return exponent(fresh_complete_blowup, run, (200, 400, 800, 1600))
-
-    assert fit() < 1.5 or fit() < 1.5
+    assert_linear(fresh_complete_blowup, run, (200, 400, 800, 1600))
 
 
 # --- wall data ---------------------------------------------------------
@@ -592,14 +589,10 @@ def test_prism_4000_divisor_classification_is_fast():
 
 
 def test_prism_divisor_classification_grows_linearly():
-    # In time and in tracemalloc peak (tests/growth.py); a time fit over
-    # the bound is retried once, as for dual_surface.  Taking every rotation
-    # of each pole's star, as a tuple, fits 1.8 in memory, and 1.5-1.7 in
-    # time, where the linear validation of the fan weighs in.
-    def fit():
-        return exponent(prism_fan, divisor_classification, (500, 1000, 2000, 4000))
-
-    assert fit() < 1.5 or fit() < 1.5
+    # In time and in tracemalloc peak (tests/growth.py).  Taking every
+    # rotation of each pole's star, as a tuple, fits 1.8 in memory, and
+    # 1.5-1.7 in time, where the linear validation of the fan weighs in.
+    assert_linear(prism_fan, divisor_classification, (500, 1000, 2000, 4000))
     assert peak_exponent(prism_fan, divisor_classification, (125, 250, 500, 1000)) < 1.5
 
 
