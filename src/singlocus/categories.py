@@ -9,7 +9,7 @@ flags of a compact edge joined by an isomorphism pair, and
 from __future__ import annotations
 
 from . import graphs
-from .errors import SingLocusError
+from .errors import SingLocusError, items
 from .record import Record
 
 
@@ -29,12 +29,13 @@ class FiniteCategory(Record):
     def check(self) -> None:
         """Raise :class:`SingLocusError` unless the tables satisfy the
         category axioms; a missing identity or composite fails them, and so
-        does an identity or arrow end that is not one of ``objects``."""
+        does an identity or arrow end that is not one of ``objects``.  Arrow
+        ends that are not a list or tuple of two raise :class:`InvalidValue`."""
         arrows, compose, objects = self.arrows, self.compose, set(self.objects)
         if set(self.identities) != objects:
             raise SingLocusError("identities are not one per object")
         for f, ends in arrows.items():
-            if not objects.issuperset(ends):
+            if not objects.issuperset(items(ends, 2)):
                 raise SingLocusError(f"arrow {f} has an end that is not an object")
         for obj, ident in self.identities.items():
             if arrows.get(ident) != (obj, obj):

@@ -57,8 +57,9 @@ class DescentDiagram(Record):
 
     @cached_property
     def directions(self) -> tuple[tuple[int, int], ...]:
-        """The stored (source, target) of each compact edge."""
-        return tuple(canonical_directions(self.graph))
+        """The stored (source, target) of each compact edge: lower vertex
+        index to higher, a self-loop in the half-edge order of its edge."""
+        return tuple((v1, v2) if v1 <= v2 else (v2, v1) for v1, v2 in self.graph.compact_pairs)
 
 
 class PicInvariants(Record):
@@ -81,18 +82,10 @@ class PicInvariants(Record):
         return all(n == 0 for n in self.degree_vector) and all(h == 1 for h in self.beta_holonomies)
 
 
-def canonical_directions(g: DecoratedGraph) -> list[tuple[int, int]]:
-    """Stored direction per compact edge: lower vertex index to higher.
-
-    Ties (self-loops) keep the half-edge storage order of the edge.
-    """
-    return [(v1, v2) if v1 <= v2 else (v2, v1) for v1, v2 in g.compact_pairs]
-
-
 def assemble_diagram(g: DecoratedGraph) -> DescentDiagram:
     """The canonical diagram of a graph: charts 1 and, per compact edge,
     lam_x = base scalar and lam_u = holonomy, stored along
-    :func:`canonical_directions`."""
+    :attr:`DescentDiagram.directions`."""
     transitions = [(e.base_scalar, e.holonomy) for _, e in g.compact_edges()]
     return DescentDiagram(g, (Fraction(1),) * len(g.vertices), transitions)
 

@@ -140,9 +140,15 @@ class DecoratedGraph(Record):
 
     @cached_property
     def flag_parity(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """The reversing-flag parity: the vertex flips and the w1 of each
-        cycle, read by :func:`orientability` and :func:`orientation_gauge`."""
-        return _flag_parity(self)
+        """Reversing-flag parity of each vertex along :attr:`tree`, and
+        ``(index, w1)`` for each compact edge of :attr:`cycle_edges`, read
+        by :func:`orientability` and :func:`orientation_gauge`."""
+        rev = [e.reversing for _, e in self.compact_edges()]
+        parity = [0] * len(self.vertices)
+        for v, (u, idx) in self.tree.items():
+            parity[v] = parity[u] ^ rev[idx]
+        w1 = tuple((i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in self.cycle_edges)
+        return tuple(parity), w1
 
     def half_edges(self) -> list[int]:
         out = []
@@ -217,17 +223,6 @@ def spanning_forest(n: int, pairs: Sequence[tuple[int, int]]) -> tuple[list[int]
 # ---------------------------------------------------------------------------
 # Orientability
 # ---------------------------------------------------------------------------
-
-
-def _flag_parity(g: DecoratedGraph) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-    """Reversing-flag parity of each vertex along ``g.tree``, and
-    ``(index, w1)`` for each compact edge of ``g.cycle_edges``."""
-    rev = [e.reversing for _, e in g.compact_edges()]
-    parity = [0] * len(g.vertices)
-    for v, (u, idx) in g.tree.items():
-        parity[v] = parity[u] ^ rev[idx]
-    w1 = tuple((i, parity[u] ^ parity[v] ^ rev[i]) for i, (u, v) in g.cycle_edges)
-    return tuple(parity), w1
 
 
 def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:

@@ -195,12 +195,13 @@ def _smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
     the local step of the valence method (Dumas-Saunders-Villard, J.
     Symb. Comp. 32, 2001).  If the pass ends, each pivot q^k u has u
     prime to q, so for q = p^a s every prime p of q divides the invariant
-    factor of that step exactly a k times; the a k of the r steps sum to
-    at most v_p(D), so each k is at most v_q(D), and the pass runs modulo
-    q^e, e = v_q(D) + 1.  A non-unit pivot, or a cofactor D / q^(e-1)
-    sharing a factor g with q, splits q by gcd into two coprime parts
-    (only g when q has no prime outside g); the parts keep the primes of
-    D apart, so their powers multiply back by the CRT.
+    factor of that step exactly a k times.  The pass runs modulo q^e, e =
+    v_q(D): when the cofactor D / q^e is prime to q, v_p(D) = a e for
+    each such p, and as the r steps multiply to a divisor of D, a step
+    whose pivot vanishes modulo q^e takes exactly q^e.  A non-unit pivot,
+    or a cofactor sharing a factor g with q, splits q by gcd into two
+    coprime parts (only g when q has no prime outside g); the parts keep
+    the primes of D apart, so their powers multiply back by the CRT.
     """
     rank, minor = _bareiss(rows)
     minor = abs(minor)
@@ -208,7 +209,7 @@ def _smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
     todo = [minor] if minor > 1 else []
     while todo:
         q = todo.pop()
-        e, rest = 1, minor
+        e, rest = 0, minor
         while rest % q == 0:
             rest //= q
             e += 1
@@ -221,7 +222,7 @@ def _smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
                 a, b = a * c, b // c
             todo += (a, b) if b > 1 else (g,)
             continue
-        for i, k in enumerate(exponents):
+        for i, k in enumerate(exponents + [e] * (rank - len(exponents))):
             diagonal[i] *= q**k
     return tuple(diagonal) + (0,) * (min(len(rows), len(rows[0]) if rows else 0) - rank)
 

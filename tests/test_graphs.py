@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from singlocus.categories import FiniteCategory, build_i, build_j, collapse_functor
 from singlocus.descent import DescentDiagram, assemble_diagram
-from singlocus.errors import DisconnectedGraph, InvalidGraph, NonOrientable, SingLocusError
+from singlocus.errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, SingLocusError
 from singlocus.examples import (
     circular_ladder_graph,
     conifold_graph,
@@ -420,6 +420,13 @@ def test_check_refuses_tables_that_disagree_with_objects(case):
     with pytest.raises(SingLocusError, match=re.escape(message)):
         cat.check()
     assert category_violation_oracle(cat) == message
+
+
+@pytest.mark.parametrize("ends", [("a", "a", "a"), None, "aa"], ids=["three-ends", "none", "string"])
+def test_check_refuses_arrow_ends_that_are_not_a_pair(ends):
+    cat = FiniteCategory(("a",), {"ia": ("a", "a"), "f": ends}, {"a": "ia"}, {("ia", "ia"): "ia"})
+    with pytest.raises(InvalidValue, match="expected a list of 2 items"):
+        cat.check()
 
 
 def ladder_category(rungs):

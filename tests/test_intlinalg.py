@@ -231,23 +231,23 @@ P, Q = 10007, 10009
 @pytest.mark.parametrize(
     "rows, diagonal, passes",
     [
-        # The pass modulo D^2 meets the non-unit pivot P: D splits into P and Q.
-        pytest.param([[P, 0], [0, Q]], (1, P * Q), {(P * Q, 2, P), (P, 2, 1), (Q, 2, 1)}, id="split-in-pass"),
+        # The pass modulo D meets the non-unit pivot P: D splits into P and Q.
+        pytest.param([[P, 0], [0, Q]], (1, P * Q), {(P * Q, 1, P), (P, 1, 1), (Q, 1, 1)}, id="split-in-pass"),
         # The pivot P Q shrinks D = P^3 Q^2 to P Q (D has no prime outside
         # P Q), and the cofactor D / (P Q)^2 = P splits P Q into P and Q
         # before a pass runs on it.
         pytest.param(
             [[P * Q, 0], [0, P**2 * Q]], (P * Q, P**2 * Q),
-            {(P**3 * Q**2, 2, P * Q), (P, 4, 1), (Q, 3, 1)}, id="split-at-exponent",
+            {(P**3 * Q**2, 1, P * Q), (P, 3, 1), (Q, 2, 1)}, id="split-at-exponent",
         ),
         # D = P^2 Q^2 splits into P^2 and Q^2; Q^2 is read as a prime to the
         # end, while the pivot P of unit part P shrinks P^2 to P.
         pytest.param(
             [[P, 0], [0, P * Q**2]], (P, P * Q**2),
-            {(P**2 * Q**2, 2, P), (Q**2, 2, 1), (P**2, 2, P), (P, 3, 1)}, id="prime-square-unsplit",
+            {(P**2 * Q**2, 1, P), (Q**2, 1, 1), (P**2, 1, P), (P, 2, 1)}, id="prime-square-unsplit",
         ),
-        # D = P^2 Q is read as a prime, and its only pivot is D itself.
-        pytest.param([[P**2 * Q]], (P**2 * Q,), {(P**2 * Q, 2, 1)}, id="minor-unsplit"),
+        # D = P^2 Q is read as a prime; its one step vanishes modulo D and takes D.
+        pytest.param([[P**2 * Q]], (P**2 * Q,), {(P**2 * Q, 1, 1)}, id="minor-unsplit"),
         pytest.param([[2, 3], [1, 2]], (1, 1), set(), id="unit-minor"),
         pytest.param([[0, 0], [0, 0], [0, 0]], (0, 0), set(), id="rank-zero"),
     ],

@@ -260,11 +260,25 @@ def dense_h1(g):
     return free, tuple(d for d in diag if d > 1)
 
 
+def twisted_ladder(rungs, low=1, high=10):
+    """A circular ladder with a twist from ``randrange(low, high)`` on each
+    compact edge, drawn from ``random.Random(rungs)``; by default twists
+    1..9, so that the pencil cuts every edge."""
+    rng, g = random.Random(rungs), circular_ladder_graph(rungs)
+    return DecoratedGraph(g.vertices, [e.replace(twist=rng.randrange(low, high)) for e in g.edges])
+
+
 @pytest.mark.parametrize(
     "graph",
     [
         pytest.param(lambda: circular_ladder_graph(16), id="ladder16"),
         pytest.param(lambda: boundary_graph(blowup_fan(random.Random(20), 20)[0]), id="blowup20"),
+        # The minor of a twisted ladder's residue has one large part, whose
+        # local pass runs modulo that part itself.
+        pytest.param(lambda: twisted_ladder(8), id="ladder8-twists1to9"),
+        pytest.param(lambda: twisted_ladder(16), id="ladder16-twists1to9"),
+        pytest.param(lambda: twisted_ladder(8, 10**19, 10**20), id="ladder8-20digit"),
+        pytest.param(lambda: twisted_ladder(6, 10**79, 10**80), id="ladder6-80digit"),
     ],
 )
 def test_h1_matches_dense_snf(graph):
@@ -342,12 +356,6 @@ def test_h1_ladder_1024_is_fast():
     h1 = h1_graph_manifold(g)
     assert time.perf_counter() - start < 1.0
     assert (h1.free_rank, h1.torsion) == gysin_h1(1025)
-
-
-def twisted_ladder(rungs):
-    """A circular ladder with twists 1..9, so that the pencil cuts every edge."""
-    rng, g = random.Random(rungs), circular_ladder_graph(rungs)
-    return DecoratedGraph(g.vertices, [e.replace(twist=rng.randint(1, 9)) for e in g.edges])
 
 
 @pytest.mark.parametrize(
