@@ -8,8 +8,10 @@ flags of a compact edge joined by an isomorphism pair, and
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import graphs
-from .errors import SingLocusError, items
+from .errors import InvalidValue, SingLocusError, items, shown
 from .record import Record
 
 
@@ -29,22 +31,32 @@ class FiniteCategory(Record):
     def check(self) -> None:
         """Raise :class:`SingLocusError` unless the tables satisfy the
         category axioms; a missing identity or composite fails them, and so
-        does an identity or arrow end that is not one of ``objects``.  Arrow
-        ends that are not a list or tuple of two raise :class:`InvalidValue`."""
-        arrows, compose, objects = self.arrows, self.compose, set(self.objects)
-        if set(self.identities) != objects:
+        does an identity or arrow end that is not one of ``objects``.  Tables
+        of the wrong type raise :class:`InvalidValue`: ``arrows``,
+        ``identities`` or ``compose`` not a dict, ``objects`` or an arrow's
+        ends not a list or tuple (of two), or a name in them that is not a
+        string."""
+        arrows, identities, compose = tables = self.arrows, self.identities, self.compose
+        if not all(isinstance(table, dict) for table in tables):
+            raise InvalidValue("arrows, identities and compose must be dicts")
+        ends = {f: items(pair, 2) for f, pair in arrows.items()}
+        for name in chain(items(self.objects), identities.values(), compose.values(), *ends.values()):
+            if type(name) is not str:
+                raise InvalidValue(f"expected a name string, got {shown(name)}")
+        objects = set(self.objects)
+        if set(identities) != objects:
             raise SingLocusError("identities are not one per object")
-        for f, ends in arrows.items():
-            if not objects.issuperset(items(ends, 2)):
+        for f, pair in ends.items():
+            if not objects.issuperset(pair):
                 raise SingLocusError(f"arrow {f} has an end that is not an object")
-        for obj, ident in self.identities.items():
+        for obj, ident in identities.items():
             if arrows.get(ident) != (obj, obj):
                 raise SingLocusError(f"identity of {obj} is not an endo-arrow")
         out_of: dict[str, list[tuple[str, str]]] = {}  # source -> (arrow, target), in arrow order
         for f, (fs, ft) in arrows.items():
-            if compose.get((self.identities.get(ft), f)) != f:
+            if compose.get((identities.get(ft), f)) != f:
                 raise SingLocusError(f"left unit fails for {f}")
-            if compose.get((f, self.identities.get(fs))) != f:
+            if compose.get((f, identities.get(fs))) != f:
                 raise SingLocusError(f"right unit fails for {f}")
             out_of.setdefault(fs, []).append((f, ft))
         for f, (fs, ft) in arrows.items():

@@ -36,10 +36,12 @@ ANALYZE_SECTIONS = ("descent", "pic", "two-periodic", "surface", "h1", "pencil",
 def _read_payload(args) -> tuple[dict, bytes]:
     if args.example:
         name = args.example
-        if args.command != "analyze" and name in examples.CLI_EXAMPLE_FANS:
-            obj = serialize.fan_to_json(examples.CLI_EXAMPLE_FANS[name]())
-        else:
+        if name in examples.CLI_EXAMPLE_GRAPHS:
             obj = serialize.graph_to_json(examples.CLI_EXAMPLE_GRAPHS[name]())
+        elif args.command == "analyze":
+            obj = serialize.graph_to_json(toric.boundary_graph(examples.CLI_EXAMPLE_FANS[name]()))
+        else:
+            obj = serialize.fan_to_json(examples.CLI_EXAMPLE_FANS[name]())
         raw = serialize.dumps_canonical(obj).encode("utf-8")
     elif args.path in (None, "-"):
         raw = sys.stdin.buffer.read()
@@ -186,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="validate a graph or fan JSON file")
     validate.add_argument("path", nargs="?", help="input file (default: stdin)")
-    names = set(examples.CLI_EXAMPLE_GRAPHS) | set(examples.CLI_EXAMPLE_FANS)
-    validate.add_argument("--example", choices=sorted(names))
+    names = sorted(set(examples.CLI_EXAMPLE_GRAPHS) | set(examples.CLI_EXAMPLE_FANS))
+    validate.add_argument("--example", choices=names)
     validate.add_argument("--output")
     validate.set_defaults(run=_cmd_validate)
 
@@ -204,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="run analyses on a graph")
     analyze.add_argument("path", nargs="?")
-    analyze.add_argument("--example", choices=sorted(examples.CLI_EXAMPLE_GRAPHS))
+    analyze.add_argument("--example", choices=names)
     analyze.add_argument("--output")
     analyze.set_defaults(run=_cmd_analyze)
     analyze.add_argument(

@@ -91,28 +91,7 @@ def quartic_mirror_fan() -> toric.Fan:
     return toric.Fan(rays, sorted(cones))
 
 
-def k4_graph() -> DecoratedGraph:
-    """The boundary graph of P^3: K4 with every twist equal to 4."""
-    return toric.boundary_graph(p3_fan())
-
-
-def conifold_graph() -> DecoratedGraph:
-    """The boundary graph of the resolved conifold: one compact edge of
-    twist 0 and four legs."""
-    return toric.boundary_graph(conifold_fan())
-
-
-def quartic_mirror_graph() -> DecoratedGraph:
-    """The 64-vertex boundary graph of the quartic-mirror fan."""
-    return toric.boundary_graph(quartic_mirror_fan())
-
-
-CLI_EXAMPLE_GRAPHS = {
-    "theta": theta_graph,
-    "p3": k4_graph,
-    "conifold": conifold_graph,
-    "quartic-mirror": quartic_mirror_graph,
-}
+CLI_EXAMPLE_GRAPHS = {"theta": theta_graph}
 
 CLI_EXAMPLE_FANS = {
     "p3": p3_fan,

@@ -113,12 +113,13 @@ def cases() -> list[tuple[str, list[str], bytes | None, str | None]]:
         out[case_id] = (case_id, argv, stdin, source)
 
     add("toric-quartic-mirror", ["toric", "quartic-mirror"])
-    for name in sorted(set(CLI_EXAMPLE_GRAPHS) | set(CLI_EXAMPLE_FANS)):
+    examples = sorted(set(CLI_EXAMPLE_GRAPHS) | set(CLI_EXAMPLE_FANS))
+    for name in examples:
         add(f"validate-example-{name}", ["validate", "--example", name])
     for name in sorted(CLI_EXAMPLE_FANS):
         add(f"extract-example-{name}", ["toric", "extract", "--example", name])
         add(f"analyze-extract-{name}", ["analyze", "--all"], source=f"extract-example-{name}")
-    for name in sorted(CLI_EXAMPLE_GRAPHS):
+    for name in examples:  # analyze reads a fan example as its boundary graph
         add(f"analyze-example-{name}", ["analyze", "--example", name, "--all"])
         add(f"analyze-example-{name}-h1", ["analyze", "--example", name, "--h1"])
     for section in ANALYZE_SECTIONS:

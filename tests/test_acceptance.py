@@ -22,12 +22,9 @@ from singlocus.errors import BoundaryWall
 from singlocus.examples import (
     circular_ladder_graph,
     conifold_fan,
-    conifold_graph,
-    k4_graph,
     p1p1p1_fan,
     p3_fan,
     quartic_mirror_fan,
-    quartic_mirror_graph,
     theta_graph,
 )
 from singlocus.graphs import CompactEdge, DecoratedGraph, dual_surface, flip_vertex
@@ -48,7 +45,7 @@ from singlocus.localmodels import (
     transporter_unit,
     vertex_aut_inverse,
 )
-from singlocus.toric import wall_data, walls
+from singlocus.toric import boundary_graph, wall_data, walls
 from singlocus.topology import h1_graph_manifold, pencil_localization
 
 from oracles import (
@@ -105,7 +102,7 @@ def test_criterion_1_quartic_counts():
 
 @criterion(2, "quartic-mirror pencil localization and dual surface genus")
 def test_criterion_2_quartic_pencil():
-    g = quartic_mirror_graph()
+    g = boundary_graph(quartic_mirror_fan())
     report = pencil_localization(g)
     assert report.components == ((3, 12),) * 4
     assert report.nodes == 24
@@ -223,9 +220,9 @@ def test_criterion_5_descent_invariance():
 
     fixtures = [
         theta_graph(holonomies=(2, 3, 5), base_scalars=(1, 7, 1)),
-        k4_graph(),
-        conifold_graph(),
-        quartic_mirror_graph(),
+        boundary_graph(p3_fan()),
+        boundary_graph(conifold_fan()),
+        boundary_graph(quartic_mirror_fan()),
     ]
     for g in fixtures:
         d = assemble_diagram(g)

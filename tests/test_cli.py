@@ -165,6 +165,9 @@ MODULES_RUN = {
     ("analyze", "--all", "--example", "theta"): {
         "descent", "errors", "examples", "graphs", "intlinalg", "record", "serialize", "topology",
     },
+    ("analyze", "--all", "--example", "p3"): {
+        "descent", "errors", "examples", "graphs", "intlinalg", "record", "serialize", "topology", "toric",
+    },
 }
 
 

@@ -14,10 +14,11 @@ from singlocus.descent import (
     pic_invariants,
 )
 from singlocus.errors import DisconnectedGraph, GraphMismatch, InvalidValue, NonOrientable
-from singlocus.examples import circular_ladder_graph, k4_graph, quartic_mirror_graph, theta_graph
+from singlocus.examples import circular_ladder_graph, p3_fan, quartic_mirror_fan, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
 from singlocus.localmodels import EdgeAut, edge_aut_inverse
 from singlocus.serialize import diagram_to_json
+from singlocus.toric import boundary_graph
 from growth import assert_linear
 from oracles import (
     _rational,
@@ -51,7 +52,7 @@ def test_assemble_trivial_theta():
 
 
 def test_assemble_quartic():
-    d = assemble_diagram(quartic_mirror_graph())
+    d = assemble_diagram(boundary_graph(quartic_mirror_fan()))
     degrees = pic_invariants(d).degree_vector
     assert sorted(degrees).count(1) == 24
     assert sorted(degrees).count(0) == 72
@@ -166,11 +167,11 @@ def test_pic_invariants_tree():
 def test_two_periodicity():
     assert pic_invariants(assemble_diagram(theta_graph())).is_trivial()
     assert not pic_invariants(assemble_diagram(theta_graph(holonomies=(2, 1, 1)))).is_trivial()
-    assert not pic_invariants(assemble_diagram(quartic_mirror_graph())).is_trivial()
+    assert not pic_invariants(assemble_diagram(boundary_graph(quartic_mirror_fan()))).is_trivial()
 
 
 def test_pic_triviality_matches_two_periodicity():
-    graphs = (theta_graph(), theta_graph(holonomies=(2, 3, 5)), k4_graph())
+    graphs = (theta_graph(), theta_graph(holonomies=(2, 3, 5)), boundary_graph(p3_fan()))
     trivial = [pic_invariants(assemble_diagram(g)).is_trivial() for g in graphs]
     assert trivial == [pic_invariants(assemble_diagram(g)).is_trivial() for g in graphs]
     assert trivial == [True, False, False]
@@ -191,12 +192,12 @@ def test_diagrams_equivalent():
     assert not diagrams_equivalent(d, different)
     # genuinely different graphs are rejected
     with pytest.raises(GraphMismatch):
-        diagrams_equivalent(d, assemble_diagram(k4_graph()))
+        diagrams_equivalent(d, assemble_diagram(boundary_graph(p3_fan())))
 
 
 def test_gauge_invariance_randomized():
     rng = random.Random(13)
-    for g in (theta_graph(holonomies=(2, 3, 5)), k4_graph()):
+    for g in (theta_graph(holonomies=(2, 3, 5)), boundary_graph(p3_fan())):
         d = assemble_diagram(g)
         base = pic_invariants(d)
         base_p = pic_invariants(d).is_trivial()
@@ -252,7 +253,7 @@ def test_cycle_composites_land_in_h():
 
 
 def test_odd_cycle_composite_parity():
-    g = k4_graph()
+    g = boundary_graph(p3_fan())
     d = assemble_diagram(g)
     cycles = cycle_basis(len(g.vertices), list(d.directions))
     assert any(len(c) % 2 == 1 for c in cycles)

@@ -12,9 +12,9 @@ from singlocus.descent import DescentDiagram, assemble_diagram
 from singlocus.errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, SingLocusError
 from singlocus.examples import (
     circular_ladder_graph,
-    conifold_graph,
-    k4_graph,
-    quartic_mirror_graph,
+    conifold_fan,
+    p3_fan,
+    quartic_mirror_fan,
     theta_graph,
 )
 from singlocus.graphs import (
@@ -33,6 +33,7 @@ from singlocus.topology import (
     pencil_localization,
     plumbing_presentation,
 )
+from singlocus.toric import boundary_graph
 from growth import assert_linear
 from oracles import (
     category_violation_oracle,
@@ -211,8 +212,8 @@ def assert_counts_match_enumeration(graph, J, I):
         pants_graph(),
         circular_ladder_graph(2),
         circular_ladder_graph(3),
-        k4_graph(),
-        conifold_graph(),
+        boundary_graph(p3_fan()),
+        boundary_graph(conifold_fan()),
     ],
     ids=["theta", "pants", "ladder2", "ladder3", "p3", "conifold"],
 )
@@ -232,7 +233,7 @@ def self_loop_graph():
 
 
 def test_categories_scale_to_extracted_graphs():
-    g = quartic_mirror_graph()
+    g = boundary_graph(quartic_mirror_fan())
     J = build_j(g)
     I = build_i(g)
     J.check()
@@ -429,6 +430,29 @@ def test_check_refuses_arrow_ends_that_are_not_a_pair(ends):
         cat.check()
 
 
+UNIT = ("a",), {"ia": ("a", "a")}, {"a": "ia"}, {("ia", "ia"): "ia"}
+ENDO = {"ia": ("a", "a"), "f": ("a", "a")}
+ENDO_UNITS = {("ia", "ia"): "ia", ("ia", "f"): "f", ("f", "ia"): "f"}
+
+# Each a change to UNIT that once raised a plain TypeError or AttributeError.
+WRONG_TYPES = {
+    "list-end": {"arrows": {"ia": ("a", "a"), "f": (["a"], "a")}},
+    "dict-end": {"arrows": {"ia": ("a", "a"), "f": ("a", {})}},
+    "no-arrows": {"arrows": None},
+    "no-compose": {"compose": None},
+    "no-objects": {"objects": None},
+    "list-identity": {"identities": {"a": ["ia"]}},
+    "list-composite": {"arrows": ENDO, "compose": {**ENDO_UNITS, ("f", "f"): ["f"]}},
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_check_refuses_tables_of_the_wrong_type(case):
+    cat = FiniteCategory(*UNIT).replace(**WRONG_TYPES[case])
+    with pytest.raises(InvalidValue):
+        cat.check()
+
+
 def ladder_category(rungs):
     return build_i(circular_ladder_graph(rungs))
 
@@ -474,7 +498,7 @@ def test_theta_surface():
 
 
 def test_quartic_surface():
-    g = quartic_mirror_graph()
+    g = boundary_graph(quartic_mirror_fan())
     s = dual_surface(g)
     assert (s.genus, s.boundary_circles) == (33, 0)
     # nodal-curve cross-check: sum of genera + nodes - components + 1

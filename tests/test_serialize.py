@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from singlocus.descent import DescentDiagram, assemble_diagram, gauge, pic_invariants
 from singlocus.localmodels import EdgeAut
-from singlocus.examples import circular_ladder_graph, conifold_fan, quartic_mirror_graph, theta_graph
+from singlocus.examples import circular_ladder_graph, conifold_fan, quartic_mirror_fan, theta_graph
 from singlocus.serialize import (
     ParseError,
     diagram_to_json,
@@ -22,6 +22,7 @@ from singlocus.serialize import (
     graph_to_json,
     parse_rational,
 )
+from singlocus.toric import boundary_graph
 from growth import assert_linear
 
 
@@ -53,7 +54,7 @@ def test_rationals_past_the_digit_limit():
 
 def test_graph_round_trip():
     for g in (theta_graph(twists=(0, 2, -1), holonomies=(2, 3, Fraction(1, 5))),
-              quartic_mirror_graph()):
+              boundary_graph(quartic_mirror_fan())):
         payload = graph_to_json(g)
         again = graph_from_json(json.loads(dumps_canonical(payload)))
         assert again == g

@@ -13,8 +13,9 @@ from singlocus.descent import assemble_diagram, pic_invariants
 from singlocus.errors import NegativeDefect, NonOrientable, SingLocusError
 from singlocus.examples import (
     circular_ladder_graph,
-    k4_graph,
-    quartic_mirror_graph,
+    conifold_fan,
+    p3_fan,
+    quartic_mirror_fan,
     theta_graph,
 )
 from singlocus.graphs import (
@@ -150,7 +151,7 @@ def test_h1_rejects_non_orientable():
 def test_dehn_record():
     assert dehn_twist_record(theta_graph()) == []
     assert dehn_twist_record(theta_graph(twists=(3, 0, 0))) == [(0, 3)]
-    record = dehn_twist_record(quartic_mirror_graph())
+    record = dehn_twist_record(boundary_graph(quartic_mirror_fan()))
     assert len(record) == 24
     assert all(mult == 1 for _, mult in record)
 
@@ -184,7 +185,7 @@ def test_pencil_theta_two_zero_zero():
 
 
 def test_pencil_quartic():
-    g = quartic_mirror_graph()
+    g = boundary_graph(quartic_mirror_fan())
     report = pencil_localization(g)
     assert report.components == ((3, 12),) * 4
     assert report.nodes == 24
@@ -225,9 +226,7 @@ def test_pencil_single_component_genus_matches_surface():
 
 
 def test_pencil_counts_legs_as_boundary():
-    from singlocus.examples import conifold_graph
-
-    g = conifold_graph()
+    g = boundary_graph(conifold_fan())
     report = pencil_localization(g)
     assert report.components == ((0, 4),)
     assert report.nodes == 0
@@ -400,7 +399,7 @@ def test_h1_ladder_128_closed_form():
 
 def test_h1_quartic_regression():
     # Pinned output; guards the framing conventions on a large graph.
-    h1 = h1_graph_manifold(quartic_mirror_graph())
+    h1 = h1_graph_manifold(boundary_graph(quartic_mirror_fan()))
     assert (h1.free_rank, h1.torsion) == (48, (4,))
 
 
@@ -453,7 +452,7 @@ def bigon_with_legs():
 
 PENCIL_SHAPES = {
     "theta": theta_graph(),
-    "k4": k4_graph(),
+    "k4": boundary_graph(p3_fan()),
     "ladder2": circular_ladder_graph(2),
     "ladder3": circular_ladder_graph(3),
     "ladder4": circular_ladder_graph(4),

@@ -462,7 +462,7 @@ def test_p3_gives_k4():
     assert pairs == Counter({(a, b): 1 for a in range(4) for b in range(a + 1, 4)})
 
 
-def test_conifold_graph_shape():
+def test_conifold_boundary_graph_shape():
     g = boundary_graph(conifold_fan())
     assert validate_graph(g) == []
     assert len(g.vertices) == 2
