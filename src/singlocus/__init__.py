@@ -33,7 +33,6 @@ _EXPORTS = {
         " act_on_two_per_v compose_edge_aut compose_vertex_aut pants_rescale_to_puncture"
         " stabilizer_check_e stabilizer_check_v"
     ),
-    "record": "",
     "serialize": "",
     "topology": (
         "H1Result NodalCurveReport dehn_twist_record h1_graph_manifold pencil_localization"

@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import chain
 
 from . import graphs
-from .errors import InvalidValue, SingLocusError, items, shown
-from .record import Record
+from .errors import InvalidValue, Record, SingLocusError, items, shown
 
 
 class FiniteCategory(Record):

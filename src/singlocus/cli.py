@@ -51,7 +51,7 @@ def _read_payload(args) -> tuple[dict, bytes]:
     try:
         return json.loads(raw.decode("utf-8")), raw
     except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested arrays
-        raise serialize.ParseError(str(exc)) from None
+        raise errors.ParseError(str(exc)) from None
 
 
 def _emit(args, text: str, code: int) -> int:
@@ -221,6 +221,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (OSError, serialize.ParseError) as exc:  # I/O and parse errors: exit 2
+    except (OSError, errors.ParseError) as exc:  # I/O and parse errors: exit 2
         sys.stderr.write(f"error: {exc}\n")
         return 2

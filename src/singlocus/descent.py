@@ -15,9 +15,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import GraphMismatch, InvalidValue, items, nonzero, shown
+from .errors import GraphMismatch, InvalidValue, Record, items, nonzero
 from .graphs import CompactEdge, DecoratedGraph, orientation_gauge
-from .record import Record
 
 
 class DescentDiagram(Record):
@@ -30,8 +29,8 @@ class DescentDiagram(Record):
     (lam_x, lam_x^-n / lam_u), its ``edge_aut_inverse`` at eps = -1.
 
     The constructor is the one gate: it refuses a graph that
-    :func:`orientation_gauge` refuses (invalid, disconnected or
-    non-orientable), and with :class:`InvalidValue` a chart count other
+    :func:`orientation_gauge` refuses (not a graph, invalid, disconnected
+    or non-orientable), and with :class:`InvalidValue` a chart count other
     than the vertex count or a zero chart, a transition count other than
     the compact-edge count, and a transition that is not a pair of
     nonzero scalars.
@@ -42,9 +41,7 @@ class DescentDiagram(Record):
     transitions: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        if not isinstance(self.graph, DecoratedGraph):
-            raise InvalidValue(f"expected a DecoratedGraph, got {shown(self.graph)}")
-        orientation_gauge(self.graph)  # raises InvalidGraph, DisconnectedGraph or NonOrientable
+        orientation_gauge(self.graph)  # raises InvalidValue, InvalidGraph, DisconnectedGraph or NonOrientable
         charts, transitions = items(self.charts), items(self.transitions)
         if len(charts) != len(self.graph.vertices):
             raise InvalidValue("need one chart scalar per vertex")

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all modules, :func:`in_full` and :func:`shown`
-for what their messages quote, and the field checks of the input records."""
+"""The value layer: every exception class of the package, :func:`in_full`
+and :func:`shown` for what messages and reprs quote, the field checks of
+the input records, and :class:`Record`, the base of the value types."""
 
 import operator
 from decimal import Decimal
@@ -65,6 +66,90 @@ def nonzero(value, what: str) -> Fraction:
     if not value:
         raise InvalidValue(f"{what} must be nonzero")
     return value if type(value) is Fraction else Fraction(value)
+
+
+def instance(value, cls):
+    """``value``, refused unless it is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidValue(f"expected a {cls.__name__}, got {shown(value)}")
+    return value
+
+
+_MISSING = object()
+# Fields are set with object.__setattr__, as frozen dataclasses do: it keeps
+# them in the instance's inline values, whereas filling self.__dict__ would
+# make every later attribute read slower.
+_setattr = object.__setattr__
+
+
+class FrozenInstanceError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a record."""
+
+
+class Record:
+    """Base of the frozen value types.  They compare, hash and print by their
+    fields (annotations in order, class attributes as defaults) as frozen
+    dataclasses do, but print integers past the digit limit in full; nothing
+    is compiled per class, which keeps the package's import cheap."""
+
+    _fields = {}  # field name -> default, or _MISSING
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = {name: getattr(cls, name, _MISSING) for name in cls.__annotations__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    def _arguments(self, args, kwargs):
+        """Every field's value, in order, for a call with keywords or defaults."""
+        fields, name = self._fields, type(self).__name__
+        given = dict(zip(fields, args), **kwargs)
+        values = {**fields, **given}
+        if len(given) < len(args) + len(kwargs) or len(values) > len(fields):
+            raise TypeError(f"{name}() got too many, unknown or repeated arguments")
+        if len(given) < len(fields):
+            missing = [field for field, value in values.items() if value is _MISSING]
+            if missing:
+                raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return values.values()
+
+    def __post_init__(self):
+        pass
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={shown(getattr(self, name))}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked by ``__init__``."""
+        return type(self)(*[changes.pop(name, getattr(self, name)) for name in self._fields], **changes)
+
+
+class ParseError(SingLocusError):
+    """Malformed JSON payloads (shape errors, bad rationals, ...)."""
 
 
 class DisconnectedGraph(SingLocusError):

@@ -14,9 +14,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable
-from .errors import in_full, integer, integers, items, nonzero, pair, shown
-from .record import Record
+from .errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, Record
+from .errors import in_full, instance, integer, integers, items, nonzero, pair, shown
 
 
 class CompactEdge(Record):
@@ -191,7 +190,7 @@ def validate_graph(g: DecoratedGraph) -> list[str]:
 
 
 def require_valid(g: DecoratedGraph) -> None:
-    if g.violations:
+    if instance(g, DecoratedGraph).violations:
         raise InvalidGraph(g.violations)
 
 
@@ -244,10 +243,11 @@ def orientation_gauge(g: DecoratedGraph) -> list[int]:
     The gauge is the deterministic one rooted at vertex 0 over the
     lowest-index spanning tree :attr:`DecoratedGraph.tree`.  This is the
     gate for every construction that needs w1 = 0: it raises
+    :class:`InvalidValue` on a value that is not a graph, and
     :class:`NonOrientable`, naming by its index in ``g.edges`` the first
     compact edge whose cycle has w1 = 1, if no such gauge exists.
     """
-    flips, w1 = g.flag_parity
+    flips, w1 = instance(g, DecoratedGraph).flag_parity
     for idx, x in w1:
         if x:
             edge = g.compact_edges()[idx][0]

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InvalidValue, in_full, integer, items, shown
-from .record import Record
+from .errors import InvalidValue, Record, in_full, instance, integer, items, shown
 
 
 def _least_entry(a: list[list[int]], t: int) -> tuple[int, int] | None:
@@ -73,9 +72,7 @@ def cokernel_abelian_group(m: SparseColumns) -> tuple[int, tuple[int, ...]]:
     residue, whose invariant factors :func:`_smith_diagonal` reads one
     factor of a nonzero minor at a time.
     """
-    if not isinstance(m, SparseColumns):
-        raise InvalidValue(f"expected a SparseColumns, got {shown(m)}")
-    cols = [dict(col) for col in m.columns]
+    cols = [dict(col) for col in instance(m, SparseColumns).columns]
     row_cols: list[set[int]] = [set() for _ in range(m.rows)]
     for j, col in enumerate(cols):
         for i in col:

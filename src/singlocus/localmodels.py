@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidValue, TriangleConstraintViolated, integer, integers, items, nonzero
-from .record import Record
+from .errors import InvalidValue, Record, TriangleConstraintViolated, integer, integers, items, nonzero
 
 
 class Monomial(Record):

@@ -13,12 +13,8 @@ import re
 from fractions import Fraction
 
 from . import descent, toric, topology
-from .errors import InvalidValue, SingLocusError, in_full, shown
+from .errors import InvalidValue, ParseError, in_full, shown
 from .graphs import CompactEdge, DecoratedGraph, DualSurface, Leg
-
-
-class ParseError(SingLocusError):
-    """Malformed JSON payloads (shape errors, bad rationals, ...)."""
 
 
 # Python's default limit on the digits of an int converted from or to a string.

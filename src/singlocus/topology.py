@@ -12,10 +12,9 @@ free summands through the connecting map.
 
 from __future__ import annotations
 
-from .errors import NegativeDefect
+from .errors import NegativeDefect, Record
 from .graphs import DecoratedGraph, orientation_gauge, require_valid, spanning_forest
 from .intlinalg import SparseColumns, cokernel_abelian_group
-from .record import Record
 
 
 class H1Result(Record):

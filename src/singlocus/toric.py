@@ -37,10 +37,9 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .errors import BoundaryWall, InvalidFan, InvalidValue, NotAWall, SplitStar, in_full, shown
-from .errors import integers, items, pair
+from .errors import BoundaryWall, InvalidFan, InvalidValue, NotAWall, Record, SplitStar, in_full, shown
+from .errors import instance, integers, items, pair
 from .graphs import CompactEdge, DecoratedGraph, Leg
-from .record import Record
 
 Vec = tuple[int, int, int]
 
@@ -189,7 +188,7 @@ def validate_fan(f: Fan) -> list[str]:
     checks is scanned for rays inside foreign cones, O(rays x cones), and
     then for crossing walls, O(boundary walls x walls); the scan is the
     only code that reports an improper intersection."""
-    report = list(f.local_violations)
+    report = list(instance(f, Fan).local_violations)
     if report:
         return report
 
@@ -290,7 +289,7 @@ def _require_well_formed(f: Fan) -> None:
 
 
 def require_valid_fan(f: Fan) -> None:
-    if f.violations:
+    if instance(f, Fan).violations:
         raise InvalidFan(f.violations)
 
 

@@ -35,11 +35,10 @@ from math import gcd
 from typing import Optional, Sequence
 
 from singlocus.descent import PicInvariants
-from singlocus.errors import DisconnectedGraph
+from singlocus.errors import DisconnectedGraph, Record
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, orientation_gauge
 from singlocus.intlinalg import SparseColumns
 from singlocus.localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
-from singlocus.record import Record
 from singlocus.toric import Fan
 
 

@@ -158,15 +158,14 @@ def _modules_after(code):
 # The submodules that each command runs besides singlocus and singlocus.cli.
 MODULES_RUN = {
     (): set(),
-    ("validate", "--example", "theta"): {"errors", "examples", "graphs", "record", "serialize"},
-    ("toric", "extract", "--example", "p3"): {
-        "errors", "examples", "graphs", "record", "serialize", "toric",
-    },
+    ("validate", "--example", "theta"): {"errors", "examples", "graphs", "serialize"},
+    ("toric", "quartic-mirror"): {"errors", "examples", "graphs", "serialize", "toric"},
+    ("toric", "extract", "--example", "p3"): {"errors", "examples", "graphs", "serialize", "toric"},
     ("analyze", "--all", "--example", "theta"): {
-        "descent", "errors", "examples", "graphs", "intlinalg", "record", "serialize", "topology",
+        "descent", "errors", "examples", "graphs", "intlinalg", "serialize", "topology",
     },
     ("analyze", "--all", "--example", "p3"): {
-        "descent", "errors", "examples", "graphs", "intlinalg", "record", "serialize", "topology", "toric",
+        "descent", "errors", "examples", "graphs", "intlinalg", "serialize", "topology", "toric",
     },
 }
 

@@ -3,7 +3,10 @@ dataclass it replaced, checked against a ``make_dataclass`` twin."""
 
 import copy
 import dataclasses
+import importlib
+import importlib.util
 import pickle
+import pkgutil
 import types
 import typing
 from decimal import Decimal
@@ -13,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import singlocus
+from singlocus import toric, topology
 from singlocus.categories import FiniteCategory, build_i, build_j
 from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram, gauge
 from singlocus.errors import InvalidValue, SingLocusError, TriangleConstraintViolated
@@ -34,7 +39,7 @@ from singlocus.localmodels import (
     TwoPerV,
     VertexAut,
 )
-from singlocus.record import FrozenInstanceError, Record
+from singlocus.errors import FrozenInstanceError, Record
 from singlocus.serialize import graph_from_json, parse_rational
 from singlocus.toric import Fan, WallReport, validate_fan, wall_data
 from singlocus.topology import H1Result, NodalCurveReport
@@ -406,6 +411,46 @@ def test_integers_past_the_digit_limit_are_written_in_full(call, message):
     except SingLocusError as exc:
         messages = [str(exc)]
     assert message in messages
+
+
+def test_repr_writes_integers_past_the_digit_limit_in_full():
+    assert repr(H1Result(1, (BIG,))) == f"H1Result(free_rank=1, torsion=({DIGITS},))"
+    assert f"twist={DIGITS}," in repr(theta_graph(twists=(BIG, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        toric.validate_fan, toric.walls, lambda f: toric.wall_data(f, (0, 1)), toric.boundary_graph,
+        toric.divisor_classification, topology.plumbing_presentation, topology.h1_graph_manifold,
+        topology.pencil_localization, topology.dehn_twist_record,
+    ],
+    ids=[
+        "validate_fan", "walls", "wall_data", "boundary_graph", "divisor_classification",
+        "plumbing_presentation", "h1_graph_manifold", "pencil_localization", "dehn_twist_record",
+    ],
+)
+@pytest.mark.parametrize("value", [None, 5, {}], ids=repr)
+def test_a_value_that_is_no_fan_or_graph_is_refused(function, value):
+    with pytest.raises(InvalidValue, match=r"^expected a (Fan|DecoratedGraph), got " + repr(value)):
+        function(value)
+
+
+def test_every_exception_class_is_defined_in_errors():
+    # Run every module of the package, lazily registered ones included; the
+    # command line's __main__ would run the CLI, and defines no class.
+    for module in pkgutil.iter_modules(singlocus.__path__):
+        if module.name != "__main__":
+            vars(importlib.import_module(f"singlocus.{module.name}"))
+    classes, seen = [BaseException], []
+    while classes:
+        cls = classes.pop()
+        seen.append(cls)
+        classes.extend(cls.__subclasses__())
+    ours = {cls.__qualname__: cls.__module__ for cls in seen if cls.__module__.startswith("singlocus")}
+    assert {"FrozenInstanceError", "ParseError", "SingLocusError", "InvalidValue"} <= set(ours)
+    assert set(ours.values()) == {"singlocus.errors"}
+    assert importlib.util.find_spec("singlocus.record") is None
 
 
 def test_cached_properties_are_kept_out_of_the_fields():

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from singlocus.descent import DescentDiagram, assemble_diagram, gauge, pic_invariants
+from singlocus.errors import ParseError
 from singlocus.localmodels import EdgeAut
 from singlocus.examples import circular_ladder_graph, conifold_fan, quartic_mirror_fan, theta_graph
 from singlocus.serialize import (
-    ParseError,
     diagram_to_json,
     dumps_canonical,
     fan_from_json,
