@@ -18,21 +18,14 @@ import sys
 # A sibling's ``from . import x`` finds x bound here and leaves it lazy;
 # ``from .x import name`` runs it.
 _EXPORTS = {
-    "categories": "FiniteCategory build_i build_j",
     "descent": "DescentDiagram PicInvariants assemble_diagram diagrams_equivalent gauge pic_invariants",
     "errors": (
         "BoundaryWall DisconnectedGraph GraphMismatch InvalidFan InvalidGraph InvalidValue"
         " NegativeDefect NonOrientable NotAWall SingLocusError SplitStar"
-        " TriangleConstraintViolated"
     ),
     "examples": "quartic_mirror_fan",
     "graphs": "CompactEdge DecoratedGraph DualSurface Leg dual_surface orientability validate_graph",
     "intlinalg": "cokernel_abelian_group",
-    "localmodels": (
-        "EdgeAut Monomial PantsPresentation TwoPerE TwoPerV VertexAut act_on_two_per_e"
-        " act_on_two_per_v compose_edge_aut compose_vertex_aut pants_rescale_to_puncture"
-        " stabilizer_check_e stabilizer_check_v"
-    ),
     "serialize": "",
     "topology": (
         "H1Result NodalCurveReport dehn_twist_record h1_graph_manifold pencil_localization"
@@ -64,4 +57,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

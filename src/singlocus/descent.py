@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import GraphMismatch, InvalidValue, Record, items, nonzero
+from .errors import GraphMismatch, InvalidValue, Record, instance, items, nonzero
 from .graphs import CompactEdge, DecoratedGraph, orientation_gauge
 
 
@@ -26,7 +26,8 @@ class DescentDiagram(Record):
     The transition of an edge with twist n is the pair (lam_x, lam_u) of
     the autoequivalence (x, u) -> (lam_x x^-1, lam_u x^n u) with the
     shift.  One known against its stored direction is given as
-    (lam_x, lam_x^-n / lam_u), its ``edge_aut_inverse`` at eps = -1.
+    (lam_x, lam_x^-n / lam_u), the pair of the inverse map, which has the
+    same eps, n and shift.
 
     The constructor is the one gate: it refuses a graph that
     :func:`orientation_gauge` refuses (not a graph, invalid, disconnected
@@ -83,7 +84,7 @@ def assemble_diagram(g: DecoratedGraph) -> DescentDiagram:
     """The canonical diagram of a graph: charts 1 and, per compact edge,
     lam_x = base scalar and lam_u = holonomy, stored along
     :attr:`DescentDiagram.directions`."""
-    transitions = [(e.base_scalar, e.holonomy) for _, e in g.compact_edges()]
+    transitions = [(e.base_scalar, e.holonomy) for _, e in instance(g, DecoratedGraph).compact_edges()]
     return DescentDiagram(g, (Fraction(1),) * len(g.vertices), transitions)
 
 
@@ -94,7 +95,7 @@ def gauge(d: DescentDiagram, vertex_scalars: Sequence[Fraction]) -> DescentDiagr
     is untouched.
     """
     scalars = items(vertex_scalars)
-    if len(scalars) != len(d.graph.vertices):
+    if len(scalars) != len(instance(d, DescentDiagram).graph.vertices):
         raise InvalidValue("need one gauge scalar per vertex")
     scalars = [nonzero(s, "gauge scalars") for s in scalars]
     charts = tuple(s * c for s, c in zip(scalars, d.charts))
@@ -113,7 +114,8 @@ def pic_invariants(d: DescentDiagram) -> PicInvariants:
     parent -> child and P(parent) / lam otherwise, so the cycle that edge
     (s, t) closes has value P(t) / P(s) / lam.
     """
-    pot_u, pot_x = [Fraction(1)] * len(d.graph.vertices), [Fraction(1)] * len(d.graph.vertices)
+    n = len(instance(d, DescentDiagram).graph.vertices)
+    pot_u, pot_x = [Fraction(1)] * n, [Fraction(1)] * n
     for v, (u, idx) in d.graph.tree.items():
         lam_x, lam_u = d.transitions[idx]
         if d.directions[idx][0] == u:
@@ -146,7 +148,7 @@ def diagrams_equivalent(d1: DescentDiagram, d2: DescentDiagram) -> bool:
     edge incidences); the scalar decorations live in the transitions and
     are exactly what the comparison quotients by gauge.
     """
-    if _graph_shape(d1.graph) != _graph_shape(d2.graph):
+    if _graph_shape(instance(d1, DescentDiagram).graph) != _graph_shape(instance(d2, DescentDiagram).graph):
         raise GraphMismatch("diagrams live on different graphs")
     return pic_invariants(d1) == pic_invariants(d2)
 

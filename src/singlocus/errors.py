@@ -172,10 +172,6 @@ class GraphMismatch(SingLocusError):
     """Two diagrams do not share the same underlying graph."""
 
 
-class TriangleConstraintViolated(SingLocusError):
-    """A pants presentation whose triangle scalar products are not 1."""
-
-
 class InvalidFan(SingLocusError):
     """A fan failed validation; ``.report`` holds the violation list."""
 

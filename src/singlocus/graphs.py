@@ -168,7 +168,8 @@ class DecoratedGraph(Record):
 def validate_graph(g: DecoratedGraph) -> list[str]:
     """Return the list of violated invariants; empty iff the graph is valid."""
     report = [
-        f"vertex {vi} not trivalent" for vi, t in enumerate(g.vertices) if len(t) != 3 or len(set(t)) != 3
+        f"vertex {vi} not trivalent"
+        for vi, t in enumerate(instance(g, DecoratedGraph).vertices) if len(t) != 3 or len(set(t)) != 3
     ]
     seen_vertex = Counter(h for triple in g.vertices for h in triple)
     seen_edge = Counter(g.half_edges())
@@ -233,7 +234,7 @@ def orientability(g: DecoratedGraph) -> tuple[bool, list[int]]:
     toggles the flag of every non-loop edge end at it, so the cycle
     holonomies are the complete obstruction.
     """
-    w1 = [x for _, x in g.flag_parity[1]]
+    w1 = [x for _, x in instance(g, DecoratedGraph).flag_parity[1]]
     return all(x == 0 for x in w1), w1
 
 
@@ -261,7 +262,7 @@ def flip_vertex(g: DecoratedGraph, vertex: int) -> DecoratedGraph:
     A self-loop at the vertex is toggled twice, i.e. left unchanged.
     """
     vertex = integer(vertex)
-    if not 0 <= vertex < len(g.vertices):
+    if not 0 <= vertex < len(instance(g, DecoratedGraph).vertices):
         raise InvalidValue(f"no vertex {in_full(vertex)}")
     vertices = list(g.vertices)
     vertices[vertex] = tuple(reversed(vertices[vertex]))
@@ -340,9 +341,9 @@ def _face_walks(g: DecoratedGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def dual_surface(g: DecoratedGraph) -> DualSurface:
+    orientable, _ = orientability(g)  # the gate: refuses a value that is no valid graph
     num_v = len(g.vertices)
     num_legs = len(g.legs())
-    orientable, _ = orientability(g)
     chi = -num_v
     if orientable:
         genus2 = 2 - chi - num_legs

@@ -38,8 +38,9 @@ from singlocus.descent import PicInvariants
 from singlocus.errors import DisconnectedGraph, Record
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, flip_vertex, orientation_gauge
 from singlocus.intlinalg import SparseColumns
-from singlocus.localmodels import EdgeAut, compose_edge_aut, edge_aut_inverse
 from singlocus.toric import Fan
+
+from models import EdgeAut, compose_edge_aut, edge_aut_inverse
 
 
 def zero_matrix(rows: int, cols: int) -> list[list[int]]:

@@ -29,7 +29,10 @@ from singlocus.examples import (
 )
 from singlocus.graphs import CompactEdge, DecoratedGraph, dual_surface, flip_vertex
 from singlocus.intlinalg import cokernel_abelian_group
-from singlocus.localmodels import (
+from singlocus.toric import boundary_graph, wall_data, walls
+from singlocus.topology import h1_graph_manifold, pencil_localization
+
+from models import (
     EDGE_IDENTITY,
     VERTEX_IDENTITY,
     EdgeAut,
@@ -45,9 +48,6 @@ from singlocus.localmodels import (
     transporter_unit,
     vertex_aut_inverse,
 )
-from singlocus.toric import boundary_graph, wall_data, walls
-from singlocus.topology import h1_graph_manifold, pencil_localization
-
 from oracles import (
     anticanonical_degree_oracle,
     columns,

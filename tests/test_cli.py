@@ -192,11 +192,18 @@ def test_cli_start_up_footprint():
         assert {f"singlocus.{name}" for name in layers} <= loaded
 
 
+def test_every_module_serves_a_command():
+    # A module that no command runs has no place in the package.
+    package = Path(singlocus.__file__).parent
+    stems = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__", "cli"}
+    assert set().union(*MODULES_RUN.values()) == stems
+
+
 def test_every_package_export_resolves():
     # A misspelt name or module in the package's export table fails here.
     for name in singlocus.__all__:
         assert getattr(singlocus, name).__name__ == name
-    assert len(singlocus.__all__) == 56
+    assert len(singlocus.__all__) == 39
     with pytest.raises(AttributeError):
         singlocus.no_such_name
 

@@ -16,10 +16,10 @@ from singlocus.descent import (
 from singlocus.errors import DisconnectedGraph, GraphMismatch, InvalidValue, NonOrientable
 from singlocus.examples import circular_ladder_graph, p3_fan, quartic_mirror_fan, theta_graph
 from singlocus.graphs import CompactEdge, DecoratedGraph, Leg, orientation_gauge
-from singlocus.localmodels import EdgeAut, edge_aut_inverse
 from singlocus.serialize import diagram_to_json
 from singlocus.toric import boundary_graph
 from growth import assert_linear
+from models import EdgeAut, edge_aut_inverse
 from oracles import (
     _rational,
     compose_cycle,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlocus.categories import FiniteCategory, build_i, build_j, collapse_functor
 from singlocus.descent import DescentDiagram, assemble_diagram
 from singlocus.errors import DisconnectedGraph, InvalidGraph, InvalidValue, NonOrientable, SingLocusError
 from singlocus.examples import (
@@ -35,6 +34,7 @@ from singlocus.topology import (
 )
 from singlocus.toric import boundary_graph
 from growth import assert_linear
+from models import FiniteCategory, build_i, build_j, collapse_functor
 from oracles import (
     category_violation_oracle,
     cycle_basis,
@@ -464,13 +464,21 @@ def test_check_of_a_64_rung_ladder_is_fast():
     assert time.perf_counter() - start < 0.05
 
 
+def ladder_with_long_ids(digits):
+    """The 8-rung circular ladder with half-edge ids of ``digits`` digits."""
+    g, base = circular_ladder_graph(8), 10 ** (digits - 1)
+    edges = [CompactEdge([base + h for h in e.ends]) for e in g.edges]
+    return DecoratedGraph([[base + h for h in v] for v in g.vertices], edges)
+
+
 @pytest.mark.parametrize(
     "make, run, sizes",
     [
         (circular_ladder_graph, validate_graph, (128, 256, 512, 1024)),
+        (ladder_with_long_ids, validate_graph, (10, 40, 160, 640, 4000)),
         (ladder_category, FiniteCategory.check, (16, 32, 64, 128)),
     ],
-    ids=["validate_graph", "category-check"],
+    ids=["validate_graph", "validate_graph-id-digits", "category-check"],
 )
 def test_ladder_paths_grow_linearly(make, run, sizes):
     # A check that scans every arrow name per composable pair fits about 1.9.

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from singlocus.errors import TriangleConstraintViolated
-from singlocus.localmodels import (
+from models import (
     EDGE_IDENTITY,
     VERTEX_IDENTITY,
     EdgeAut,
     Monomial,
     PantsPresentation,
+    TriangleConstraintViolated,
     TwoPerE,
     TwoPerV,
     VertexAut,

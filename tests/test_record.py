@@ -17,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singlocus
-from singlocus import toric, topology
-from singlocus.categories import FiniteCategory, build_i, build_j
+from singlocus import descent, graphs, toric, topology
 from singlocus.descent import DescentDiagram, PicInvariants, assemble_diagram, gauge
-from singlocus.errors import InvalidValue, SingLocusError, TriangleConstraintViolated
+from singlocus.errors import InvalidValue, SingLocusError
 from singlocus.examples import circular_ladder_graph, p3_fan, theta_graph
 from singlocus.graphs import (
     CompactEdge,
@@ -31,19 +30,23 @@ from singlocus.graphs import (
     validate_graph,
 )
 from singlocus.intlinalg import SparseColumns, cokernel_abelian_group
-from singlocus.localmodels import (
-    EdgeAut,
-    Monomial,
-    PantsPresentation,
-    TwoPerE,
-    TwoPerV,
-    VertexAut,
-)
 from singlocus.errors import FrozenInstanceError, Record
 from singlocus.serialize import graph_from_json, parse_rational
 from singlocus.toric import Fan, WallReport, validate_fan, wall_data
 from singlocus.topology import H1Result, NodalCurveReport
 
+from models import (
+    EdgeAut,
+    FiniteCategory,
+    Monomial,
+    PantsPresentation,
+    TriangleConstraintViolated,
+    TwoPerE,
+    TwoPerV,
+    VertexAut,
+    build_i,
+    build_j,
+)
 from oracles import SmithForm
 
 RECORDS = (
@@ -191,6 +194,8 @@ def hash_or_error(x):
 def test_every_record_type_is_covered():
     assert set(Record.__subclasses__()) == set(RECORDS)
     assert len(RECORDS) == 19
+    # The package's own: the others are the snf oracle's and the test models'.
+    assert sum(cls.__module__.startswith("singlocus.") for cls in RECORDS) == 11
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -424,16 +429,38 @@ def test_repr_writes_integers_past_the_digit_limit_in_full():
         toric.validate_fan, toric.walls, lambda f: toric.wall_data(f, (0, 1)), toric.boundary_graph,
         toric.divisor_classification, topology.plumbing_presentation, topology.h1_graph_manifold,
         topology.pencil_localization, topology.dehn_twist_record,
+        graphs.validate_graph, graphs.orientability, graphs.dual_surface, lambda g: graphs.flip_vertex(g, 0),
+        descent.assemble_diagram, descent.pic_invariants, lambda d: descent.gauge(d, [1, 1]),
+        lambda d: descent.diagrams_equivalent(d, DIAGRAMS[0]),
     ],
     ids=[
         "validate_fan", "walls", "wall_data", "boundary_graph", "divisor_classification",
         "plumbing_presentation", "h1_graph_manifold", "pencil_localization", "dehn_twist_record",
+        "validate_graph", "orientability", "dual_surface", "flip_vertex",
+        "assemble_diagram", "pic_invariants", "gauge", "diagrams_equivalent",
     ],
 )
 @pytest.mark.parametrize("value", [None, 5, {}], ids=repr)
 def test_a_value_that_is_no_fan_or_graph_is_refused(function, value):
-    with pytest.raises(InvalidValue, match=r"^expected a (Fan|DecoratedGraph), got " + repr(value)):
+    with pytest.raises(InvalidValue, match=r"^expected a (Fan|DecoratedGraph|DescentDiagram), got " + repr(value)):
         function(value)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: descent.pic_invariants(theta_graph()), "DescentDiagram", id="pic_invariants"),
+        pytest.param(lambda: descent.diagrams_equivalent(DIAGRAMS[0], theta_graph()), "DescentDiagram",
+                     id="diagrams_equivalent"),
+        pytest.param(lambda: graphs.dual_surface(p3_fan()), "DecoratedGraph", id="dual_surface"),
+        pytest.param(lambda: graphs.validate_graph(p3_fan()), "DecoratedGraph", id="validate_graph"),
+        pytest.param(lambda: topology.h1_graph_manifold(p3_fan()), "DecoratedGraph", id="h1_graph_manifold"),
+        pytest.param(lambda: toric.validate_fan(theta_graph()), "Fan", id="validate_fan"),
+    ],
+)
+def test_a_record_of_the_wrong_type_is_refused(call, expected):
+    with pytest.raises(InvalidValue, match=rf"^expected a {expected}, got (Fan|DecoratedGraph)\("):
+        call()
 
 
 def test_every_exception_class_is_defined_in_errors():
@@ -450,7 +477,8 @@ def test_every_exception_class_is_defined_in_errors():
     ours = {cls.__qualname__: cls.__module__ for cls in seen if cls.__module__.startswith("singlocus")}
     assert {"FrozenInstanceError", "ParseError", "SingLocusError", "InvalidValue"} <= set(ours)
     assert set(ours.values()) == {"singlocus.errors"}
-    assert importlib.util.find_spec("singlocus.record") is None
+    for gone in ("record", "localmodels", "categories"):
+        assert importlib.util.find_spec(f"singlocus.{gone}") is None
 
 
 def test_cached_properties_are_kept_out_of_the_fields():

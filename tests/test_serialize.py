@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from singlocus.descent import DescentDiagram, assemble_diagram, gauge, pic_invariants
 from singlocus.errors import ParseError
-from singlocus.localmodels import EdgeAut
 from singlocus.examples import circular_ladder_graph, conifold_fan, quartic_mirror_fan, theta_graph
 from singlocus.serialize import (
     diagram_to_json,
@@ -24,6 +23,7 @@ from singlocus.serialize import (
 )
 from singlocus.toric import boundary_graph
 from growth import assert_linear
+from models import EdgeAut
 
 
 def test_rational_round_trip():

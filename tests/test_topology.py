@@ -357,17 +357,21 @@ def test_h1_ladder_1024_is_fast():
     assert (h1.free_rank, h1.torsion) == gysin_h1(1025)
 
 
+RUNGS, DIGITS = (128, 256, 512, 1024), (10, 40, 160, 640, 4000)
+
+
 @pytest.mark.parametrize(
-    "make, run",
+    "make, run, sizes",
     [
-        (circular_ladder_graph, h1_graph_manifold),
-        (twisted_ladder, pencil_localization),
-        (twisted_ladder, dehn_twist_record),
+        (circular_ladder_graph, h1_graph_manifold, RUNGS),
+        (twisted_ladder, pencil_localization, RUNGS),
+        (lambda d: twisted_ladder(8, 10 ** (d - 1), 10**d), pencil_localization, DIGITS),
+        (twisted_ladder, dehn_twist_record, RUNGS),
     ],
-    ids=["h1-untwisted", "pencil-twisted", "dehn-twisted"],
+    ids=["h1-untwisted", "pencil-twisted", "pencil-twist-digits", "dehn-twisted"],
 )
-def test_ladder_paths_grow_linearly(make, run):
-    assert_linear(make, run, (128, 256, 512, 1024))
+def test_ladder_paths_grow_linearly(make, run, sizes):
+    assert_linear(make, run, sizes)
 
 
 @pytest.mark.parametrize(
