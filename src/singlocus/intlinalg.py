@@ -44,16 +44,23 @@ class SparseColumns(Record):
     columns: tuple[dict[int, int], ...]
 
     def __post_init__(self):
-        if integer(self.rows) < 0:
+        object.__setattr__(self, "rows", integer(self.rows))
+        if self.rows < 0:
             raise InvalidValue("matrix dimensions must be non-negative")
-        object.__setattr__(self, "columns", items(self.columns))
-        for column in self.columns:
+        columns = []
+        for column in items(self.columns):
             if not isinstance(column, dict):
                 raise InvalidValue(f"expected a column {{row: entry}}, got {shown(column)}")
+            checked = {}
             for i, x in column.items():
-                integer(x)
-                if not 0 <= integer(i) < self.rows:
+                x, i = integer(x), integer(i)
+                if not 0 <= i < self.rows:
                     raise InvalidValue(f"row {in_full(i)} is out of range for {in_full(self.rows)} rows")
+                if i in checked:
+                    raise InvalidValue(f"row {in_full(i)} appears twice in a column")
+                checked[i] = x
+            columns.append(checked)
+        object.__setattr__(self, "columns", tuple(columns))
 
 
 def cokernel_abelian_group(m: SparseColumns) -> tuple[int, tuple[int, ...]]:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import functools
@@ -183,6 +184,9 @@ def test_cli_start_up_footprint():
         if argv:
             code += f"; singlocus.cli.main({list(argv)!r} + ['--output', os.devnull])"
         loaded, ran = _modules_after(code)
+        # No runtime dependencies: every module a command loads is the stdlib's or ours.
+        outside = {name.partition(".")[0] for name in loaded - before} - sys.stdlib_module_names
+        assert outside <= {"singlocus"}, argv
         assert not (loaded - before) & {"dataclasses", "inspect", "_hashlib"}, argv
         assert ran == {"singlocus", "singlocus.cli"} | {f"singlocus.{m}" for m in modules}, argv
         # Every submodule is registered, so the benchmark's tracer finds
@@ -197,6 +201,75 @@ def test_every_module_serves_a_command():
     package = Path(singlocus.__file__).parent
     stems = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__", "cli"}
     assert set().union(*MODULES_RUN.values()) == stems
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A deletion leaves no dead import behind; __init__.py re-exports by importing.
+    unused = []
+    for path in sorted(Path(singlocus.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
+def _private_imports(paths, imports_singlocus):
+    """Each ``from ... import _name`` in ``paths`` whose ImportFrom node
+    ``imports_singlocus`` accepts."""
+    return [
+        f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and imports_singlocus(node)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_oracles_import_no_private_name_of_singlocus():
+    # An oracle that imports a private helper shares code with what it
+    # checks; the test models are the descent oracle.
+    paths = [Path(__file__).parent / name for name in ("oracles.py", "models.py")]
+    assert _private_imports(paths, lambda node: (node.module or "").partition(".")[0] == "singlocus") == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # A private name belongs to its module; a helper another module needs is public.
+    paths = sorted(Path(singlocus.__file__).parent.glob("*.py"))
+    assert _private_imports(paths, lambda node: node.level or (node.module or "").startswith("singlocus")) == []
+
+
+def _workflow_runs(text):
+    """The text of each ``run:`` value of a workflow: the rest of its line
+    and every following line indented deeper than the key."""
+    runs, indent = [], None
+    for line in text.splitlines():
+        key, found, value = line.partition("run:")
+        if found and key.strip() in ("", "-"):
+            runs.append(value)
+            indent = len(key)
+        elif indent is not None and (not line.strip() or len(line) - len(line.lstrip()) > indent):
+            runs[-1] += "\n" + line
+        else:
+            indent = None
+    return runs
+
+
+def test_workflow_runs_each_ci_program():
+    # A CI program is a file under tests/ci/ that runs the same way off CI, not a heredoc in the workflow.
+    tests = Path(__file__).parent
+    workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text()
+    assert "<<" not in workflow
+    runs = _workflow_runs(workflow)
+    for path in sorted((tests / "ci").glob("*.py")):
+        assert any(f"tests/ci/{path.name}" in run for run in runs), path.name
 
 
 def test_every_package_export_resolves():

@@ -278,6 +278,7 @@ def test_post_init_messages_are_unchanged():
         (lambda: cokernel_abelian_group(SparseColumns(1, ({0: 2.5},))), InvalidValue,
          "expected an integer, got 2.5"),
         (lambda: SparseColumns(1, ({1: 1},)), InvalidValue, "row 1 is out of range for 1 rows"),
+        (lambda: SparseColumns(1, ({Index(0): 1, 0: 2},)), InvalidValue, "row 0 appears twice in a column"),
         (lambda: Fan([[1.7, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]]), InvalidValue,
          "expected an integer, got 1.7"),
         (lambda: Fan([[Fraction(1), 0, 0]], []), InvalidValue, "expected an integer, got Fraction(1, 1)"),
@@ -331,6 +332,16 @@ def test_input_records_hold_exact_values_or_refuse(cls, data):
     assert getattr(made, name) == fields[name]
 
 
+class Index:
+    """An integer that is no int: it has only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_post_init_normalizes_fields():
     e = CompactEdge([0, 1], twist=1, holonomy=2)
     assert repr(e) == (
@@ -338,6 +349,12 @@ def test_post_init_normalizes_fields():
         "base_scalar=Fraction(1, 1), reversing=False, self_intersections=None)"
     )
     assert e.replace(reversing=True).reversing and not e.reversing
+    # An __index__ value is stored as the int it stands for, in a dict of the record's own.
+    plain = SparseColumns(2, [{0: 2}])
+    for rows, column in [(Index(2), {0: 2}), (2, {0: Index(2)}), (2, {Index(0): 2})]:
+        m = SparseColumns(rows, [column])
+        assert m == plain and m.columns[0] is not column
+        assert cokernel_abelian_group(m) == cokernel_abelian_group(plain) == (1, (2,))
 
 
 def test_arguments_are_checked():
