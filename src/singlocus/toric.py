@@ -356,30 +356,20 @@ def boundary_graph(f: Fan) -> DecoratedGraph:
     walls become legs.  Scalar decorations default to 1.
     """
     require_valid_fan(f)
-    table = f.wall_table
-
-    # Half-edge ids: 3 * cone + k, at the wall opposite its k-th positive ray.
+    table, oriented = f.wall_table, f.oriented_cones
     vertices = tuple((3 * ci, 3 * ci + 1, 3 * ci + 2) for ci in range(len(f.cones)))
-    half_edge_of: dict[tuple[tuple[int, int], int], int] = {}
-    for ci, (a, b, c) in enumerate(f.oriented_cones):
-        for pos, (x, y) in enumerate(((b, c), (c, a), (a, b))):
-            half_edge_of[((x, y) if x < y else (y, x), ci)] = 3 * ci + pos
-
     edges: list = []
     for wall in sorted(table):
-        cones = table[wall]
-        if len(cones) == 2:
+        ends = []
+        for ci in table[wall]:
+            # Half-edge id: 3 * cone + k, at the wall opposite the cone's k-th positive ray.
+            a, b, _ = oriented[ci]
+            ends.append(3 * ci + (0 if a not in wall else 1 if b not in wall else 2))
+        if len(ends) == 2:
             report = f.wall_reports[wall]
-            ends = (half_edge_of[(wall, cones[0])], half_edge_of[(wall, cones[1])])
-            edges.append(
-                CompactEdge(
-                    ends,
-                    twist=report.defect,
-                    self_intersections=report.self_intersections,
-                )
-            )
+            edges.append(CompactEdge(tuple(ends), twist=report.defect, self_intersections=report.self_intersections))
         else:
-            edges.append(Leg(half_edge_of[(wall, cones[0])]))
+            edges.append(Leg(ends[0]))
     return DecoratedGraph(vertices, edges)
 
 

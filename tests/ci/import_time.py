@@ -1,12 +1,14 @@
 """Import time of ``singlocus.cli``, the singlocus modules that a
 ``validate`` process runs, and the start-up floor.
 
-Prints three kinds of line:
+Prints four kinds of line:
 
 - the ``singlocus.cli`` line of ``python -X importtime -c "import
   singlocus.cli"`` (microseconds, self | cumulative).  The other
   submodules are registered lazily and run on first use, which
   ``-X importtime`` does not see;
+- the peak resident memory of a child that imports ``singlocus.cli``,
+  the ``VmHWM`` line of its ``/proc/self/status``, as ``VmHWM: N kB``;
 - the singlocus modules that ``python -m singlocus validate --example
   theta`` runs, read from ``sys.modules`` after running it in-process;
 - the start-up floor: the median wall times of 15 child runs each of
@@ -36,6 +38,11 @@ importtime = subprocess.run(
     env=env, capture_output=True, text=True, check=True,
 )
 print(*[line for line in importtime.stderr.splitlines() if re.search(r"\| singlocus\.cli$", line)], sep="\n")
+vmhwm = """import singlocus.cli
+with open("/proc/self/status") as status:
+    print(*next(line for line in status if line.startswith("VmHWM")).split())
+"""
+print(subprocess.run([sys.executable, "-c", vmhwm], env=env, capture_output=True, text=True, check=True).stdout, end="")
 
 sys.argv = ["singlocus", "validate", "--example", "theta", "--output", os.devnull]
 try:

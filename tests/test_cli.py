@@ -263,11 +263,14 @@ def _workflow_runs(text):
 
 
 def test_workflow_runs_each_ci_program():
-    # A CI program is a file under tests/ci/ that runs the same way off CI, not a heredoc in the workflow.
+    # A CI program is a file under tests/ci/ that runs the same way off CI, not a heredoc, a python -c
+    # or a shell timeout in the workflow.
     tests = Path(__file__).parent
     workflow = (tests.parent / ".github" / "workflows" / "tests.yml").read_text()
     assert "<<" not in workflow
     runs = _workflow_runs(workflow)
+    for run in runs:
+        assert not re.search(r"\bpython3? -c\b", run) and "timeout " not in run, run
     for path in sorted((tests / "ci").glob("*.py")):
         assert any(f"tests/ci/{path.name}" in run for run in runs), path.name
 
